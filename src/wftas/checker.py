@@ -22,7 +22,7 @@ from .automata import (
     assign_labels,
     fa3_build,
 )
-from .core import Event, RegValue
+from .core import Event
 from .goldens import GoldenTable, STATE_ORDER, load_golden_table
 from .protocol import GROUP, ProcState
 
@@ -94,17 +94,22 @@ def edges_from(config: Config, step_fn: StepFn = protocol.step) -> list[Edge]:
     return out
 
 
-def reachable_configs(step_fn: StepFn = protocol.step) -> set[Config]:
-    """Breadth-first closure of (rst, rst) under scheduled accesses."""
-    seen = {INITIAL_CONFIG}
+def edge_map(
+    step_fn: StepFn = protocol.step,
+) -> dict[Config, tuple[Edge, ...]]:
+    """Outgoing scheduled-access branches for every reachable configuration."""
+    out: dict[Config, tuple[Edge, ...]] = {}
     frontier = [INITIAL_CONFIG]
     while frontier:
         c = frontier.pop()
-        for e in edges_from(c, step_fn):
-            if e.dst not in seen:
-                seen.add(e.dst)
+        if c in out:
+            continue
+        edges = tuple(edges_from(c, step_fn))
+        out[c] = edges
+        for e in edges:
+            if e.dst not in out:
                 frontier.append(e.dst)
-    return seen
+    return out
 
 
 def forward_families(
@@ -285,6 +290,7 @@ class CheckReport:
     verified_unreachable: int = 0
     mismatches: list[str] = field(default_factory=list)
     labels: Optional[LabelAssignment] = None
+    rep_sets: dict[Config, frozenset[Fa3State]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -309,6 +315,7 @@ def verify_against_table(
     fa3 = fa3_build()
     report = CheckReport()
     rep = representative_sets(fa3, step_fn)
+    report.rep_sets = rep
     report.reachable_count = len(rep)
     for c in sorted(rep, key=_cfg_key):
         if not rep[c]:

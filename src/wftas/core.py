@@ -8,7 +8,7 @@ every access happens at its own step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
@@ -71,14 +71,6 @@ class Registers:
 
     def __init__(self, r0: RegValue = RegValue.RST, r1: RegValue = RegValue.RST):
         self._vals = [r0, r1]
-
-    @property
-    def r0(self) -> RegValue:
-        return self._vals[0]
-
-    @property
-    def r1(self) -> RegValue:
-        return self._vals[1]
 
     def write(self, pid: int, value: RegValue) -> None:
         if pid not in (0, 1):
@@ -154,17 +146,30 @@ class Access:
     def from_json(line: str) -> "Access":
         try:
             obj = json.loads(line)
+            t, pid, op_seq, reg = obj["t"], obj["pid"], obj["op_seq"], obj["reg"]
+            coin, events = obj["coin"], obj["events"]
+            # type() rather than isinstance(): JSON true must not pass as 1.
+            if type(t) is not int or type(op_seq) is not int:
+                raise CorruptTrace(f"bad t/op_seq {t!r}/{op_seq!r}")
+            if type(pid) is not int or pid not in (0, 1):
+                raise CorruptTrace(f"bad pid {pid!r}")
+            if reg not in ("R0", "R1"):
+                raise CorruptTrace(f"bad reg {reg!r}")
+            if coin is not None and type(coin) is not bool:
+                raise CorruptTrace(f"bad coin {coin!r}")
+            if type(events) is not list or any(type(k) is not str for k in events):
+                raise CorruptTrace(f"bad events {events!r}")
             return Access(
-                t=obj["t"],
-                pid=obj["pid"],
-                reg=int(obj["reg"][1]),
+                t=t,
+                pid=pid,
+                reg=int(reg[1]),
                 action=obj["action"],
                 value=RegValue(obj["value"]),
-                coin=obj["coin"],
+                coin=coin,
                 pre=obj["pre"],
                 post=obj["post"],
-                events=tuple(Event(k, obj["pid"]) for k in obj["events"]),
-                op_seq=obj["op_seq"],
+                events=tuple(Event(k, pid) for k in events),
+                op_seq=op_seq,
                 op=obj["op"],
             )
         except (KeyError, ValueError, IndexError, TypeError, json.JSONDecodeError) as exc:
@@ -230,13 +235,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[Access]:
         return iter(self.accesses)
-
-    def by_pid(self, pid: int) -> list[Access]:
-        return [a for a in self.accesses if a.pid == pid]
-
-    def b_accesses(self) -> list[Access]:
-        """h|B: the accesses carrying at least one B-event."""
-        return [a for a in self.accesses if a.events]
 
     def replay(self) -> Registers:
         """Replay from fresh registers; raises TraceError if inconsistent."""

@@ -8,14 +8,18 @@ same machinery: the maximal probability of the tracked process looping
 back through CHOOSE before finishing, and the maximal expected number of
 CHOOSE entries per operation.
 
-All results are exact rationals, certified as follows: float value
-iteration produces a numeric fixed point; each entry is snapped to a
-small rational; the greedy policy of the snapped values is extracted
-(ties broken toward scheduling the tracked process, which keeps the
-policy proper); the snapped values are then verified to be the exact
-fixed point of both the policy's affine operator and the optimal Bellman
-operator.  A proper policy has a unique fixed point, so the snapped
-values are exactly the optimal values.
+Everything is computed in exact rationals by policy iteration.  A fixed
+policy is evaluated by solving its linear system v = r + P·v with
+Gaussian elimination over Fractions; a zero pivot means the policy is
+improper (some configuration never reaches absorption).  Starting from
+the proper policy "always schedule the tracked process", a configuration
+switches to the other process only when that strictly raises its value,
+until no configuration switches.  The result is then certified
+independently: the policy is re-extracted greedily from the values
+(ties broken toward scheduling the tracked process), the values must be
+exactly the fixed point of the optimal Bellman operator, and the policy
+must be proper.  A proper policy's affine operator has a unique fixed
+point, so the values are exactly the optimal values.
 """
 
 from __future__ import annotations
@@ -25,19 +29,15 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import protocol
-from .checker import Config, Edge, INITIAL_CONFIG, StepFn, edges_from
+from .checker import Config, Edge, StepFn, _cfg_name, edge_map
 from .protocol import ProcState
 
 # (reward on taking this branch, branch is absorbing)
 BranchFn = Callable[[Edge], tuple[int, bool]]
 
-VI_TOL = 1e-12
-VI_CAP = 10_000
-SNAP_DENOMINATOR = 1 << 20
-
 
 class NonConvergence(Exception):
-    """Value iteration or exact certification failed — a modeling bug."""
+    """A policy is improper or exact certification failed — a modeling bug."""
 
 
 @dataclass(frozen=True)
@@ -46,34 +46,16 @@ class SolveResult:
 
     values: dict[Config, Fraction]
     policy: dict[Config, int]
-    iterations: int
+    iterations: int  # exact policy evaluations (policy-improvement rounds)
 
     @property
     def max_value(self) -> Fraction:
         return max(self.values.values())
 
 
-def edge_map(
-    step_fn: StepFn = protocol.step,
-) -> dict[Config, tuple[Edge, ...]]:
-    """Outgoing scheduled-access branches for every reachable configuration."""
-    out: dict[Config, tuple[Edge, ...]] = {}
-    frontier = [INITIAL_CONFIG]
-    while frontier:
-        c = frontier.pop()
-        if c in out:
-            continue
-        edges = tuple(edges_from(c, step_fn))
-        out[c] = edges
-        for e in edges:
-            if e.dst not in out:
-                frontier.append(e.dst)
-    return out
-
-
-def _q_value(edges, pid: int, branch_fn: BranchFn, v) -> object:
+def _q_value(edges, pid: int, branch_fn: BranchFn, v) -> Fraction:
     """Expected value of scheduling `pid`, under the value estimate v."""
-    q = 0
+    q = Fraction(0)
     for e in edges:
         if e.pid != pid:
             continue
@@ -82,36 +64,67 @@ def _q_value(edges, pid: int, branch_fn: BranchFn, v) -> object:
     return q
 
 
-def _value_iteration(
+def _evaluate(
     emap: dict[Config, tuple[Edge, ...]],
     branch_fn: BranchFn,
-) -> tuple[dict[Config, float], int]:
-    v = {c: 0.0 for c in emap}
-    for it in range(VI_CAP):
-        delta = 0.0
-        for c, edges in emap.items():
-            new = max(
-                float(_q_value(edges, 0, branch_fn, v)),
-                float(_q_value(edges, 1, branch_fn, v)),
-            )
-            delta = max(delta, abs(new - v[c]))
-            v[c] = new
-        if delta < VI_TOL:
-            return v, it + 1
-    raise NonConvergence(f"value iteration did not stabilize in {VI_CAP} sweeps")
+    policy: dict[Config, int],
+) -> dict[Config, Fraction]:
+    """Exact values of a fixed policy: v = r + P·v by sparse Gaussian
+    elimination over Fractions, one unknown per configuration."""
+    # rows[c] holds the coefficients of (I - P) for configuration c.
+    rows: dict[Config, dict[Config, Fraction]] = {}
+    rhs: dict[Config, Fraction] = {}
+    for c, edges in emap.items():
+        row = {c: Fraction(1)}
+        r = Fraction(0)
+        for e in edges:
+            if e.pid != policy[c]:
+                continue
+            reward, absorbing = branch_fn(e)
+            r += e.prob * reward
+            if not absorbing:
+                row[e.dst] = row.get(e.dst, 0) - e.prob
+        rows[c] = {d: a for d, a in row.items() if a}
+        rhs[c] = r
+    order = list(emap)
+    for k, c in enumerate(order):
+        row = rows[c]
+        pivot = row.get(c)
+        if pivot is None:
+            # I - P is singular: the policy never leaves some closed set
+            # of configurations.
+            raise NonConvergence(f"policy is improper at {_cfg_name(c)}")
+        for d in order[k + 1:]:
+            other = rows[d]
+            a = other.get(c)
+            if a is None:
+                continue
+            f = a / pivot
+            for x, b in row.items():
+                y = other.get(x, 0) - f * b
+                if y:
+                    other[x] = y
+                else:
+                    del other[x]
+            rhs[d] -= f * rhs[c]
+    values: dict[Config, Fraction] = {}
+    for c in reversed(order):
+        row = rows[c]
+        acc = rhs[c]
+        for x, b in row.items():
+            if x != c:
+                acc -= b * values[x]
+        values[c] = acc / row[c]
+    return {c: values[c] for c in order}
 
 
 def _certify(
     emap: dict[Config, tuple[Edge, ...]],
     branch_fn: BranchFn,
-    float_values: dict[Config, float],
+    values: dict[Config, Fraction],
     iterations: int,
     tracked: int,
 ) -> SolveResult:
-    values = {
-        c: Fraction(x).limit_denominator(SNAP_DENOMINATOR)
-        for c, x in float_values.items()
-    }
     # Greedy policy; ties go to the tracked process so that the policy
     # keeps making progress toward absorption (a solo process always
     # finishes its operation).
@@ -123,8 +136,7 @@ def _certify(
         # Optimal Bellman fixed point, exactly.
         if values[c] != max(q_tracked, q_other):
             raise NonConvergence(
-                f"snapped values are not a Bellman fixed point at "
-                f"({c[0].value},{c[1].value})"
+                f"values are not a Bellman fixed point at {_cfg_name(c)}"
             )
     # Properness: under the policy some absorbing branch is reachable
     # from every configuration, hence absorption is almost sure and the
@@ -161,38 +173,13 @@ def evaluate_policy(
     tracked: int = 0,
     step_fn: StepFn = protocol.step,
 ) -> SolveResult:
-    """Certified exact value of a *fixed* scheduling policy.
-
-    Same pipeline as the optimizing solver, but the policy is given:
-    float iteration of the policy's affine operator, rational snap,
-    exact fixed-point verification, properness check.
-    """
+    """Certified exact value of a *fixed* scheduling policy: the
+    properness check, then one exact evaluation."""
     emap = edge_map(step_fn)
     branch_fn = branch_fn_for(tracked)
     _policy_properness(emap, branch_fn, policy)
-    v = {c: 0.0 for c in emap}
-    iterations = 0
-    for it in range(VI_CAP):
-        iterations = it + 1
-        delta = 0.0
-        for c, edges in emap.items():
-            new = float(_q_value(edges, policy[c], branch_fn, v))
-            delta = max(delta, abs(new - v[c]))
-            v[c] = new
-        if delta < VI_TOL:
-            break
-    else:
-        raise NonConvergence(f"policy evaluation did not stabilize in {VI_CAP} sweeps")
-    values = {
-        c: Fraction(x).limit_denominator(SNAP_DENOMINATOR) for c, x in v.items()
-    }
-    for c, edges in emap.items():
-        if values[c] != _q_value(edges, policy[c], branch_fn, values):
-            raise NonConvergence(
-                f"snapped policy values are not a fixed point at "
-                f"({c[0].value},{c[1].value})"
-            )
-    return SolveResult(values=values, policy=dict(policy), iterations=iterations)
+    values = _evaluate(emap, branch_fn, policy)
+    return SolveResult(values=values, policy=dict(policy), iterations=1)
 
 
 def _solve_mdp(
@@ -202,8 +189,21 @@ def _solve_mdp(
 ) -> SolveResult:
     emap = edge_map(step_fn)
     branch_fn = branch_fn_for(tracked)
-    float_values, iterations = _value_iteration(emap, branch_fn)
-    return _certify(emap, branch_fn, float_values, iterations, tracked)
+    # Scheduling only the tracked process is proper: a solo process
+    # always finishes its operation.
+    policy = {c: tracked for c in emap}
+    rounds = 0
+    while True:
+        values = _evaluate(emap, branch_fn, policy)
+        rounds += 1
+        stable = True
+        for c, edges in emap.items():
+            other = 1 - policy[c]
+            if _q_value(edges, other, branch_fn, values) > values[c]:
+                policy[c] = other
+                stable = False
+        if stable:
+            return _certify(emap, branch_fn, values, rounds, tracked)
 
 
 def _access_cost(tracked: int) -> BranchFn:

@@ -33,9 +33,6 @@ class GoldenTable:
     def __init__(self, cells: dict[tuple[str, str], Optional[Cell]]):
         self.cells = cells
 
-    def __getitem__(self, key: tuple[str, str]) -> Optional[Cell]:
-        return self.cells[key]
-
     def cell(self, s0: ProcState, s1: ProcState) -> Optional[Cell]:
         return self.cells[(s0.value, s1.value)]
 

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 from . import core, expectation, protocol
 from .checker import Config
-from .core import Access, OpRecord, RegValue, Trace
-from .protocol import GROUP, IDLE_OP, IDLE_STATES, ProcState
+from .core import Access, OpRecord, Trace
+from .protocol import GROUP, IDLE_OP, ProcState
 
 # An adversary sees the full visible history (accesses so far, current
 # chart states) and the schedulable pids, and picks one of them.

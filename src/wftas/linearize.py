@@ -9,7 +9,7 @@ test-and-set operations (resets linearize at their single access).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import protocol

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import linearize, protocol
-from .core import Access, Event, OpRecord, RegValue, Registers, Trace
-from .protocol import GROUP, IDLE_OP, ProcState
+from .core import Access, OpRecord, Trace
+from .harness import _Engine
 
 
 class NotOwner(Exception):
@@ -50,16 +50,6 @@ class NodeAccess:
     access: Access  # pid field holds the role; t is the global time
 
 
-class _Node:
-    """One two-process protocol instance; chart states persist across ops."""
-
-    def __init__(self) -> None:
-        self.regs = Registers(RegValue.RST, RegValue.RST)
-        self.states: list[ProcState] = [ProcState.RST, ProcState.RST]
-        self.mid_op: list[Optional[str]] = [None, None]
-        self.op_seq = [-1, -1]
-
-
 class _Proc:
     def __init__(self, pid: int, path: tuple[int, ...], roles: tuple[int, ...]):
         self.pid = pid
@@ -85,8 +75,10 @@ class TournamentTree:
         self.n = n
         self.rng = random.Random(seed)
         n_leaves = 2 if n == 2 else 4
-        self.nodes: dict[int, _Node] = {
-            v: _Node() for v in range(1, n_leaves)
+        # One two-process protocol instance per node; chart states persist
+        # across operations, and all nodes draw coins from the tree's rng.
+        self.nodes: dict[int, _Engine] = {
+            v: _Engine(self.rng) for v in range(1, n_leaves)
         }
         self.procs: dict[int, _Proc] = {}
         self.t = 0
@@ -134,45 +126,16 @@ class TournamentTree:
 
     # -- one access --------------------------------------------------------
 
-    def _node_access(self, node_id: int, role: int, op_kind: str) -> tuple[Access, Optional[int]]:
+    def _node_access(self, node_id: int, role: int) -> tuple[Access, Optional[int]]:
         """One access of `role` at `node_id`; returns the access (pid =
         role, node-local op bookkeeping) and the node-level return value
         if this access finished a node-level operation."""
         nd = self.nodes[node_id]
-        s = nd.states[role]
+        nd.t = self.t
+        a = nd.step_pid(role)
         if nd.mid_op[role] is None:
-            nd.op_seq[role] += 1
-            nd.mid_op[role] = IDLE_OP[s]
-        kind = protocol.enabled_access(s)
-        if kind[0] == "w":
-            value = kind[1]
-            post = protocol.step(s)
-            action, reg, coin = "w", role, None
-            nd.regs.write(role, value)
-        else:
-            value = nd.regs.read(role)
-            coin = self.rng.random() < 0.5 if protocol.needs_coin(s, value) else None
-            post = protocol.step(s, value, coin)
-            action, reg = "r", 1 - role
-        a = Access(
-            t=self.t,
-            pid=role,
-            reg=reg,
-            action=action,
-            value=value,
-            coin=coin,
-            pre=s.value,
-            post=post.value,
-            events=protocol.classify(s, post, role),
-            op_seq=nd.op_seq[role],
-            op=nd.mid_op[role],
-        )
-        nd.states[role] = post
-        ret = None
-        if protocol.finishes_op(s, post):
-            nd.mid_op[role] = None
-            ret = protocol.returns_value(post)
-        return a, ret
+            return a, protocol.returns_value(nd.states[role])
+        return a, None
 
     def step(self, pid: int) -> None:
         """Execute one register access of pid's operation in progress."""
@@ -182,7 +145,7 @@ class TournamentTree:
         if p.phase == "ascend":
             node_id = p.path[p.level]
             role = p.roles[p.level]
-            a, ret = self._node_access(node_id, role, "tas")
+            a, ret = self._node_access(node_id, role)
             self._record(pid, node_id, role, a)
             if ret == 0:
                 p.won.append(node_id)
@@ -198,9 +161,9 @@ class TournamentTree:
         else:  # descend: reset the next owed node (one access each)
             node_id = p.to_reset[0]
             role = p.roles[p.path.index(node_id)]
-            a, ret = self._node_access(node_id, role, "reset")
+            a, ret = self._node_access(node_id, role)
             self._record(pid, node_id, role, a)
-            if ret is not None or self.nodes[node_id].mid_op[role] is None:
+            if self.nodes[node_id].mid_op[role] is None:
                 p.to_reset.pop(0)
                 if not p.to_reset:
                     if p.op == "reset":

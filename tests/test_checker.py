@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from wftas import checker, protocol
-from wftas.checker import INITIAL_CONFIG, edges_from, reachable_configs
+from wftas.checker import INITIAL_CONFIG, edge_map, edges_from
 from wftas.core import RegValue
 from wftas.protocol import ProcState as S
 
@@ -11,13 +11,13 @@ def test_initial_config():
 
 
 def test_reachable_count():
-    assert len(reachable_configs()) == 98
+    assert len(edge_map()) == 98
 
 
 def test_edges_probabilities():
-    for cfg in reachable_configs():
+    for cfg, out in edge_map().items():
         for pid in (0, 1):
-            edges = [e for e in edges_from(cfg) if e.pid == pid]
+            edges = [e for e in out if e.pid == pid]
             assert sum(e.prob for e in edges) == Fraction(1)
             for e in edges:
                 assert e.src == cfg

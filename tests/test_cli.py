@@ -18,6 +18,24 @@ def test_check(capsys):
     assert "FAIL" not in out
 
 
+def test_check_symmetry_problems_printed_once(capsys, monkeypatch):
+    from wftas import goldens
+
+    table = goldens.load_golden_table()
+    cells = dict(table.cells)
+    cell = cells[("rst", "me")]
+    extra = min(set("abcdefghijklmnopqrst") - cell.letters)
+    cells[("rst", "me")] = goldens.Cell(cell.letters | {extra}, cell.expected)
+    monkeypatch.setattr(cli.goldens, "load_golden_table",
+                        lambda: goldens.GoldenTable(cells))
+    rc, out = run_cli(capsys, "check")
+    assert rc == 1
+    lines = out.splitlines()
+    sym = lines[lines.index("FAIL table symmetry") + 1:]
+    assert "  - letter-count asymmetry at (rst,me)" in sym
+    assert all(lines.count(line) == 1 for line in sym)
+
+
 def test_check_json(capsys):
     rc, out = run_cli(capsys, "check", "--json")
     assert rc == 0
@@ -87,11 +105,35 @@ def test_unknown_adversary(capsys):
 
 
 def test_lint_trace_corrupt(capsys, tmp_path):
+    from wftas import harness
+
+    trace, _, _ = harness.run(harness.Workload((5, 5)),
+                              harness.round_robin(), seed=1)
+    lines = [json.loads(a.to_json()) for a in trace]
+    assert any(obj["coin"] is not None for obj in lines)
+    # Each corruption passes a loose parser, which reads True as 1, 1.0
+    # as 1, "R07" as R0 and a dict of events as its keys, or crashes it
+    # (a string `t` compared with the integer `t` of the next line).
+    corruptions = {
+        "t as string": ("t", lambda t: "0" if t == 0 else t),
+        "t as float": ("t", float),
+        "op_seq as float": ("op_seq", float),
+        "pid as bool": ("pid", bool),
+        "reg R07": ("reg", lambda r: r + "7"),
+        "coin as int": ("coin", lambda c: c if c is None else int(c)),
+        "coin as string": ("coin", lambda c: c if c is None else "yes" if c else ""),
+        "events as dict": ("events", lambda ev: dict.fromkeys(ev, 1)),
+    }
+    cases = {"not an access": '{"nonsense": true}\n'}
+    for name, (key, corrupt) in corruptions.items():
+        cases[name] = "".join(
+            json.dumps({**obj, key: corrupt(obj[key])}) + "\n" for obj in lines
+        )
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"nonsense": true}\n')
-    rc, out = run_cli(capsys, "lint-trace", str(bad))
-    assert rc == 3
-    assert out.startswith("corrupt trace")
+    for name, text in cases.items():
+        bad.write_text(text)
+        rc, out = run_cli(capsys, "lint-trace", str(bad))
+        assert (rc, out.startswith("corrupt trace")) == (3, True), name
 
 
 def test_lint_trace_violation(capsys, tmp_path):

@@ -1,6 +1,10 @@
+import itertools
 from fractions import Fraction
 
-from wftas import expectation
+import pytest
+
+from wftas import checker, expectation
+from wftas.checker import Edge
 from wftas.protocol import ProcState as S
 
 
@@ -58,3 +62,46 @@ def test_expected_choose_visits():
 
 def test_optimal_adversary_matches_solve(solve0):
     assert expectation.optimal_adversary() == solve0.policy
+
+
+@pytest.mark.parametrize("tracked", [0, 1])
+@pytest.mark.parametrize("solver, branch_fn_for", [
+    (expectation.solve, expectation._access_cost),
+    (expectation.loop_probabilities, expectation._choose_entry_reward),
+    (expectation.expected_choose_visits, expectation._choose_visit_cost),
+])
+def test_evaluate_policy_reproduces_solve(solver, branch_fn_for, tracked):
+    r = solver(tracked)
+    assert expectation.evaluate_policy(r.policy, branch_fn_for, tracked).values == r.values
+
+
+def test_untracked_only_policy_is_improper():
+    emap = checker.edge_map()
+    untracked = {c: 1 for c in emap}
+    with pytest.raises(expectation.NonConvergence):
+        expectation.evaluate_policy(untracked, expectation._access_cost, 0)
+    # The elimination alone also reports it, as a zero pivot.
+    with pytest.raises(expectation.NonConvergence):
+        expectation._evaluate(emap, expectation._access_cost(0), untracked)
+
+
+def test_exact_value_beyond_2_pow_20():
+    # c0 -> c1 -> ... -> c21, each step surviving with probability 1/2;
+    # only c21 pays, 1.  The value at c0 is 2**-21, whose denominator a
+    # snap to denominators <= 2**20 cannot represent.
+    configs = list(itertools.product(S, repeat=2))[:22]
+    emap = {}
+    for i, c in enumerate(configs[:-1]):
+        emap[c] = (
+            Edge(c, configs[i + 1], 0, True, Fraction(1, 2), (), False),
+            Edge(c, c, 0, False, Fraction(1, 2), (), True),
+        )
+    last = configs[-1]
+    emap[last] = (Edge(last, last, 0, None, Fraction(1), (), True),)
+
+    def branch_fn(e):
+        return (1 if e.src == last else 0, e.finishes)
+
+    values = expectation._evaluate(emap, branch_fn, {c: 0 for c in emap})
+    assert values[configs[0]] == Fraction(1, 2**21)
+    assert values[last] == 1
