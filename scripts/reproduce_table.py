@@ -20,9 +20,11 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    report = checker.verify_against_table()
-    rep = checker.representative_sets()
-    values = expectation.solve(0).values
+    table = load_golden_table()
+    report = checker.verify_against_table(table)
+    rep = report.rep_sets
+    result = expectation.solve(0)
+    values = result.values
 
     width = 8
     print("".ljust(width) + "".join(s.ljust(width) for s in STATE_ORDER))
@@ -39,7 +41,7 @@ def main() -> int:
 
     if args.diff:
         problems = list(report.mismatches)
-        problems += expectation.verify_values(load_golden_table())
+        problems += expectation.verify_values(result, table)
         if problems:
             print(f"\n{len(problems)} differences:")
             for p in problems:

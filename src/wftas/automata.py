@@ -181,19 +181,6 @@ class Fa3:
     def fa4_initial(self) -> frozenset[Fa3State]:
         return self.canonical({self.initial})
 
-    def fa4_accepts(
-        self, events: Iterable[Event]
-    ) -> tuple[bool, list[frozenset[Fa3State]]]:
-        """All states are accepting: accept iff no prefix empties the set."""
-        cur = self.fa4_initial()
-        run = [cur]
-        for e in events:
-            cur = self.fa4_step(cur, e)
-            run.append(cur)
-            if not cur:
-                return (False, run)
-        return (True, run)
-
 
 _FA3_SINGLETON: Optional[Fa3] = None
 

@@ -50,71 +50,77 @@ class Edge:
     finishes: bool  # the access finishes pid's current operation
 
 
-def edges_from(config: Config, step_fn: StepFn = protocol.step) -> list[Edge]:
-    """All scheduled-access branches out of a configuration.
-
-    Idle processes are deemed invoked: RST/TST1 start a test-and-set,
-    TST0 starts its reset.
-    """
-    out: list[Edge] = []
-    for pid in (0, 1):
-        s = config[pid]
-        kind = protocol.enabled_access(s)
-        branches: list[tuple[Optional[bool], ProcState, Fraction]] = []
-        if kind[0] == "w":
-            branches.append((None, step_fn(s), Fraction(1)))
-        else:
-            observed = GROUP[config[1 - pid]]
-            if protocol.needs_coin(s, observed):
-                branches.append((True, step_fn(s, observed, True), Fraction(1, 2)))
-                branches.append((False, step_fn(s, observed, False), Fraction(1, 2)))
-            else:
-                branches.append((None, step_fn(s, observed), Fraction(1)))
-        for coin, post, prob in branches:
-            dst = (post, config[1]) if pid == 0 else (config[0], post)
-            try:
-                events = protocol.classify(s, post, pid)
-            except protocol.IllegalTransition:
-                # Mutated step functions can leave the legal chart; such
-                # transitions carry no B-events.
-                events = ()
-            out.append(
-                Edge(
-                    src=config,
-                    dst=dst,
-                    pid=pid,
-                    coin=coin,
-                    prob=prob,
-                    events=events,
-                    finishes=protocol.finishes_op(s, post)
-                    if (s, post) in protocol.LEGAL_TRANSITIONS
-                    else False,
-                )
-            )
-    return out
-
-
 def edge_map(
     step_fn: StepFn = protocol.step,
 ) -> dict[Config, tuple[Edge, ...]]:
-    """Outgoing scheduled-access branches for every reachable configuration."""
+    """Outgoing scheduled-access branches for every reachable configuration.
+
+    The one walk that calls `step_fn`; every other query in this module
+    is a lookup in its result.  Idle processes are deemed invoked:
+    RST/TST1 start a test-and-set, TST0 starts its reset.
+    """
     out: dict[Config, tuple[Edge, ...]] = {}
     frontier = [INITIAL_CONFIG]
     while frontier:
-        c = frontier.pop()
-        if c in out:
+        config = frontier.pop()
+        if config in out:
             continue
-        edges = tuple(edges_from(c, step_fn))
-        out[c] = edges
+        edges: list[Edge] = []
+        for pid in (0, 1):
+            s = config[pid]
+            kind = protocol.enabled_access(s)
+            branches: list[tuple[Optional[bool], ProcState, Fraction]] = []
+            if kind[0] == "w":
+                branches.append((None, step_fn(s), Fraction(1)))
+            else:
+                observed = GROUP[config[1 - pid]]
+                if protocol.needs_coin(s, observed):
+                    branches.append((True, step_fn(s, observed, True), Fraction(1, 2)))
+                    branches.append((False, step_fn(s, observed, False), Fraction(1, 2)))
+                else:
+                    branches.append((None, step_fn(s, observed), Fraction(1)))
+            for coin, post, prob in branches:
+                dst = (post, config[1]) if pid == 0 else (config[0], post)
+                try:
+                    events = protocol.classify(s, post, pid)
+                except protocol.IllegalTransition:
+                    # Mutated step functions can leave the legal chart; such
+                    # transitions carry no B-events.
+                    events = ()
+                edges.append(
+                    Edge(
+                        src=config,
+                        dst=dst,
+                        pid=pid,
+                        coin=coin,
+                        prob=prob,
+                        events=events,
+                        finishes=protocol.finishes_op(s, post)
+                        if (s, post) in protocol.LEGAL_TRANSITIONS
+                        else False,
+                    )
+                )
+        out[config] = tuple(edges)
         for e in edges:
             if e.dst not in out:
                 frontier.append(e.dst)
     return out
 
 
+def _fa4_after(
+    fa3: Fa3, S: frozenset[Fa3State], e: Edge
+) -> frozenset[Fa3State]:
+    """Canonical FA4 set after the B-events of access e, starting from S.
+
+    Interior (event-free) accesses still re-canonicalize.
+    """
+    for ev in e.events:
+        S = fa3.fa4_step(S, ev)
+    return fa3.canonical(S)
+
+
 def forward_families(
-    fa3: Optional[Fa3] = None,
-    step_fn: StepFn = protocol.step,
+    emap: dict[Config, tuple[Edge, ...]],
 ) -> dict[Config, set[frozenset[Fa3State]]]:
     """Canonical FA4 state sets per configuration, one per history class.
 
@@ -124,8 +130,7 @@ def forward_families(
     returns, for each reachable configuration, every distinct canonical
     set that some history produces.
     """
-    if fa3 is None:
-        fa3 = fa3_build()
+    fa3 = fa3_build()
     fam: dict[Config, set[frozenset[Fa3State]]] = {
         INITIAL_CONFIG: {fa3.fa4_initial()}
     }
@@ -134,12 +139,8 @@ def forward_families(
     ]
     while frontier:
         c, S = frontier.pop()
-        for e in edges_from(c, step_fn):
-            T = S
-            for ev in e.events:
-                T = fa3.fa4_step(T, ev)
-            # Interior (event-free) accesses still re-canonicalize.
-            T = fa3.canonical(T)
+        for e in emap[c]:
+            T = _fa4_after(fa3, S, e)
             if T not in fam.setdefault(e.dst, set()):
                 fam[e.dst].add(T)
                 frontier.append((e.dst, T))
@@ -147,10 +148,9 @@ def forward_families(
 
 
 def op_outcomes(
+    emap: dict[Config, tuple[Edge, ...]],
     config: Config,
     pid: int,
-    step_fn: StepFn = protocol.step,
-    _cache: Optional[dict] = None,
 ) -> frozenset[int]:
     """Possible return values of pid's pending operation from here.
 
@@ -158,14 +158,12 @@ def op_outcomes(
     operation in progress eventually returns.  Meaningful only when pid
     is mid-operation (not in an idle chart state).
     """
-    if _cache is not None and (config, pid) in _cache:
-        return _cache[(config, pid)]
     seen = {config}
     stack = [config]
     out: set[int] = set()
     while stack and out != {0, 1}:
         c = stack.pop()
-        for e in edges_from(c, step_fn):
+        for e in emap[c]:
             finished = None
             for ev in e.events:
                 if ev.pid == pid and ev.kind == "fTas0":
@@ -178,23 +176,20 @@ def op_outcomes(
             if e.dst not in seen:
                 seen.add(e.dst)
                 stack.append(e.dst)
-    result = frozenset(out)
-    if _cache is not None:
-        _cache[(config, pid)] = result
-    return result
+    return frozenset(out)
 
 
 def solo_returns_one(
+    emap: dict[Config, tuple[Edge, ...]],
     config: Config,
     pid: int,
-    step_fn: StepFn = protocol.step,
 ) -> bool:
     """Can pid's pending operation return 1 with the peer never scheduled?"""
     seen = {config}
     stack = [config]
     while stack:
         c = stack.pop()
-        for e in edges_from(c, step_fn):
+        for e in emap[c]:
             if e.pid != pid:
                 continue
             if any(ev.pid == pid and ev.kind == "fTas1" for ev in e.events):
@@ -217,8 +212,7 @@ _IDLE_CLAIM = {
 def _claim_compatible(
     x: Fa3State,
     config: Config,
-    step_fn: StepFn,
-    outcome_cache: dict,
+    emap: dict[Config, tuple[Edge, ...]],
 ) -> bool:
     """Is the occurrence bookkeeping of x consistent with the futures of
     the configuration?
@@ -241,19 +235,18 @@ def _claim_compatible(
         if p in (Fa2State.I0, Fa2State.I1):
             return False
         if p is Fa2State.S:
-            if op_outcomes(config, pid, step_fn, outcome_cache) != {0, 1}:
+            if op_outcomes(emap, config, pid) != {0, 1}:
                 return False
         elif p is Fa2State.T0:
-            if 0 not in op_outcomes(config, pid, step_fn, outcome_cache):
+            if 0 not in op_outcomes(emap, config, pid):
                 return False
         elif p is Fa2State.T1:
-            if not solo_returns_one(config, pid, step_fn):
+            if not solo_returns_one(emap, config, pid):
                 return False
     return True
 
 
 def representative_sets(
-    fa3: Optional[Fa3] = None,
     step_fn: StepFn = protocol.step,
 ) -> dict[Config, frozenset[Fa3State]]:
     """The representative FA4 state set of every reachable configuration.
@@ -269,16 +262,12 @@ def representative_sets(
     epsilon-moves).  The result is history-independent by construction
     and may contain empty sets if `step_fn` deviates from the chart.
     """
-    if fa3 is None:
-        fa3 = fa3_build()
-    fam = forward_families(fa3, step_fn)
-    outcome_cache: dict = {}
+    fa3 = fa3_build()
+    emap = edge_map(step_fn)
     rep: dict[Config, frozenset[Fa3State]] = {}
-    for c, sets in fam.items():
+    for c, sets in forward_families(emap).items():
         meet = frozenset.intersection(*sets)
-        kept = frozenset(
-            x for x in meet if _claim_compatible(x, c, step_fn, outcome_cache)
-        )
+        kept = frozenset(x for x in meet if _claim_compatible(x, c, emap))
         rep[c] = fa3.canonical(kept)
     return rep
 
@@ -314,7 +303,7 @@ def verify_against_table(
         table = load_golden_table()
     fa3 = fa3_build()
     report = CheckReport()
-    rep = representative_sets(fa3, step_fn)
+    rep = representative_sets(step_fn)
     report.rep_sets = rep
     report.reachable_count = len(rep)
     for c in sorted(rep, key=_cfg_key):
@@ -379,24 +368,18 @@ def verify_against_table(
 
 
 def claim_induction_check(
-    fa3: Optional[Fa3] = None,
+    rep: dict[Config, frozenset[Fa3State]],
     step_fn: StepFn = protocol.step,
 ) -> list[str]:
-    """Edge-wise induction: every state in the successor's representative
-    set must be reachable from some state of the predecessor's set via
-    the access's B-events plus epsilon-moves."""
-    if fa3 is None:
-        fa3 = fa3_build()
-    rep = representative_sets(fa3, step_fn)
+    """Edge-wise induction over the representative sets `rep`: every
+    state in the successor's set must be reachable from some state of
+    the predecessor's set via the access's B-events plus epsilon-moves."""
+    fa3 = fa3_build()
+    emap = edge_map(step_fn)
     problems: list[str] = []
     for c in sorted(rep, key=_cfg_key):
-        S = rep[c]
-        for e in edges_from(c, step_fn):
-            T = fa3.eps_closure(S)
-            for ev in e.events:
-                T = fa3.eps_closure(
-                    {fa3.moves[(x, ev)] for x in T if (x, ev) in fa3.moves}
-                )
+        for e in emap[c]:
+            T = _fa4_after(fa3, rep[c], e)
             for y in rep[e.dst]:
                 if y not in T:
                     problems.append(

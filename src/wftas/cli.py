@@ -50,7 +50,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"{121 - expected_reachable} * cells verified unreachable"
         )
     ok = _phase("reachability", reach_problems)
-    ok &= _phase("confluence", checker.claim_induction_check())
+    ok &= _phase("confluence", checker.claim_induction_check(report.rep_sets))
     ok &= _phase("table letters", report.mismatches)
     ok &= _phase("table symmetry", goldens.validate_goldens(table))
     if args.json:
@@ -86,7 +86,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
         print("".join(row).rstrip())
     rc = 0
     if args.verify:
-        problems = expectation.verify_values()
+        problems = expectation.verify_values(result)
         if _phase("values", problems):
             print(f"max expected accesses: {result.max_value}")
         else:

@@ -163,7 +163,7 @@ def _policy_properness(emap, branch_fn, policy) -> None:
                     stack.append(e.dst)
         if not live:
             raise NonConvergence(
-                f"policy is improper from ({start[0].value},{start[1].value})"
+                f"policy is improper from {_cfg_name(start)}"
             )
 
 
@@ -289,12 +289,12 @@ def one_step_consistency(result: Optional[SolveResult] = None) -> list[str]:
         q = _q_value(edges, 0, branch_fn, result.values)
         if q > result.values[c]:
             problems.append(
-                f"({c[0].value},{c[1].value}): tracked step pays {q} > "
+                f"{_cfg_name(c)}: tracked step pays {q} > "
                 f"value {result.values[c]}"
             )
         if result.policy[c] == 0 and q != result.values[c]:
             problems.append(
-                f"({c[0].value},{c[1].value}): optimal tracked step pays "
+                f"{_cfg_name(c)}: optimal tracked step pays "
                 f"{q} != value {result.values[c]}"
             )
     return problems
@@ -311,7 +311,7 @@ def loop_probability_check(tracked: int = 0) -> list[str]:
     for c, p in loops.values.items():
         if c[tracked] is ProcState.CHOOSE and p > half:
             problems.append(
-                f"({c[0].value},{c[1].value}): return probability {p} > 1/2"
+                f"{_cfg_name(c)}: return probability {p} > 1/2"
             )
     both_choose = (ProcState.CHOOSE, ProcState.CHOOSE)
     if loops.values[both_choose] != half:
@@ -334,13 +334,15 @@ def loop_probability_check(tracked: int = 0) -> list[str]:
     return problems
 
 
-def verify_values(table=None, tracked: int = 0) -> list[str]:
-    """Diff solve() against the golden table's expected-access numbers."""
+def verify_values(
+    result: SolveResult, table=None, tracked: int = 0
+) -> list[str]:
+    """Diff `result`, a solve(tracked), against the golden table's
+    expected-access numbers."""
     from .goldens import load_golden_table
 
     if table is None:
         table = load_golden_table()
-    result = solve(tracked)
     problems: list[str] = []
     for c, v in result.values.items():
         key = (c[tracked].value, c[1 - tracked].value)

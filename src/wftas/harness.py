@@ -54,16 +54,7 @@ class RunStats:
     mean_tas_accesses: float = 0.0
     max_tas_accesses: int = 0
     resets_all_one_access: bool = True
-    choose_histogram: dict[int, int] = field(default_factory=dict)
-    # Loop continuation: of all CHOOSE visits, how many were followed by
-    # another CHOOSE visit within the same operation.
-    loop_continuations: int = 0
-    choose_visits: int = 0
     truncated: bool = False
-
-    @property
-    def loop_frequency(self) -> float:
-        return self.loop_continuations / self.choose_visits if self.choose_visits else 0.0
 
     @staticmethod
     def from_records(records: Sequence[OpRecord], truncated: bool = False) -> "RunStats":
@@ -81,11 +72,6 @@ class RunStats:
                 continue
             tas_counts.append(r.accesses)
             st.returns[r.ret] = st.returns.get(r.ret, 0) + 1
-            st.choose_histogram[r.choose_visits] = (
-                st.choose_histogram.get(r.choose_visits, 0) + 1
-            )
-            st.choose_visits += r.choose_visits
-            st.loop_continuations += max(r.choose_visits - 1, 0)
         if tas_counts:
             st.mean_tas_accesses = sum(tas_counts) / len(tas_counts)
             st.max_tas_accesses = max(tas_counts)

@@ -19,8 +19,8 @@ def check_report(golden_table):
 
 
 @pytest.fixture(scope="session")
-def rep_sets(fa3):
-    return checker.representative_sets(fa3)
+def rep_sets():
+    return checker.representative_sets()
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,7 @@ def test_criterion_1_table_letters(capsys):
 def test_criterion_2_table_values(capsys):
     t0 = time.perf_counter()
     result = expectation.solve(0)
-    problems = expectation.verify_values()
+    problems = expectation.verify_values(result)
     dt = time.perf_counter() - t0
     tst1_row = [v for (s0, _), v in result.values.items() if s0 is S.TST1]
     tst0_row = [v for (s0, _), v in result.values.items() if s0 is S.TST0]

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 from wftas import checker, protocol
-from wftas.checker import INITIAL_CONFIG, edge_map, edges_from
+from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
+from wftas.checker import INITIAL_CONFIG, edge_map
 from wftas.core import RegValue
 from wftas.protocol import ProcState as S
 
@@ -24,7 +25,7 @@ def test_edges_probabilities():
 
 
 def test_coin_branch_at_choose_choose():
-    edges = [e for e in edges_from((S.CHOOSE, S.CHOOSE)) if e.pid == 0]
+    edges = [e for e in edge_map()[(S.CHOOSE, S.CHOOSE)] if e.pid == 0]
     assert sorted(e.coin for e in edges) == [False, True]
     assert all(e.prob == Fraction(1, 2) for e in edges)
     assert {e.dst[0] for e in edges} == {S.TOME, S.TOHE}
@@ -36,8 +37,34 @@ def test_verify_against_table(check_report):
     assert check_report.verified_unreachable == 23
 
 
-def test_claim_induction():
-    assert checker.claim_induction_check() == []
+def test_claim_induction(rep_sets):
+    assert checker.claim_induction_check(rep_sets) == []
+
+
+def test_claim_induction_names_underivable_state(rep_sets):
+    me_me = (S.ME, S.ME)
+    # P0 booked as having returned 0 and gone idle, yet still in ME.
+    extra = Fa3State(Owner.P0, Fa2State.I0, Fa2State.I1)
+    assert extra not in fa3_build().eps_only_states()
+    assert extra not in rep_sets[me_me]
+    forged = {**rep_sets, me_me: rep_sets[me_me] | {extra}}
+    problems = checker.claim_induction_check(forged)
+    assert f"(rst,me) -> (me,me): state {extra!r} not derivable" in problems
+    assert all(p.endswith(f"-> (me,me): state {extra!r} not derivable")
+               for p in problems)
+
+
+def test_step_fn_called_once_per_branch():
+    calls = 0
+
+    def counting_step(s, observed=None, coin=None):
+        nonlocal calls
+        calls += 1
+        return protocol.step(s, observed, coin)
+
+    report = checker.verify_against_table(step_fn=counting_step)
+    assert report.ok
+    assert calls == sum(len(edges) for edges in edge_map().values())
 
 
 def test_representative_sets_nonempty(rep_sets):
@@ -52,17 +79,19 @@ def test_representative_set_mirror(rep_sets):
 
 
 def test_op_outcomes():
+    emap = edge_map()
     # Both outcomes are open in the symmetric race.
-    assert checker.op_outcomes((S.ME, S.ME), 0) == frozenset({0, 1})
+    assert checker.op_outcomes(emap, (S.ME, S.ME), 0) == frozenset({0, 1})
     # A process in HE facing a winner can only lose.
-    assert checker.op_outcomes((S.HE, S.TST0), 0) == frozenset({1})
+    assert checker.op_outcomes(emap, (S.HE, S.TST0), 0) == frozenset({1})
 
 
 def test_solo_returns_one():
+    emap = edge_map()
     # From TST1 the one-access tas returns 1 without the peer moving.
-    assert checker.solo_returns_one((S.TST1, S.ME), 0)
+    assert checker.solo_returns_one(emap, (S.TST1, S.ME), 0)
     # From RST a solo run wins; it cannot return 1 on its own.
-    assert not checker.solo_returns_one((S.ME, S.RST), 0)
+    assert not checker.solo_returns_one(emap, (S.ME, S.RST), 0)
 
 
 def _mutated_step():

@@ -47,6 +47,32 @@ def test_check_json(capsys):
     }
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_json_derives_rep_sets_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, cli.checker, "representative_sets")
+    rc, _ = run_cli(capsys, "check", "--json")
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_expect_verify_policy_solves_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, cli.expectation, "solve")
+    rc, _ = run_cli(capsys, "expect", "--verify", "--policy")
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_expect_verify(capsys):
     rc, out = run_cli(capsys, "expect", "--verify")
     assert rc == 0

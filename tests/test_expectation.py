@@ -9,7 +9,7 @@ from wftas.protocol import ProcState as S
 
 
 def test_values_match_table(solve0):
-    assert expectation.verify_values() == []
+    assert expectation.verify_values(solve0) == []
 
 
 def test_known_values(solve0):
