@@ -106,7 +106,6 @@ ALL_EVENTS = tuple(
     for pid in (0, 1)
 )
 EPS_EVENTS = tuple(e for e in ALL_EVENTS if e.is_eps)
-B_EVENTS = tuple(e for e in ALL_EVENTS if not e.is_eps)
 
 
 class Fa3:
@@ -157,9 +156,6 @@ class Fa3:
                     out.add(t)
                     frontier.append(t)
         return frozenset(out)
-
-    def is_eps_only(self, s: Fa3State) -> bool:
-        return s in self._eps_only
 
     def eps_only_states(self) -> frozenset[Fa3State]:
         return self._eps_only
@@ -233,11 +229,7 @@ class LabelAssignment:
         return "".join(sorted(inv[s] for s in S))
 
 
-def assign_labels(
-    fa3: Fa3,
-    cells: dict, rep_sets: dict,
-    anchors: Optional[dict[str, Fa3State]] = None,
-) -> LabelAssignment:
+def assign_labels(cells: dict, rep_sets: dict) -> LabelAssignment:
     """Solve the letter bijection against the golden table.
 
     `cells` maps configuration -> set of letters (golden table);
@@ -246,13 +238,11 @@ def assign_labels(
     set, which together with the owner ranges and the anchors determines
     the bijection up to the letters that occur in no cell.
     """
-    if anchors is None:
-        anchors = ANCHORS
-    states = sorted(fa3.states)
+    states = sorted(fa3_build().states)
     candidates: dict[str, set[Fa3State]] = {
         l: {s for s in states if l in OWNER_RANGE[s.owner]} for l in LETTERS
     }
-    for l, s in anchors.items():
+    for l, s in ANCHORS.items():
         if s not in candidates[l]:
             raise NoConsistentBijection(f"anchor {l} outside its owner range")
         candidates[l] = {s}
@@ -309,8 +299,11 @@ def assign_labels(
     return LabelAssignment(mapping=mapping, ambiguous=classes)
 
 
-def fa3_dump(fa3: Fa3, labels: Optional[LabelAssignment] = None) -> dict:
-    """JSON-serializable description of FA3 (states, labels, transitions)."""
+def fa3_dump(labels: Optional[LabelAssignment]) -> dict:
+    """JSON-serializable description of FA3 (states, labels, transitions);
+    `labels` is None when the letter bijection failed."""
+    fa3 = fa3_build()
+    eps_only = fa3.eps_only_states()
     inv: dict[Fa3State, str] = {}
     if labels is not None:
         inv = {v: k for k, v in labels.mapping.items()}
@@ -325,7 +318,7 @@ def fa3_dump(fa3: Fa3, labels: Optional[LabelAssignment] = None) -> dict:
             {
                 "state": name(s),
                 "label": inv.get(s),
-                "eps_only": fa3.is_eps_only(s),
+                "eps_only": s in eps_only,
             }
             for s in sorted(fa3.states)
         ],

@@ -301,7 +301,6 @@ def verify_against_table(
     """Cell-by-cell comparison of the computed system against the table."""
     if table is None:
         table = load_golden_table()
-    fa3 = fa3_build()
     report = CheckReport()
     rep = representative_sets(step_fn)
     report.rep_sets = rep
@@ -328,7 +327,7 @@ def verify_against_table(
         if (ProcState(r), ProcState(c)) in rep
     }
     try:
-        labels = assign_labels(fa3, cells, rep)
+        labels = assign_labels(cells, rep)
         report.labels = labels
     except NoConsistentBijection as exc:
         report.mismatches.append(f"label bijection failed: {exc}")
@@ -367,15 +366,12 @@ def verify_against_table(
     return report
 
 
-def claim_induction_check(
-    rep: dict[Config, frozenset[Fa3State]],
-    step_fn: StepFn = protocol.step,
-) -> list[str]:
+def claim_induction_check(rep: dict[Config, frozenset[Fa3State]]) -> list[str]:
     """Edge-wise induction over the representative sets `rep`: every
     state in the successor's set must be reachable from some state of
     the predecessor's set via the access's B-events plus epsilon-moves."""
     fa3 = fa3_build()
-    emap = edge_map(step_fn)
+    emap = edge_map()
     problems: list[str] = []
     for c in sorted(rep, key=_cfg_key):
         for e in emap[c]:

@@ -100,6 +100,11 @@ def cmd_expect(args: argparse.Namespace) -> int:
     return rc
 
 
+def _input_error(exc: object) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 3
+
+
 def _make_adversary(spec: str, seed: int) -> harness.Adversary:
     if spec == "round-robin":
         return harness.round_robin()
@@ -116,22 +121,27 @@ def _make_adversary(spec: str, seed: int) -> harness.Adversary:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.ops < 1:
+        return _input_error(f"--ops must be at least 1, got {args.ops}")
     try:
         adversary = _make_adversary(args.adversary, args.seed)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _input_error(exc)
     workload = harness.Workload(tas_ops=(args.ops - args.ops // 2, args.ops // 2))
-    trace, records, stats = harness.run(workload, adversary, seed=args.seed)
-    if args.stats:
-        with open(args.stats, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["op_index", "pid", "kind", "accesses", "ret", "choose_visits"])
-            for row in stats.per_op:
-                w.writerow(["" if v is None else v for v in row])
+    try:
+        trace, records, stats = harness.run(workload, adversary, seed=args.seed)
+        if args.stats:
+            with open(args.stats, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["op_index", "pid", "kind", "accesses", "ret", "choose_visits"])
+                for row in stats.per_op:
+                    w.writerow(["" if v is None else v for v in row])
+        if args.trace:
+            with open(args.trace, "w") as fh:
+                trace.dump_jsonl(fh)
+    except (harness.ScriptExhausted, OSError) as exc:
+        return _input_error(exc)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            trace.dump_jsonl(fh)
         print(f"seed={args.seed} ops={len(stats.per_op)} accesses={len(trace)}")
         print(
             f"mean_tas_accesses={stats.mean_tas_accesses:.4f} "
@@ -173,6 +183,15 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     except tournament.BudgetExceeded as exc:
         print(f"no violation: {exc}")
         return 1
+    if args.trace:
+        try:
+            with open(args.trace, "w") as fh:
+                for na in rep.tree.accesses:
+                    obj = json.loads(na.access.to_json())
+                    obj.update({"proc": na.pid, "node": na.node, "role": na.role})
+                    fh.write(json.dumps(obj) + "\n")
+        except OSError as exc:
+            return _input_error(exc)
     print(f"non-linearizable history found (n={rep.n}, schedule length "
           f"{len(rep.schedule)}):")
     for r in rep.history:
@@ -180,18 +199,12 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     nodes_ok = all(rep.node_verdicts.values())
     print(f"whole history linearizable: {rep.verdict.ok}")
     print(f"all per-node projections linearizable: {nodes_ok}")
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            for na in rep.tree.accesses:
-                obj = json.loads(na.access.to_json())
-                obj.update({"proc": na.pid, "node": na.node, "role": na.role})
-                fh.write(json.dumps(obj) + "\n")
     return 0 if (not rep.verdict.ok and nodes_ok) else 1
 
 
 def cmd_dump_fa3(args: argparse.Namespace) -> int:
     report = checker.verify_against_table()
-    dump = automata.fa3_dump(automata.fa3_build(), report.labels)
+    dump = automata.fa3_dump(report.labels)
     print(json.dumps(dump, indent=2))
     return 0
 

@@ -69,7 +69,7 @@ class Registers:
 
     __slots__ = ("_vals",)
 
-    def __init__(self, r0: RegValue = RegValue.RST, r1: RegValue = RegValue.RST):
+    def __init__(self, r0: RegValue, r1: RegValue):
         self._vals = [r0, r1]
 
     def write(self, pid: int, value: RegValue) -> None:

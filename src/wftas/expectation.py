@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from . import protocol
-from .checker import Config, Edge, StepFn, _cfg_name, edge_map
+from .checker import Config, Edge, _cfg_name, edge_map
 from .protocol import ProcState
 
 # (reward on taking this branch, branch is absorbing)
@@ -171,11 +170,10 @@ def evaluate_policy(
     policy: dict[Config, int],
     branch_fn_for: Callable[[int], BranchFn],
     tracked: int = 0,
-    step_fn: StepFn = protocol.step,
 ) -> SolveResult:
     """Certified exact value of a *fixed* scheduling policy: the
     properness check, then one exact evaluation."""
-    emap = edge_map(step_fn)
+    emap = edge_map()
     branch_fn = branch_fn_for(tracked)
     _policy_properness(emap, branch_fn, policy)
     values = _evaluate(emap, branch_fn, policy)
@@ -185,9 +183,8 @@ def evaluate_policy(
 def _solve_mdp(
     branch_fn_for: Callable[[int], BranchFn],
     tracked: int,
-    step_fn: StepFn,
 ) -> SolveResult:
-    emap = edge_map(step_fn)
+    emap = edge_map()
     branch_fn = branch_fn_for(tracked)
     # Scheduling only the tracked process is proper: a solo process
     # always finishes its operation.
@@ -235,10 +232,7 @@ def _choose_visit_cost(tracked: int) -> BranchFn:
     return branch
 
 
-def solve(
-    tracked: int = 0,
-    step_fn: StepFn = protocol.step,
-) -> SolveResult:
+def solve(tracked: int = 0) -> SolveResult:
     """Worst-case expected remaining accesses of the tracked process.
 
     For every reachable configuration: the expected number of accesses
@@ -247,41 +241,25 @@ def solve(
     maximized over adaptive schedules; coin reads average their two
     outcomes with probability 1/2 each.
     """
-    return _solve_mdp(_access_cost, tracked, step_fn)
+    return _solve_mdp(_access_cost, tracked)
 
 
-def optimal_adversary(
-    tracked: int = 0,
-    step_fn: StepFn = protocol.step,
-) -> dict[Config, int]:
-    """Deterministic configuration-indexed schedule attaining solve()."""
-    return solve(tracked, step_fn).policy
-
-
-def loop_probabilities(
-    tracked: int = 0,
-    step_fn: StepFn = protocol.step,
-) -> SolveResult:
+def loop_probabilities(tracked: int = 0) -> SolveResult:
     """Maximal probability that the tracked process enters CHOOSE before
     its current operation finishes."""
-    return _solve_mdp(_choose_entry_reward, tracked, step_fn)
+    return _solve_mdp(_choose_entry_reward, tracked)
 
 
-def expected_choose_visits(
-    tracked: int = 0,
-    step_fn: StepFn = protocol.step,
-) -> SolveResult:
+def expected_choose_visits(tracked: int = 0) -> SolveResult:
     """Maximal expected number of CHOOSE entries before the tracked
     process finishes its current operation."""
-    return _solve_mdp(_choose_visit_cost, tracked, step_fn)
+    return _solve_mdp(_choose_visit_cost, tracked)
 
 
-def one_step_consistency(result: Optional[SolveResult] = None) -> list[str]:
-    """The decrement argument: scheduling the tracked process never pays
-    more than the current value predicts, with equality when the optimal
-    adversary schedules it."""
-    if result is None:
-        result = solve(0)
+def one_step_consistency(result: SolveResult) -> list[str]:
+    """The decrement argument, for `result` = solve(0): scheduling P0
+    never pays more than the current value predicts, with equality when
+    the optimal adversary schedules it."""
     problems: list[str] = []
     emap = edge_map()
     branch_fn = _access_cost(0)
@@ -300,16 +278,16 @@ def one_step_consistency(result: Optional[SolveResult] = None) -> list[str]:
     return problems
 
 
-def loop_probability_check(tracked: int = 0) -> list[str]:
-    """Analytic loop geometry: the return-to-CHOOSE probability is at
-    most 1/2 from every configuration with the tracked process in
-    CHOOSE (exactly 1/2 at (choose,choose), 0 at (choose,rst)), and the
-    expected number of CHOOSE entries per operation is at most 2."""
+def loop_probability_check() -> list[str]:
+    """Analytic loop geometry, for P0: the return-to-CHOOSE probability
+    is at most 1/2 from every configuration with P0 in CHOOSE (exactly
+    1/2 at (choose,choose), 0 at (choose,rst)), and the expected number
+    of CHOOSE entries per operation is at most 2."""
     problems: list[str] = []
-    loops = loop_probabilities(tracked)
+    loops = loop_probabilities()
     half = Fraction(1, 2)
     for c, p in loops.values.items():
-        if c[tracked] is ProcState.CHOOSE and p > half:
+        if c[0] is ProcState.CHOOSE and p > half:
             problems.append(
                 f"{_cfg_name(c)}: return probability {p} > 1/2"
             )
@@ -318,26 +296,20 @@ def loop_probability_check(tracked: int = 0) -> list[str]:
         problems.append(
             f"(choose,choose): return probability {loops.values[both_choose]} != 1/2"
         )
-    solo = (
-        (ProcState.CHOOSE, ProcState.RST)
-        if tracked == 0
-        else (ProcState.RST, ProcState.CHOOSE)
-    )
+    solo = (ProcState.CHOOSE, ProcState.RST)
     if loops.values[solo] != 0:
         problems.append(
             f"(choose,rst): return probability {loops.values[solo]} != 0"
         )
-    visits = expected_choose_visits(tracked)
+    visits = expected_choose_visits()
     worst = visits.max_value
     if worst > 2:
         problems.append(f"expected CHOOSE visits {worst} > 2")
     return problems
 
 
-def verify_values(
-    result: SolveResult, table=None, tracked: int = 0
-) -> list[str]:
-    """Diff `result`, a solve(tracked), against the golden table's
+def verify_values(result: SolveResult, table=None) -> list[str]:
+    """Diff `result`, a solve(0), against the golden table's
     expected-access numbers."""
     from .goldens import load_golden_table
 
@@ -345,7 +317,7 @@ def verify_values(
         table = load_golden_table()
     problems: list[str] = []
     for c, v in result.values.items():
-        key = (c[tracked].value, c[1 - tracked].value)
+        key = (c[0].value, c[1].value)
         cell = table.cells.get(key)
         if cell is None:
             problems.append(f"cell {key}: reachable but '*' in table")
@@ -353,8 +325,6 @@ def verify_values(
         if v != cell.expected:
             problems.append(f"cell {key}: computed {v} != table {cell.expected}")
     for key in table.reachable_cells():
-        c = (ProcState(key[0]), ProcState(key[1]))
-        cfg = c if tracked == 0 else (c[1], c[0])
-        if cfg not in result.values:
+        if (ProcState(key[0]), ProcState(key[1])) not in result.values:
             problems.append(f"cell {key}: in table but not reachable")
     return problems

@@ -208,11 +208,11 @@ def script(pids: Sequence[int]) -> Adversary:
     return choose
 
 
-def optimal(tracked: int = 0, policy: Optional[dict[Config, int]] = None) -> Adversary:
-    """The access-count-maximizing policy from the expectation solver,
-    falling back to any schedulable process when its pick is exhausted."""
-    if policy is None:
-        policy = expectation.optimal_adversary(tracked)
+def optimal() -> Adversary:
+    """The policy maximizing P0's access count, from the expectation
+    solver, falling back to any schedulable process when its pick is
+    exhausted."""
+    policy = expectation.solve(0).policy
 
     def choose(accesses, config, schedulable):
         pid = policy.get(config)
@@ -223,29 +223,22 @@ def optimal(tracked: int = 0, policy: Optional[dict[Config, int]] = None) -> Adv
     return choose
 
 
-def builtin_adversaries(seed: int, tracked: int = 0) -> dict[str, Adversary]:
+def builtin_adversaries(seed: int) -> dict[str, Adversary]:
     return {
         "round-robin": round_robin(),
         "random": random_adversary(seed),
-        "optimal": optimal(tracked),
+        "optimal": optimal(),
     }
 
 
-def measure_from_config(
-    config: Config,
-    n_ops: int,
-    seed: int,
-    tracked: int = 0,
-    policy: Optional[dict[Config, int]] = None,
-) -> list[int]:
-    """Access counts of n_ops tracked operations, each started fresh from
-    `config` and scheduled by the worst-case policy.
+def measure_from_config(config: Config, n_ops: int, seed: int) -> list[int]:
+    """Access counts of n_ops operations of P0, each started fresh from
+    `config` and scheduled by the policy maximizing P0's access count.
 
     Used for the Monte Carlo check of the expectation table: the mean of
     the returned counts estimates the solved value at `config`.
     """
-    if policy is None:
-        policy = expectation.optimal_adversary(tracked)
+    policy = expectation.solve(0).policy
     rng = random.Random(seed)
     counts: list[int] = []
     for _ in range(n_ops):
@@ -254,8 +247,8 @@ def measure_from_config(
         while True:
             pid = policy[eng.config]
             pre = eng.states[pid]
-            a = eng.step_pid(pid)
-            if pid == tracked:
+            eng.step_pid(pid)
+            if pid == 0:
                 accesses += 1
                 if protocol.finishes_op(pre, eng.states[pid]):
                     break
@@ -267,10 +260,10 @@ def measure_from_config(
 class LoopExperiment:
     """Per-visit outcomes of the CHOOSE-loop Monte Carlo experiment.
 
-    Each trial is one CHOOSE entry of the tracked process; `probs[i]` is
-    the analytic return probability from the configuration at that entry
-    and `successes[i]` whether the process entered CHOOSE again before
-    its operation finished.
+    Each trial is one CHOOSE entry of P0; `probs[i]` is the analytic
+    return probability from the configuration at that entry and
+    `successes[i]` whether P0 entered CHOOSE again before its operation
+    finished.
     """
 
     probs: list[Fraction] = field(default_factory=list)
@@ -302,34 +295,27 @@ class LoopExperiment:
         return abs(self.empirical_frequency - self.analytic_frequency) <= 3 * self.sigma
 
 
-def loop_experiment(
-    min_visits: int,
-    seed: int,
-    tracked: int = 0,
-    max_steps: int = 100 * DEFAULT_MAX_STEPS,
-) -> LoopExperiment:
-    """Run until `min_visits` CHOOSE entries of the tracked process have
-    been resolved (returned to CHOOSE or finished the operation).
+def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
+    """Run until `min_visits` CHOOSE entries of P0 have been resolved
+    (returned to CHOOSE or finished the operation).
 
     The schedule is the visit-maximizing policy, which keeps the system
     looping through (choose,choose); the analytic per-visit probability
     is that policy's certified exact return probability from the entry
     configuration.
     """
-    sigma = expectation.expected_choose_visits(tracked).policy
-    lp = expectation.evaluate_policy(
-        sigma, expectation._choose_entry_reward, tracked
-    )
+    sigma = expectation.expected_choose_visits(0).policy
+    lp = expectation.evaluate_policy(sigma, expectation._choose_entry_reward, 0)
     eng = _Engine(random.Random(seed))
     exp = LoopExperiment()
     pending: Optional[Fraction] = None
     while exp.n < min_visits:
-        if eng.t >= max_steps:
+        if eng.t >= 100 * DEFAULT_MAX_STEPS:
             raise RuntimeError("loop experiment exceeded its step budget")
         pid = lp.policy[eng.config]
         pre = eng.states[pid]
         eng.step_pid(pid)
-        if pid != tracked:
+        if pid != 0:
             continue
         post = eng.states[pid]
         if post is ProcState.CHOOSE:

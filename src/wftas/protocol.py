@@ -68,9 +68,6 @@ _WRITES: dict[ProcState, tuple[RegValue, ProcState]] = {
     S.TOHE: (RegValue.HE, S.HE),
 }
 
-_READ_STATES = frozenset({S.ME, S.CHOOSE, S.HE, S.TST1})
-
-
 class ProtocolError(Exception):
     pass
 

@@ -89,7 +89,7 @@ def test_anchor_letters(check_report, fa3):
 
 
 def test_fa3_dump_shape(check_report, fa3):
-    dump = automata.fa3_dump(fa3, check_report.labels)
+    dump = automata.fa3_dump(check_report.labels)
     assert len(dump["states"]) == 20
     assert dump["initial"] == "bot,i1,i1"
     labels = [s["label"] for s in dump["states"]]

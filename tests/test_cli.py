@@ -130,6 +130,38 @@ def test_unknown_adversary(capsys):
     assert rc == 3
 
 
+def assert_input_error(capsys, *argv):
+    rc = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("error: ")) == (3, True), err
+
+
+@pytest.mark.parametrize("script", ["0\n", "1 0 0 0\n"])
+def test_script_adversary_bad_script(capsys, tmp_path, script):
+    # The script ends before the operation finishes, or names P1, which
+    # has no operation to run.
+    sfile = tmp_path / "sched.txt"
+    sfile.write_text(script)
+    assert_input_error(capsys, "simulate", "--ops", "1",
+                       "--adversary", f"script:{sfile}")
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--stats"])
+def test_simulate_unwritable_output(capsys, tmp_path, flag):
+    assert_input_error(capsys, "simulate", "--ops", "2",
+                       flag, str(tmp_path / "missing" / "out"))
+
+
+@pytest.mark.parametrize("ops", ["0", "-5"])
+def test_simulate_rejects_nonpositive_ops(capsys, ops):
+    assert_input_error(capsys, "simulate", "--ops", ops)
+
+
+def test_tournament_unwritable_trace(capsys, tmp_path):
+    assert_input_error(capsys, "tournament", "--n", "3", "--budget", "10",
+                       "--trace", str(tmp_path / "missing" / "t.jsonl"))
+
+
 def test_lint_trace_corrupt(capsys, tmp_path):
     from wftas import harness
 

@@ -60,10 +60,6 @@ def test_expected_choose_visits():
     assert ev.max_value == 2
 
 
-def test_optimal_adversary_matches_solve(solve0):
-    assert expectation.optimal_adversary() == solve0.policy
-
-
 @pytest.mark.parametrize("tracked", [0, 1])
 @pytest.mark.parametrize("solver, branch_fn_for", [
     (expectation.solve, expectation._access_cost),

@@ -114,6 +114,16 @@ def test_n_process_late_loser_rejected():
     assert not check_n_process(recs, 2).ok
 
 
+def test_n_process_search_budget_guard():
+    recs = [
+        OpRecord(pid=0, kind="tas", op_seq=0, start=0, finish=1, ret=0),
+        OpRecord(pid=1, kind="tas", op_seq=0, start=2, finish=3, ret=1),
+    ]
+    assert check_n_process(recs, 2).ok
+    with pytest.raises(linearize.SearchBudgetExceeded):
+        check_n_process(recs, 2, budget=1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_two_checker_agreement(seed, ops_per_proc):
