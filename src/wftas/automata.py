@@ -8,6 +8,8 @@ labeled `a` through `t`.
 FA4 is FA3 with the internal occurrence events tas0/tas1 turned into
 epsilon-moves; nondeterministic sets of FA4 states are kept in a canonical
 form that drops states whose outgoing moves are epsilon-moves only.
+`Fa3` also compiles FA4 into a 16-state DFA over the 8 B-events, and FA3
+into integer move tables, for the trace checker.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ ALL_EVENTS = tuple(
     for pid in (0, 1)
 )
 EPS_EVENTS = tuple(e for e in ALL_EVENTS if e.is_eps)
+B_EVENTS = tuple(e for e in ALL_EVENTS if not e.is_eps)
+# Column of each B-event, by (kind, pid), in the integer move tables.
+B_EVENT_ID = {(e.kind, e.pid): i for i, e in enumerate(B_EVENTS)}
 
 
 class Fa3:
@@ -143,6 +148,40 @@ class Fa3:
             if self._eps_succ[s]
             and all(e.is_eps for (t, e) in moves if t == s)
         )
+
+        # Integer tables for the trace checker.  FA3 state ids follow
+        # sorted order; -1 marks a disabled move.
+        self.by_id = tuple(sorted(self.states))
+        ids = {s: i for i, s in enumerate(self.by_id)}
+        self.initial_id = ids[init]
+        # Epsilon-successors in EPS_EVENTS order, as (event, state id).
+        self.eps_moves = tuple(
+            tuple((e, ids[moves[(s, e)]]) for e in EPS_EVENTS if (s, e) in moves)
+            for s in self.by_id
+        )
+        # The B-move of each state under each B_EVENTS column.
+        self.b_moves = tuple(
+            tuple(ids[moves[(s, e)]] if (s, e) in moves else -1 for e in B_EVENTS)
+            for s in self.by_id
+        )
+        # FA4 as a DFA over the B_EVENTS columns: its states are the
+        # non-empty canonical sets reachable from fa4_initial(), numbered
+        # in breadth-first order (0 is the initial set); -1 is the empty
+        # set, which rejects.
+        sets = [self.fa4_initial()]
+        set_ids = {sets[0]: 0}
+        dfa: list[tuple[int, ...]] = []
+        while len(dfa) < len(sets):
+            row = []
+            for e in B_EVENTS:
+                after = self.fa4_step(sets[len(dfa)], e)
+                if after and after not in set_ids:
+                    set_ids[after] = len(sets)
+                    sets.append(after)
+                row.append(set_ids[after] if after else -1)
+            dfa.append(tuple(row))
+        self.fa4_sets = tuple(sets)
+        self.fa4_dfa = tuple(dfa)
 
     # -- FA4 machinery -------------------------------------------------
 

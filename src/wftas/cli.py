@@ -162,10 +162,11 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
                 trace = core.Trace.load_jsonl(fh)
         else:
             trace = core.Trace.load_jsonl(sys.stdin)
-        # Structural and register-model errors are "corrupt" (exit 3);
-        # a well-formed trace rejected by the acceptance automaton is a
-        # linearizability violation (exit 2).
-        verdict = linearize.check_two_process(trace)
+        # Parse, chart, register-model and event-classification errors
+        # are "corrupt" (exit 3); a trace that follows the chart and the
+        # register model but is rejected by the acceptance automaton is
+        # a linearizability violation (exit 2).
+        verdict = linearize.lint(trace)
     except (OSError, core.TraceError, ValueError, KeyError) as exc:
         print(f"corrupt trace: {exc}")
         return 3
@@ -178,6 +179,8 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        return _input_error(f"--budget must be at least 1, got {args.budget}")
     try:
         rep = tournament.find_violation(n=args.n, budget=args.budget, seed=args.seed)
     except tournament.BudgetExceeded as exc:

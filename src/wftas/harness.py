@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import core, expectation, protocol
+from . import core, expectation
 from .checker import Config
 from .core import Access, OpRecord, Trace
-from .protocol import GROUP, IDLE_OP, ProcState
+from .protocol import CHART, GROUP, IDLE_OP, ProcState
 
 # An adversary sees the full visible history (accesses so far, current
 # chart states) and the schedulable pids, and picks one of them.
@@ -99,33 +99,34 @@ class _Engine:
         if self.mid_op[pid] is None:
             self.op_seq[pid] += 1
             self.mid_op[pid] = IDLE_OP[s]
-        kind = protocol.enabled_access(s)
-        if kind[0] == "w":
-            value = kind[1]
-            post = protocol.step(s)
-            action, reg, coin = "w", pid, None
-            self.regs.write(pid, value)
-        else:
+        move = CHART.get((s, None, None))
+        if move is None:  # a read of the other register
             value = self.regs.read(pid)
-            coin = self.rng.random() < 0.5 if protocol.needs_coin(s, value) else None
-            post = protocol.step(s, value, coin)
-            action, reg = "r", 1 - pid
+            coin = None
+            move = CHART.get((s, value, None))
+            if move is None:  # reading choose from choose resolves a coin
+                coin = self.rng.random() < 0.5
+                move = CHART[(s, value, coin)]
+            reg = 1 - pid
+        else:
+            self.regs.write(pid, move.value)
+            coin, reg = None, pid
         a = Access(
             t=self.t,
             pid=pid,
             reg=reg,
-            action=action,
-            value=value,
+            action=move.action,
+            value=move.value,
             coin=coin,
-            pre=s.value,
-            post=post.value,
-            events=protocol.classify(s, post, pid),
+            pre=move.pre_name,
+            post=move.post_name,
+            events=move.events[pid],
             op_seq=self.op_seq[pid],
             op=self.mid_op[pid],
         )
         self.t += 1
-        self.states[pid] = post
-        if protocol.finishes_op(s, post):
+        self.states[pid] = move.post
+        if move.finishes:
             self.mid_op[pid] = None
         return a
 
@@ -246,11 +247,10 @@ def measure_from_config(config: Config, n_ops: int, seed: int) -> list[int]:
         accesses = 0
         while True:
             pid = policy[eng.config]
-            pre = eng.states[pid]
             eng.step_pid(pid)
             if pid == 0:
                 accesses += 1
-                if protocol.finishes_op(pre, eng.states[pid]):
+                if eng.mid_op[0] is None:
                     break
         counts.append(accesses)
     return counts
@@ -313,7 +313,6 @@ def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
         if eng.t >= 100 * DEFAULT_MAX_STEPS:
             raise RuntimeError("loop experiment exceeded its step budget")
         pid = lp.policy[eng.config]
-        pre = eng.states[pid]
         eng.step_pid(pid)
         if pid != 0:
             continue
@@ -323,7 +322,7 @@ def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
                 exp.probs.append(pending)
                 exp.successes.append(True)
             pending = lp.values[eng.config]
-        elif protocol.finishes_op(pre, post) and pending is not None:
+        elif eng.mid_op[0] is None and pending is not None:
             exp.probs.append(pending)
             exp.successes.append(False)
             pending = None

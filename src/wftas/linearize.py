@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import protocol
-from .automata import EPS_EVENTS, FA3_INITIAL, Fa3State, fa3_build
+from .automata import B_EVENT_ID, fa3_build
 from .core import CorruptTrace, Event, OpRecord, Trace, TraceError
 
 
@@ -87,35 +87,39 @@ def check_two_process(trace: Trace) -> Verdict:
     fa3 = fa3_build()
     events = project_b(trace)
 
-    # Subset construction for acceptance / shortest rejected prefix.
-    current = fa3.fa4_initial()
-    for t, e in events:
-        current = fa3.fa4_step(current, e)
-        if not current:
+    cols = [B_EVENT_ID[e.kind, e.pid] for _, e in events]
+
+    # The FA4 DFA for acceptance / shortest rejected prefix.
+    dfa = fa3.fa4_dfa
+    q = 0
+    for j, col in enumerate(cols):
+        q = dfa[q][col]
+        if q < 0:
             # Shortest rejected prefix: up to and including this access.
+            t = events[j][0]
             n_prefix = sum(1 for a in trace if a.t <= t)
             return Verdict(ok=False, rejected_prefix=n_prefix)
 
     # One accepting FA3 path, epsilon moves fired as early as possible.
-    # Node (k, x): first k B-events consumed, FA3 in state x.  From a
-    # node, epsilon moves are preferred (sorted), then the next B-event.
+    # Node (k, x): first k B-events consumed, FA3 in state (id) x.  From
+    # a node, epsilon moves are preferred (sorted), then the next B-event.
     total = len(events)
-    dead: set[tuple[int, Fa3State]] = set()
-    path: list[tuple[str, int, Event, Fa3State]] = []
+    eps_moves, b_moves = fa3.eps_moves, fa3.b_moves
+    dead: set[tuple[int, int]] = set()
+    path: list[tuple[str, int, Event, int]] = []
 
-    def _candidates(k: int, x: Fa3State):
-        for e in EPS_EVENTS:
-            y = fa3.moves.get((x, e))
-            if y is not None:
-                yield ("eps", k, e, y)
+    def _candidates(k: int, x: int):
+        for e, y in eps_moves[x]:
+            yield ("eps", k, e, y)
         if k < total:
-            y = fa3.moves.get((x, events[k][1]))
-            if y is not None:
+            y = b_moves[x][cols[k]]
+            if y >= 0:
                 yield ("b", k, events[k][1], y)
 
     # Explicit-stack DFS (traces can be long); each stack entry is the
     # node plus its remaining candidate moves.
-    stack = [((0, FA3_INITIAL), _candidates(0, FA3_INITIAL))]
+    x0 = fa3.initial_id
+    stack = [((0, x0), _candidates(0, x0))]
     found = False
     while stack:
         (k, x), it = stack[-1]
@@ -236,47 +240,42 @@ def check_n_process(
 
 
 def lint(trace: Trace) -> Verdict:
-    """Full trace lint: model replay, chart conformance, FA4 acceptance.
+    """Full trace lint, in three passes:
 
-    Raises CorruptTrace for traces that violate the register model or
-    the chart (wrong successor state, wrong event classification, broken
-    per-process state continuity); returns the two-process verdict
-    otherwise.
+    1. chart conformance: each process's first access starts from rst,
+       every later one from the state its previous access left, and
+       every access is one the chart enables from its pre state, with
+       the recorded value and coin, leading to the recorded post state;
+    2. check_two_process: register replay, then FA4 acceptance;
+    3. on acceptance, event classification: each access carries the
+       B-events of its chart transition.
+
+    A failure of pass 1 or 3, or of the replay, raises CorruptTrace; an
+    FA4 rejection returns the rejecting verdict.
     """
-    try:
-        trace.replay()
-    except TraceError as exc:
-        raise CorruptTrace(str(exc)) from exc
-    last_post: dict[int, str] = {}
+    moves: list[protocol.Move] = []
+    # Each process's (state, name); both start in rst.
+    at = [(protocol.ProcState.RST, "rst")] * 2
     for a in trace:
-        try:
-            pre = protocol.ProcState(a.pre)
-            post = protocol.ProcState(a.post)
-        except ValueError as exc:
-            raise CorruptTrace(f"step {a.t}: unknown state") from exc
-        if a.pid in last_post and last_post[a.pid] != a.pre:
+        s, name = at[a.pid]
+        if a.pre != name:
+            raise CorruptTrace(f"step {a.t}: P{a.pid} steps from {a.pre} but is in {name}")
+        move = protocol.CHART.get((s, None if a.action == "w" else a.value, a.coin))
+        if move is None or move.value is not a.value:
             raise CorruptTrace(
-                f"step {a.t}: P{a.pid} continues from {a.pre}, "
-                f"was left in {last_post[a.pid]}"
+                f"step {a.t}: {a.pre} has no access {a.action} "
+                f"{a.value.value} with coin {a.coin}"
             )
-        last_post[a.pid] = a.post
-        kind = protocol.enabled_access(pre)
-        try:
-            if kind[0] == "w":
-                if a.action != "w" or a.value is not kind[1]:
-                    raise CorruptTrace(f"step {a.t}: wrong write")
-                expect = protocol.step(pre)
-            else:
-                if a.action != "r":
-                    raise CorruptTrace(f"step {a.t}: expected a read")
-                expect = protocol.step(pre, a.value, a.coin)
-        except protocol.ProtocolError as exc:
-            raise CorruptTrace(f"step {a.t}: {exc}") from exc
-        if expect is not post:
+        if move.post_name != a.post:
             raise CorruptTrace(
-                f"step {a.t}: {a.pre} observing {a.value.value} goes to "
-                f"{expect.value}, trace says {a.post}"
+                f"step {a.t}: {a.pre} {a.action} {a.value.value} goes to "
+                f"{move.post_name}, trace says {a.post}"
             )
-        if a.events != protocol.classify(pre, post, a.pid):
-            raise CorruptTrace(f"step {a.t}: wrong event classification")
-    return check_two_process(trace)
+        at[a.pid] = (move.post, move.post_name)
+        moves.append(move)
+    verdict = check_two_process(trace)
+    if verdict.ok:
+        for a, move in zip(trace, moves):
+            if a.events != move.events[a.pid]:
+                raise CorruptTrace(f"step {a.t}: wrong event classification")
+    return verdict

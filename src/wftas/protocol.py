@@ -11,7 +11,7 @@ which resolves a fair coin: true heads for ME (via TOME), false for HE
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Event, RegValue
 
@@ -189,3 +189,50 @@ def returns_value(post: ProcState) -> Optional[int]:
 def finishes_op(pre: ProcState, post: ProcState) -> bool:
     """Whether the (pre, post) access finishes the current operation."""
     return bool(set(_B_CLASS.get((pre, post), ())) & {"fTas0", "fTas1", "rstOp"})
+
+
+class Move(NamedTuple):
+    """One chart transition compiled for stepping: what the access
+    records and where it leads."""
+
+    action: str  # "w" or "r"
+    value: RegValue  # written by a write, observed by a read
+    post: ProcState
+    pre_name: str
+    post_name: str
+    events: tuple[tuple[Event, ...], tuple[Event, ...]]  # when P0 / P1 acts
+    finishes: bool
+
+
+def _compile_chart() -> dict[
+    tuple[ProcState, Optional[RegValue], Optional[bool]], Move
+]:
+    chart = {}
+    for s in ProcState:
+        kind = enabled_access(s)
+        if kind[0] == "w":
+            keys = [(None, None, kind[1])]
+        else:
+            keys = [
+                (v, coin, v)
+                for v in RegValue
+                for coin in ((False, True) if needs_coin(s, v) else (None,))
+            ]
+        for observed, coin, value in keys:
+            post = step(s, observed, coin)
+            chart[(s, observed, coin)] = Move(
+                kind[0],
+                value,
+                post,
+                s.value,
+                post.value,
+                (classify(s, post, 0), classify(s, post, 1)),
+                finishes_op(s, post),
+            )
+    return chart
+
+
+# Every access of the chart, keyed like `step`'s arguments: (state,
+# observed value or None for a write, coin or None).  A read has a
+# coinless entry exactly when it resolves no coin.
+CHART = _compile_chart()

@@ -1,7 +1,7 @@
 import pytest
 
 from wftas import automata
-from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
+from wftas.automata import B_EVENTS, EPS_EVENTS, Fa2State, Fa3State, Owner, fa3_build
 from wftas.core import Event
 
 
@@ -70,6 +70,46 @@ def test_fa4_rejects_double_win(fa3):
         S = fa3.fa4_step(S, e)
         assert S
     assert not fa3.fa4_step(S, seq[-1])
+
+
+def test_fa4_dfa_has_16_states(fa3):
+    assert len(fa3.fa4_dfa) == len(fa3.fa4_sets) == 16
+    assert fa3.fa4_sets[0] == fa3.fa4_initial()
+    assert all(fa3.fa4_sets)
+
+
+def test_fa4_dfa_matches_subset_construction(fa3):
+    """Every B-event sequence up to length 6 gets the same verdict, with
+    the same first empty prefix, from the DFA and from fa4_step.  Once a
+    prefix empties, both stay empty, so the walk stops extending it."""
+    assert not fa3.fa4_step(frozenset(), B_EVENTS[0])
+    sequences = 0
+
+    def walk(S, q, depth):
+        nonlocal sequences
+        for i, e in enumerate(B_EVENTS):
+            sequences += 1
+            after = fa3.fa4_step(S, e)
+            nq = fa3.fa4_dfa[q][i]
+            assert (nq >= 0) == bool(after)
+            if nq >= 0:
+                assert fa3.fa4_sets[nq] == after
+                if depth > 1:
+                    walk(after, nq, depth - 1)
+
+    walk(fa3.fa4_initial(), 0, 6)
+    assert sequences > 8**2
+
+
+def test_integer_move_tables(fa3):
+    assert fa3.by_id[fa3.initial_id] == fa3.initial
+    for x, s in enumerate(fa3.by_id):
+        assert [(e, fa3.by_id[y]) for e, y in fa3.eps_moves[x]] == [
+            (e, fa3.moves[(s, e)]) for e in EPS_EVENTS if (s, e) in fa3.moves
+        ]
+        for i, e in enumerate(B_EVENTS):
+            y = fa3.b_moves[x][i]
+            assert (fa3.by_id[y] if y >= 0 else None) == fa3.moves.get((s, e))
 
 
 def test_label_assignment(check_report):

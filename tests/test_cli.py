@@ -1,6 +1,12 @@
+import contextlib
+import functools
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wftas import cli
 
@@ -221,6 +227,104 @@ def test_lint_trace_violation(capsys, tmp_path):
     rc, out = run_cli(capsys, "lint-trace", str(f))
     assert rc == 2
     assert "shortest rejected prefix" in out
+
+
+def _simulated_lines(ops, seed):
+    from wftas import harness
+
+    trace, _, _ = harness.run(harness.Workload((ops, ops)),
+                              harness.random_adversary(seed), seed=seed)
+    return [json.loads(a.to_json()) for a in trace]
+
+
+def _lint_text(objs):
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+def test_lint_trace_forged_post(capsys, tmp_path):
+    # One interior (event-free) access forged to leave the chart.
+    lines = _simulated_lines(5, 1)
+    i = next(i for i, obj in enumerate(lines) if not obj["events"])
+    lines[i]["post"] = "tohe" if lines[i]["post"] != "tohe" else "he"
+    f = tmp_path / "p.jsonl"
+    f.write_text(_lint_text(lines))
+    rc, out = run_cli(capsys, "lint-trace", str(f))
+    assert (rc, out.startswith("corrupt trace")) == (3, True), out
+
+
+def test_lint_trace_first_access_not_from_rst(capsys, tmp_path):
+    # The first write of P0 keeps its value and successor but claims to
+    # start from `free` and drops its sTas: FA4 alone would reject it.
+    lines = _simulated_lines(5, 1)
+    assert (lines[0]["pre"], lines[0]["action"]) == ("rst", "w")
+    lines[0].update(pre="free", events=[])
+    f = tmp_path / "r.jsonl"
+    f.write_text(_lint_text(lines))
+    rc, out = run_cli(capsys, "lint-trace", str(f))
+    assert (rc, out.startswith("corrupt trace")) == (3, True), out
+    assert "steps from free but is in rst" in out
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base(seed):
+    return tuple(json.dumps(obj) for obj in _simulated_lines(4, seed))
+
+
+# Fields lint checks: changing one of them must never pass as linearizable.
+_CHECKED = ("pid", "reg", "action", "value", "coin", "pre", "post", "events")
+_FUZZ_VALUES = (
+    None, True, False, 0, 1, -1, 2, 7, 1.0, "", "x", "R0", "R1", "R2",
+    "w", "r", "tas", "reset", "rst", "me", "he", "choose", "notme", "tst0",
+    "tst1", "free", "tohe", [], ["sTas"], ["fTas0"], ["fTas1"], ["rstOp"],
+    ["tas0"], ["sTas", "fTas1"], ["bogus"], {}, [1],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 20),
+    at=st.floats(0, 1, exclude_max=True),
+    mutation=st.one_of(
+        st.tuples(st.sampled_from(("t", "op_seq", "op") + _CHECKED),
+                  st.sampled_from(_FUZZ_VALUES)),
+        st.sampled_from(["drop", "duplicate", "swap", "missing field"]),
+    ),
+)
+def test_lint_trace_fuzz(seed, at, mutation):
+    """One field or access of a simulated trace changed: lint-trace
+    exits 0, 2 or 3, never with a traceback."""
+    lines = [json.loads(line) for line in _fuzz_base(seed)]
+    i = int(at * (len(lines) - 1))
+    checked_change = False
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, dict(lines[i]))
+    elif mutation == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif mutation == "missing field":
+        del lines[i]["pre"]
+    else:
+        key, value = mutation
+        checked_change = key in _CHECKED and (
+            (type(value), value) != (type(lines[i][key]), lines[i][key])
+        )
+        lines[i][key] = value
+    saved = sys.stdin
+    sys.stdin = io.StringIO(_lint_text(lines))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["lint-trace"])
+    finally:
+        sys.stdin = saved
+    assert rc in (0, 2, 3)
+    if checked_change:
+        assert rc != 0, mutation
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_tournament_rejects_nonpositive_budget(capsys, budget):
+    assert_input_error(capsys, "tournament", "--n", "3", "--budget", budget)
 
 
 def test_tournament_n3(capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wftas import harness, linearize
-from wftas.core import CorruptTrace, Event, OpRecord, Trace
+from wftas import harness, linearize, protocol
+from wftas.core import CorruptTrace, Event, OpRecord, RegValue, Trace
 from wftas.harness import Workload
 from wftas.linearize import check_n_process, check_two_process, lint
 
@@ -79,6 +79,31 @@ def test_lint_catches_tampered_state():
     accesses[1] = dataclasses.replace(accesses[1], post="he")
     with pytest.raises(CorruptTrace):
         lint(Trace(accesses))
+
+
+def test_lint_requires_start_from_rst():
+    trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
+    accesses = list(trace.accesses)
+    accesses[0] = dataclasses.replace(accesses[0], pre="free", events=())
+    with pytest.raises(CorruptTrace, match="steps from free but is in rst"):
+        lint(Trace(accesses))
+
+
+def test_lint_check_order():
+    # Chart-conforming but with a forged return: FA4 rejects it before
+    # the classification pass could call it corrupt.
+    v = lint(_corrupt_both_return_one())
+    assert not v.ok and v.rejected_prefix is not None
+    # A stale read that the chart allows fails the register replay.
+    trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
+    a = next(a for a in trace if a.action == "r" and a.coin is None)
+    stale = next(v for v in RegValue if v is not a.value)
+    move = protocol.CHART[(protocol.ProcState(a.pre), stale, None)]
+    forged = dataclasses.replace(a, value=stale, post=move.post_name,
+                                 events=move.events[a.pid])
+    prefix = [b for b in trace if b.t < a.t]
+    with pytest.raises(CorruptTrace, match="observed"):
+        lint(Trace(prefix + [forged]))
 
 
 def test_n_process_trivial_sequential():

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from wftas import protocol
 from wftas.core import RegValue
 from wftas.protocol import (
+    CHART,
     GROUP,
     IDLE_OP,
     IDLE_STATES,
     MissingCoin,
     MissingObservation,
     ProcState,
+    ProtocolError,
     SpuriousCoin,
     classify,
     enabled_access,
@@ -116,3 +118,27 @@ def test_step_total_on_reads(s, observed, coin):
     assert isinstance(post, ProcState)
     # classify accepts every legal transition
     classify(s, post, 0)
+
+
+def test_chart_table_matches_step():
+    """CHART has an entry exactly where `step` is defined, and each entry
+    is what step, classify and finishes_op say of that access."""
+    entries = 0
+    for s in ProcState:
+        kind = enabled_access(s)
+        for observed in (None, *RegValue):
+            for coin in (None, False, True):
+                key = (s, observed, coin)
+                try:
+                    post = step(s, observed, coin)
+                except ProtocolError:
+                    assert key not in CHART
+                    continue
+                entries += 1
+                m = CHART[key]
+                assert m.action == kind[0]
+                assert m.value is (kind[1] if kind[0] == "w" else observed)
+                assert (m.post, m.pre_name, m.post_name) == (post, s.value, post.value)
+                assert m.events == (classify(s, post, 0), classify(s, post, 1))
+                assert m.finishes == finishes_op(s, post)
+    assert len(CHART) == entries == 24
