@@ -8,14 +8,15 @@ golden table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import protocol
 from .automata import (
+    B_EVENT_ID,
     Fa2State,
-    Fa3,
     Fa3State,
     LabelAssignment,
     NoConsistentBijection,
@@ -55,10 +56,19 @@ def edge_map(
 ) -> dict[Config, tuple[Edge, ...]]:
     """Outgoing scheduled-access branches for every reachable configuration.
 
-    The one walk that calls `step_fn`; every other query in this module
-    is a lookup in its result.  Idle processes are deemed invoked:
-    RST/TST1 start a test-and-set, TST0 starts its reset.
+    Built once per step function from `protocol.compile_chart(step_fn)`;
+    every other query in this module is a lookup in its result, which
+    callers share and must not modify.  Idle processes are deemed
+    invoked: RST/TST1 start a test-and-set, TST0 starts its reset.
     """
+    return _edge_map(step_fn)
+
+
+# Cached on the step function alone, so that `edge_map()` and
+# `edge_map(protocol.step)` share one entry.
+@functools.cache
+def _edge_map(step_fn: StepFn) -> dict[Config, tuple[Edge, ...]]:
+    chart = protocol.compile_chart(step_fn)
     out: dict[Config, tuple[Edge, ...]] = {}
     frontier = [INITIAL_CONFIG]
     while frontier:
@@ -67,56 +77,24 @@ def edge_map(
             continue
         edges: list[Edge] = []
         for pid in (0, 1):
-            s = config[pid]
-            kind = protocol.enabled_access(s)
-            branches: list[tuple[Optional[bool], ProcState, Fraction]] = []
-            if kind[0] == "w":
-                branches.append((None, step_fn(s), Fraction(1)))
-            else:
-                observed = GROUP[config[1 - pid]]
-                if protocol.needs_coin(s, observed):
-                    branches.append((True, step_fn(s, observed, True), Fraction(1, 2)))
-                    branches.append((False, step_fn(s, observed, False), Fraction(1, 2)))
-                else:
-                    branches.append((None, step_fn(s, observed), Fraction(1)))
-            for coin, post, prob in branches:
-                dst = (post, config[1]) if pid == 0 else (config[0], post)
-                try:
-                    events = protocol.classify(s, post, pid)
-                except protocol.IllegalTransition:
-                    # Mutated step functions can leave the legal chart; such
-                    # transitions carry no B-events.
-                    events = ()
+            other = config[1 - pid]
+            entries = protocol.branches(chart, config[pid], GROUP[other])
+            for coin, move in entries:
+                dst = (move.post, other) if pid == 0 else (other, move.post)
                 edges.append(
                     Edge(
                         src=config,
                         dst=dst,
                         pid=pid,
                         coin=coin,
-                        prob=prob,
-                        events=events,
-                        finishes=protocol.finishes_op(s, post)
-                        if (s, post) in protocol.LEGAL_TRANSITIONS
-                        else False,
+                        prob=Fraction(1, len(entries)),
+                        events=move.events[pid],
+                        finishes=move.finishes,
                     )
                 )
         out[config] = tuple(edges)
-        for e in edges:
-            if e.dst not in out:
-                frontier.append(e.dst)
+        frontier.extend(e.dst for e in edges)
     return out
-
-
-def _fa4_after(
-    fa3: Fa3, S: frozenset[Fa3State], e: Edge
-) -> frozenset[Fa3State]:
-    """Canonical FA4 set after the B-events of access e, starting from S.
-
-    Interior (event-free) accesses still re-canonicalize.
-    """
-    for ev in e.events:
-        S = fa3.fa4_step(S, ev)
-    return fa3.canonical(S)
 
 
 def forward_families(
@@ -128,23 +106,27 @@ def forward_families(
     is path dependent: different access sequences reaching the same
     configuration can leave FA4 in different sets of states.  This
     returns, for each reachable configuration, every distinct canonical
-    set that some history produces.
+    set that some history produces, found by walking (configuration,
+    FA4 DFA state) pairs; the rejecting DFA state -1 is the empty set.
     """
     fa3 = fa3_build()
-    fam: dict[Config, set[frozenset[Fa3State]]] = {
-        INITIAL_CONFIG: {fa3.fa4_initial()}
-    }
-    frontier: list[tuple[Config, frozenset[Fa3State]]] = [
-        (INITIAL_CONFIG, fa3.fa4_initial())
-    ]
+    dfa = fa3.fa4_dfa
+    fam: dict[Config, set[int]] = {INITIAL_CONFIG: {0}}
+    frontier: list[tuple[Config, int]] = [(INITIAL_CONFIG, 0)]
     while frontier:
-        c, S = frontier.pop()
+        c, q = frontier.pop()
         for e in emap[c]:
-            T = _fa4_after(fa3, S, e)
-            if T not in fam.setdefault(e.dst, set()):
-                fam[e.dst].add(T)
-                frontier.append((e.dst, T))
-    return fam
+            r = q
+            for ev in e.events:
+                if r >= 0:
+                    r = dfa[r][B_EVENT_ID[ev.kind, ev.pid]]
+            if r not in fam.setdefault(e.dst, set()):
+                fam[e.dst].add(r)
+                frontier.append((e.dst, r))
+    return {
+        c: {fa3.fa4_sets[q] if q >= 0 else frozenset() for q in qs}
+        for c, qs in fam.items()
+    }
 
 
 def op_outcomes(
@@ -317,8 +299,6 @@ def verify_against_table(
         report.mismatches.append(f"cell {key}: in table but not reachable")
     for key in sorted(reach_keys - golden_reach):
         report.mismatches.append(f"cell {key}: reachable but '*' in table")
-    for key in sorted(set(table.unreachable_keys()) & reach_keys):
-        report.mismatches.append(f"cell {key}: reachable but '*' in table")
 
     # Solve the letter bijection from the table plus the computed sets.
     cells = {
@@ -375,7 +355,10 @@ def claim_induction_check(rep: dict[Config, frozenset[Fa3State]]) -> list[str]:
     problems: list[str] = []
     for c in sorted(rep, key=_cfg_key):
         for e in emap[c]:
-            T = _fa4_after(fa3, rep[c], e)
+            T = rep[c]
+            for ev in e.events:
+                T = fa3.fa4_step(T, ev)
+            T = fa3.canonical(T)
             for y in rep[e.dst]:
                 if y not in T:
                     problems.append(

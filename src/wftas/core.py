@@ -64,6 +64,10 @@ class Event:
         return f"{self.kind}({self.pid})"
 
 
+# One shared Event per B-event (kind, pid), for trace parsing.
+_SHARED_EVENTS = {(k, pid): Event(k, pid) for k in B_EVENT_KINDS for pid in (0, 1)}
+
+
 class Registers:
     """The two shared registers, with ownership enforced at access time."""
 
@@ -168,7 +172,7 @@ class Access:
                 coin=coin,
                 pre=obj["pre"],
                 post=obj["post"],
-                events=tuple(Event(k, pid) for k in events),
+                events=tuple(_SHARED_EVENTS[k, pid] for k in events),
                 op_seq=op_seq,
                 op=obj["op"],
             )

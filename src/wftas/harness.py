@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from . import core, expectation
 from .checker import Config
 from .core import Access, OpRecord, Trace
-from .protocol import CHART, GROUP, IDLE_OP, ProcState
+from .protocol import CHART, GROUP, IDLE_OP, ProcState, branches
 
 # An adversary sees the full visible history (accesses so far, current
 # chart states) and the schedulable pids, and picks one of them.
@@ -99,18 +99,15 @@ class _Engine:
         if self.mid_op[pid] is None:
             self.op_seq[pid] += 1
             self.mid_op[pid] = IDLE_OP[s]
-        move = CHART.get((s, None, None))
-        if move is None:  # a read of the other register
-            value = self.regs.read(pid)
-            coin = None
-            move = CHART.get((s, value, None))
-            if move is None:  # reading choose from choose resolves a coin
-                coin = self.rng.random() < 0.5
-                move = CHART[(s, value, coin)]
-            reg = 1 - pid
-        else:
+        entries = branches(CHART, s, self.regs.read(pid))
+        coin, move = entries[0]
+        if len(entries) == 2 and self.rng.random() >= 0.5:  # tails
+            coin, move = entries[1]
+        if move.action == "w":
             self.regs.write(pid, move.value)
-            coin, reg = None, pid
+            reg = pid
+        else:
+            reg = 1 - pid
         a = Access(
             t=self.t,
             pid=pid,

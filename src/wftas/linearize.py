@@ -246,6 +246,8 @@ def lint(trace: Trace) -> Verdict:
        every later one from the state its previous access left, and
        every access is one the chart enables from its pre state, with
        the recorded value and coin, leading to the recorded post state;
+       its `op` is the one its process invoked from an idle state and
+       its `op_seq` counts the process's invocations from 0;
     2. check_two_process: register replay, then FA4 acceptance;
     3. on acceptance, event classification: each access carries the
        B-events of its chart transition.
@@ -256,10 +258,21 @@ def lint(trace: Trace) -> Verdict:
     moves: list[protocol.Move] = []
     # Each process's (state, name); both start in rst.
     at = [(protocol.ProcState.RST, "rst")] * 2
+    # Each process's last invocation and its open operation, if any.
+    op_seq = [-1, -1]
+    open_op: list[Optional[str]] = [None, None]
     for a in trace:
         s, name = at[a.pid]
         if a.pre != name:
             raise CorruptTrace(f"step {a.t}: P{a.pid} steps from {a.pre} but is in {name}")
+        if open_op[a.pid] is None:
+            op_seq[a.pid] += 1
+            open_op[a.pid] = protocol.IDLE_OP[s]
+        if (a.op, a.op_seq) != (open_op[a.pid], op_seq[a.pid]):
+            raise CorruptTrace(
+                f"step {a.t}: P{a.pid} runs {open_op[a.pid]} #{op_seq[a.pid]}, "
+                f"trace says {a.op} #{a.op_seq}"
+            )
         move = protocol.CHART.get((s, None if a.action == "w" else a.value, a.coin))
         if move is None or move.value is not a.value:
             raise CorruptTrace(
@@ -272,6 +285,8 @@ def lint(trace: Trace) -> Verdict:
                 f"{move.post_name}, trace says {a.post}"
             )
         at[a.pid] = (move.post, move.post_name)
+        if move.finishes:
+            open_op[a.pid] = None
         moves.append(move)
     verdict = check_two_process(trace)
     if verdict.ok:

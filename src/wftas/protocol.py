@@ -11,7 +11,7 @@ which resolves a fair coin: true heads for ME (via TOME), false for HE
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import Event, RegValue
 
@@ -204,9 +204,15 @@ class Move(NamedTuple):
     finishes: bool
 
 
-def _compile_chart() -> dict[
-    tuple[ProcState, Optional[RegValue], Optional[bool]], Move
-]:
+Chart = dict[tuple[ProcState, Optional[RegValue], Optional[bool]], Move]
+
+
+def compile_chart(step_fn: Callable[..., ProcState] = step) -> Chart:
+    """Every access of the chart `step_fn` defines, keyed like `step`'s
+    arguments: (state, observed value or None for a write, coin or None).
+    A read has a coinless entry exactly when it resolves no coin.  A
+    transition outside LEGAL_TRANSITIONS (a mutated `step_fn`) carries no
+    B-events and finishes no operation."""
     chart = {}
     for s in ProcState:
         kind = enabled_access(s)
@@ -219,20 +225,31 @@ def _compile_chart() -> dict[
                 for coin in ((False, True) if needs_coin(s, v) else (None,))
             ]
         for observed, coin, value in keys:
-            post = step(s, observed, coin)
+            post = step_fn(s, observed, coin)
+            legal = (s, post) in LEGAL_TRANSITIONS
             chart[(s, observed, coin)] = Move(
                 kind[0],
                 value,
                 post,
                 s.value,
                 post.value,
-                (classify(s, post, 0), classify(s, post, 1)),
+                (classify(s, post, 0), classify(s, post, 1)) if legal else ((), ()),
                 finishes_op(s, post),
             )
     return chart
 
 
-# Every access of the chart, keyed like `step`'s arguments: (state,
-# observed value or None for a write, coin or None).  A read has a
-# coinless entry exactly when it resolves no coin.
-CHART = _compile_chart()
+def branches(
+    chart: Chart, s: ProcState, observed: RegValue
+) -> tuple[tuple[Optional[bool], Move], ...]:
+    """The (coin, Move) entries of the access a process in `s` performs
+    when the other register holds `observed`: one for a write (which
+    ignores `observed`) or a plain read, and for a read that resolves a
+    coin its two outcomes, heads first."""
+    move = chart.get((s, None, None)) or chart.get((s, observed, None))
+    if move is not None:
+        return ((None, move),)
+    return ((True, chart[(s, observed, True)]), (False, chart[(s, observed, False)]))
+
+
+CHART = compile_chart()

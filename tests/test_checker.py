@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from wftas import checker, protocol
+import pytest
+
+from wftas import checker, cli, protocol
 from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
 from wftas.checker import INITIAL_CONFIG, edge_map
 from wftas.core import RegValue
@@ -54,7 +56,7 @@ def test_claim_induction_names_underivable_state(rep_sets):
                for p in problems)
 
 
-def test_step_fn_called_once_per_branch():
+def test_step_fn_called_once_per_chart_entry():
     calls = 0
 
     def counting_step(s, observed=None, coin=None):
@@ -64,7 +66,10 @@ def test_step_fn_called_once_per_branch():
 
     report = checker.verify_against_table(step_fn=counting_step)
     assert report.ok
-    assert calls == sum(len(edges) for edges in edge_map().values())
+    assert calls == len(protocol.CHART) == 24
+    # The graph of a step function is built once.
+    checker.verify_against_table(step_fn=counting_step)
+    assert calls == 24
 
 
 def test_representative_sets_nonempty(rep_sets):
@@ -94,18 +99,75 @@ def test_solo_returns_one():
     assert not checker.solo_returns_one(emap, (S.ME, S.RST), 0)
 
 
-def _mutated_step():
+def _mutant(state, value, post):
+    """The protocol step with the read of `value` from `state` redirected
+    to `post`."""
     orig = protocol.step
 
     def step(s, observed=None, coin=None):
-        if s is S.HE and observed is RegValue.HE:
-            return S.TST1
+        if s is state and observed is value:
+            return post
         return orig(s, observed, coin)
 
     return step
 
 
 def test_mutation_sensitivity():
-    rep = checker.verify_against_table(step_fn=_mutated_step())
+    rep = checker.verify_against_table(step_fn=_mutant(S.HE, RegValue.HE, S.TST1))
     assert not rep.ok
     assert len(rep.mismatches) >= 1
+
+
+def test_mutation_report_lists_each_mismatch_once():
+    rep = checker.verify_against_table(step_fn=_mutant(S.HE, RegValue.HE, S.TST1))
+    assert "cell ('tst1', 'tst1'): reachable but '*' in table" in rep.mismatches
+    assert len(rep.mismatches) == len(set(rep.mismatches))
+
+
+def _reference_families(emap):
+    """forward_families on FA4 state sets: subset steps, then canonical."""
+    fa3 = fa3_build()
+    fam = {INITIAL_CONFIG: {fa3.fa4_initial()}}
+    frontier = [(INITIAL_CONFIG, fa3.fa4_initial())]
+    while frontier:
+        c, S_ = frontier.pop()
+        for e in emap[c]:
+            T = S_
+            for ev in e.events:
+                T = fa3.fa4_step(T, ev)
+            T = fa3.canonical(T)
+            if T not in fam.setdefault(e.dst, set()):
+                fam[e.dst].add(T)
+                frontier.append((e.dst, T))
+    return fam
+
+
+@pytest.mark.parametrize(
+    "step_fn, empty_configs",
+    [
+        (protocol.step, 0),
+        (_mutant(S.CHOOSE, RegValue.RST, S.TOME), 0),
+        (_mutant(S.ME, RegValue.ME, S.TST0), 9),
+    ],
+    ids=["chart", "choose-reads-rst-tome", "me-reads-me-tst0"],
+)
+def test_forward_families_match_subset_construction(step_fn, empty_configs):
+    emap = edge_map(step_fn)
+    fam = checker.forward_families(emap)
+    assert fam == _reference_families(emap)
+    assert sum(frozenset() in sets for sets in fam.values()) == empty_configs
+
+
+def test_default_graph_built_once(monkeypatch):
+    checker._edge_map.cache_clear()
+    compiled = []
+    orig = protocol.compile_chart
+
+    def counting(step_fn=protocol.step):
+        compiled.append(step_fn)
+        return orig(step_fn)
+
+    monkeypatch.setattr(protocol, "compile_chart", counting)
+    assert cli.main(["check", "--json"]) == 0
+    assert cli.main(["expect", "--verify", "--policy"]) == 0
+    assert compiled == [protocol.step]

@@ -271,7 +271,9 @@ def _fuzz_base(seed):
 
 
 # Fields lint checks: changing one of them must never pass as linearizable.
-_CHECKED = ("pid", "reg", "action", "value", "coin", "pre", "post", "events")
+_CHECKED = (
+    "pid", "op_seq", "op", "reg", "action", "value", "coin", "pre", "post", "events",
+)
 _FUZZ_VALUES = (
     None, True, False, 0, 1, -1, 2, 7, 1.0, "", "x", "R0", "R1", "R2",
     "w", "r", "tas", "reset", "rst", "me", "he", "choose", "notme", "tst0",
@@ -285,7 +287,7 @@ _FUZZ_VALUES = (
     seed=st.integers(0, 20),
     at=st.floats(0, 1, exclude_max=True),
     mutation=st.one_of(
-        st.tuples(st.sampled_from(("t", "op_seq", "op") + _CHECKED),
+        st.tuples(st.sampled_from(("t",) + _CHECKED),
                   st.sampled_from(_FUZZ_VALUES)),
         st.sampled_from(["drop", "duplicate", "swap", "missing field"]),
     ),

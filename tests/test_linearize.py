@@ -89,6 +89,16 @@ def test_lint_requires_start_from_rst():
         lint(Trace(accesses))
 
 
+@pytest.mark.parametrize("field, value", [("op", "reset"), ("op_seq", 99)])
+def test_lint_checks_op_and_op_seq(field, value):
+    trace, _ = _run(Workload((3, 3)), harness.round_robin(), 1)
+    accesses = list(trace.accesses)
+    i = next(i for i, a in enumerate(accesses) if i > 0 and a.op == "tas")
+    accesses[i] = dataclasses.replace(accesses[i], **{field: value})
+    with pytest.raises(CorruptTrace, match=r"runs tas #\d+, trace says"):
+        lint(Trace(accesses))
+
+
 def test_lint_check_order():
     # Chart-conforming but with a forged return: FA4 rejects it before
     # the classification pass could call it corrupt.

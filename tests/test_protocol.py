@@ -14,7 +14,9 @@ from wftas.protocol import (
     ProcState,
     ProtocolError,
     SpuriousCoin,
+    branches,
     classify,
+    compile_chart,
     enabled_access,
     finishes_op,
     needs_coin,
@@ -142,3 +144,26 @@ def test_chart_table_matches_step():
                 assert m.events == (classify(s, post, 0), classify(s, post, 1))
                 assert m.finishes == finishes_op(s, post)
     assert len(CHART) == entries == 24
+
+
+def test_branches():
+    coin_read = branches(CHART, S.CHOOSE, RegValue.CHOOSE)
+    assert [(coin, m.post) for coin, m in coin_read] == [(True, S.TOME), (False, S.TOHE)]
+    assert coin_read[0][1] is CHART[(S.CHOOSE, RegValue.CHOOSE, True)]
+    for v in RegValue:
+        assert branches(CHART, S.RST, v) == ((None, CHART[(S.RST, None, None)]),)
+    assert branches(CHART, S.ME, RegValue.HE) == ((None, CHART[(S.ME, RegValue.HE, None)]),)
+
+
+def test_compile_chart_illegal_transition():
+    """A step function leaving the legal chart gets entries without
+    B-events that finish no operation."""
+    def mutated(s, observed=None, coin=None):
+        return S.TST0 if s is S.TST1 else step(s, observed, coin)
+
+    chart = compile_chart(mutated)
+    assert chart[(S.TST1, RegValue.RST, None)].post is S.TST0
+    for v in RegValue:
+        m = chart[(S.TST1, v, None)]
+        assert (m.events, m.finishes) == (((), ()), False)
+    assert chart[(S.HE, RegValue.ME, None)] == CHART[(S.HE, RegValue.ME, None)]
