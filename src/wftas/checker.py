@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import protocol
@@ -23,9 +22,8 @@ from .automata import (
     assign_labels,
     fa3_build,
 )
-from .core import Event
 from .goldens import GoldenTable, STATE_ORDER, load_golden_table
-from .protocol import GROUP, ProcState
+from .protocol import GROUP, Move, ProcState
 
 Config = tuple[ProcState, ProcState]
 
@@ -33,73 +31,62 @@ INITIAL_CONFIG: Config = (ProcState.RST, ProcState.RST)
 
 StepFn = Callable[..., ProcState]
 
-
-@dataclass(frozen=True)
-class Edge:
-    """One scheduled access in the configuration graph.
-
-    `prob` is the probability of this branch given that `pid` is
-    scheduled (1, or 1/2 for each outcome of a coin-resolving read).
-    """
-
-    src: Config
-    dst: Config
-    pid: int
-    coin: Optional[bool]
-    prob: Fraction
-    events: tuple[Event, ...]
-    finishes: bool  # the access finishes pid's current operation
+# (destination id, coin, Move) of one outcome of a scheduled access.
+Branch = tuple[int, Optional[bool], Move]
 
 
-def edge_map(
-    step_fn: StepFn = protocol.step,
-) -> dict[Config, tuple[Edge, ...]]:
-    """Outgoing scheduled-access branches for every reachable configuration.
+@dataclass(frozen=True, eq=False)
+class Model:
+    """The reachable configuration graph of one step function on ids:
+    `configs[i]` is configuration i ((rst, rst) is 0), `index` maps back,
+    and `branches[2 * i + pid]` are the outcomes of scheduling pid in it,
+    each of probability 1 / their number (a coin read has two, heads
+    first; the access's B-events are `move.events[pid]`).  Idle
+    processes are deemed invoked: RST/TST1 start a test-and-set, TST0
+    its reset."""
 
-    Built once per step function from `protocol.compile_chart(step_fn)`;
-    every other query in this module is a lookup in its result, which
-    callers share and must not modify.  Idle processes are deemed
-    invoked: RST/TST1 start a test-and-set, TST0 starts its reset.
-    """
-    return _edge_map(step_fn)
+    configs: tuple[Config, ...]
+    index: dict[Config, int]
+    branches: tuple[tuple[Branch, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.configs)
 
 
-# Cached on the step function alone, so that `edge_map()` and
-# `edge_map(protocol.step)` share one entry.
+def model(step_fn: StepFn = protocol.step) -> Model:
+    """The model of `step_fn`, compiled from `protocol.compile_chart`
+    on first use and shared by every caller, who must not modify it."""
+    return _model(step_fn)
+
+
+# Cached on the step function alone, so that `model()` and
+# `model(protocol.step)` share one entry.
 @functools.cache
-def _edge_map(step_fn: StepFn) -> dict[Config, tuple[Edge, ...]]:
+def _model(step_fn: StepFn) -> Model:
     chart = protocol.compile_chart(step_fn)
-    out: dict[Config, tuple[Edge, ...]] = {}
+
+    def successors(config: Config, pid: int):
+        other = config[1 - pid]
+        for coin, move in protocol.branches(chart, config[pid], GROUP[other]):
+            yield ((move.post, other) if pid == 0 else (other, move.post)), coin, move
+
+    index: dict[Config, int] = {}
     frontier = [INITIAL_CONFIG]
     while frontier:
         config = frontier.pop()
-        if config in out:
-            continue
-        edges: list[Edge] = []
-        for pid in (0, 1):
-            other = config[1 - pid]
-            entries = protocol.branches(chart, config[pid], GROUP[other])
-            for coin, move in entries:
-                dst = (move.post, other) if pid == 0 else (other, move.post)
-                edges.append(
-                    Edge(
-                        src=config,
-                        dst=dst,
-                        pid=pid,
-                        coin=coin,
-                        prob=Fraction(1, len(entries)),
-                        events=move.events[pid],
-                        finishes=move.finishes,
-                    )
-                )
-        out[config] = tuple(edges)
-        frontier.extend(e.dst for e in edges)
-    return out
+        if config not in index:
+            index[config] = len(index)
+            for pid in (0, 1):
+                frontier.extend(dst for dst, _, _ in successors(config, pid))
+    branches = tuple(
+        tuple((index[dst], coin, move) for dst, coin, move in successors(c, pid))
+        for c in index
+        for pid in (0, 1)
+    )
+    return Model(tuple(index), index, branches)
 
 
-def forward_families(
-    emap: dict[Config, tuple[Edge, ...]],
-) -> dict[Config, set[frozenset[Fa3State]]]:
+def forward_families(m: Model) -> dict[Config, set[frozenset[Fa3State]]]:
     """Canonical FA4 state sets per configuration, one per history class.
 
     Propagating the FA4 subset construction over the configuration graph
@@ -111,76 +98,68 @@ def forward_families(
     """
     fa3 = fa3_build()
     dfa = fa3.fa4_dfa
-    fam: dict[Config, set[int]] = {INITIAL_CONFIG: {0}}
-    frontier: list[tuple[Config, int]] = [(INITIAL_CONFIG, 0)]
+    fam: dict[int, set[int]] = {0: {0}}
+    frontier = [(0, 0)]
     while frontier:
         c, q = frontier.pop()
-        for e in emap[c]:
-            r = q
-            for ev in e.events:
-                if r >= 0:
-                    r = dfa[r][B_EVENT_ID[ev.kind, ev.pid]]
-            if r not in fam.setdefault(e.dst, set()):
-                fam[e.dst].add(r)
-                frontier.append((e.dst, r))
+        for pid in (0, 1):
+            for d, _, move in m.branches[2 * c + pid]:
+                r = q
+                for ev in move.events[pid]:
+                    if r >= 0:
+                        r = dfa[r][B_EVENT_ID[ev.kind, pid]]
+                if r not in fam.setdefault(d, set()):
+                    fam[d].add(r)
+                    frontier.append((d, r))
     return {
-        c: {fa3.fa4_sets[q] if q >= 0 else frozenset() for q in qs}
+        m.configs[c]: {fa3.fa4_sets[q] if q >= 0 else frozenset() for q in qs}
         for c, qs in fam.items()
     }
 
 
-def op_outcomes(
-    emap: dict[Config, tuple[Edge, ...]],
-    config: Config,
-    pid: int,
-) -> frozenset[int]:
-    """Possible return values of pid's pending operation from here.
+def _returned(move: Move) -> Optional[int]:
+    """The value returned by the operation this access finishes, if any."""
+    return protocol.returns_value(move.post) if move.finishes else None
+
+
+def op_outcomes(m: Model, c: int, pid: int) -> frozenset[int]:
+    """Possible return values of pid's pending operation from
+    configuration id `c`.
 
     Explores every schedule and coin outcome and collects the value the
     operation in progress eventually returns.  Meaningful only when pid
     is mid-operation (not in an idle chart state).
     """
-    seen = {config}
-    stack = [config]
+    seen = {c}
+    stack = [c]
     out: set[int] = set()
     while stack and out != {0, 1}:
         c = stack.pop()
-        for e in emap[c]:
-            finished = None
-            for ev in e.events:
-                if ev.pid == pid and ev.kind == "fTas0":
-                    finished = 0
-                elif ev.pid == pid and ev.kind == "fTas1":
-                    finished = 1
-            if finished is not None:
-                out.add(finished)
-                continue
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
+        for actor in (0, 1):
+            for d, _, move in m.branches[2 * c + actor]:
+                ret = _returned(move) if actor == pid else None
+                if ret is not None:
+                    out.add(ret)
+                elif d not in seen:
+                    seen.add(d)
+                    stack.append(d)
     return frozenset(out)
 
 
-def solo_returns_one(
-    emap: dict[Config, tuple[Edge, ...]],
-    config: Config,
-    pid: int,
-) -> bool:
-    """Can pid's pending operation return 1 with the peer never scheduled?"""
-    seen = {config}
-    stack = [config]
+def solo_returns_one(m: Model, c: int, pid: int) -> bool:
+    """Can pid's pending operation, from configuration id `c`, return 1
+    with the peer never scheduled?"""
+    seen = {c}
+    stack = [c]
     while stack:
         c = stack.pop()
-        for e in emap[c]:
-            if e.pid != pid:
-                continue
-            if any(ev.pid == pid and ev.kind == "fTas1" for ev in e.events):
+        for d, _, move in m.branches[2 * c + pid]:
+            ret = _returned(move)
+            if ret == 1:
                 return True
-            if any(ev.pid == pid and ev.kind == "fTas0" for ev in e.events):
-                continue
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
+            if ret is None and d not in seen:
+                seen.add(d)
+                stack.append(d)
     return False
 
 
@@ -191,13 +170,9 @@ _IDLE_CLAIM = {
 }
 
 
-def _claim_compatible(
-    x: Fa3State,
-    config: Config,
-    emap: dict[Config, tuple[Edge, ...]],
-) -> bool:
+def _claim_compatible(x: Fa3State, c: int, m: Model) -> bool:
     """Is the occurrence bookkeeping of x consistent with the futures of
-    the configuration?
+    configuration id `c`?
 
     Idle processes must be recorded idle with the matching last return
     value.  For a process mid-operation: the undecided component S
@@ -208,7 +183,7 @@ def _claim_compatible(
     forced to predate the remaining future.
     """
     for pid, p in enumerate((x.p0, x.p1)):
-        s = config[pid]
+        s = m.configs[c][pid]
         idle = _IDLE_CLAIM.get(s)
         if idle is not None:
             if p is not idle:
@@ -217,13 +192,13 @@ def _claim_compatible(
         if p in (Fa2State.I0, Fa2State.I1):
             return False
         if p is Fa2State.S:
-            if op_outcomes(emap, config, pid) != {0, 1}:
+            if op_outcomes(m, c, pid) != {0, 1}:
                 return False
         elif p is Fa2State.T0:
-            if 0 not in op_outcomes(emap, config, pid):
+            if 0 not in op_outcomes(m, c, pid):
                 return False
         elif p is Fa2State.T1:
-            if not solo_returns_one(emap, config, pid):
+            if not solo_returns_one(m, c, pid):
                 return False
     return True
 
@@ -245,12 +220,12 @@ def representative_sets(
     and may contain empty sets if `step_fn` deviates from the chart.
     """
     fa3 = fa3_build()
-    emap = edge_map(step_fn)
+    m = model(step_fn)
     rep: dict[Config, frozenset[Fa3State]] = {}
-    for c, sets in forward_families(emap).items():
+    for c, sets in forward_families(m).items():
         meet = frozenset.intersection(*sets)
-        kept = frozenset(x for x in meet if _claim_compatible(x, c, emap))
-        rep[c] = fa3.canonical(kept)
+        i = m.index[c]
+        rep[c] = fa3.canonical(x for x in meet if _claim_compatible(x, i, m))
     return rep
 
 
@@ -346,23 +321,30 @@ def verify_against_table(
     return report
 
 
-def claim_induction_check(rep: dict[Config, frozenset[Fa3State]]) -> list[str]:
-    """Edge-wise induction over the representative sets `rep`: every
-    state in the successor's set must be reachable from some state of
-    the predecessor's set via the access's B-events plus epsilon-moves."""
+def claim_induction_check(
+    rep: dict[Config, frozenset[Fa3State]],
+    step_fn: StepFn = protocol.step,
+) -> list[str]:
+    """Edge-wise induction over the representative sets `rep` of
+    `step_fn`: every state in the successor's set must be reachable from
+    some state of the predecessor's set via the access's B-events plus
+    epsilon-moves."""
     fa3 = fa3_build()
-    emap = edge_map()
+    m = model(step_fn)
     problems: list[str] = []
     for c in sorted(rep, key=_cfg_key):
-        for e in emap[c]:
-            T = rep[c]
-            for ev in e.events:
-                T = fa3.fa4_step(T, ev)
-            T = fa3.canonical(T)
-            for y in rep[e.dst]:
-                if y not in T:
-                    problems.append(
-                        f"{_cfg_name(c)} -> {_cfg_name(e.dst)}: state {y!r} "
-                        f"not derivable"
-                    )
+        i = m.index[c]
+        for pid in (0, 1):
+            for d, _, move in m.branches[2 * i + pid]:
+                T = rep[c]
+                for ev in move.events[pid]:
+                    T = fa3.fa4_step(T, ev)
+                T = fa3.canonical(T)
+                dst = m.configs[d]
+                for y in rep[dst]:
+                    if y not in T:
+                        problems.append(
+                            f"{_cfg_name(c)} -> {_cfg_name(dst)}: state {y!r} "
+                            f"not derivable"
+                        )
     return problems

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success / all phases PASS; 1 verification failure;
-2 linearizability violation (lint-trace); 3 input errors.
+Exit codes: 0 success / all phases PASS; 1 verification failure, or
+stdout closed by its reader; 2 linearizability violation (lint-trace);
+3 input errors.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -255,7 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader went away (`wftas simulate | head`): point stdout at
+        # devnull so the flush at exit raises nothing, and fail quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,11 +28,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .checker import Config, Edge, _cfg_name, edge_map
-from .protocol import ProcState
+from .checker import Config, Model, _cfg_name, model
+from .protocol import Move, ProcState
 
-# (reward on taking this branch, branch is absorbing)
-BranchFn = Callable[[Edge], tuple[int, bool]]
+# perfbench's tracer times the model accessor under this name.
+edge_map = model
+
+# (acting pid, move) -> (reward on taking this branch, branch is absorbing)
+BranchFn = Callable[[int, Move], tuple[int, bool]]
+
+# Scheduling pid in configuration id, at 2 * id + pid: the expected reward,
+# the non-absorbing branches as (destination id, probability), and
+# whether some branch absorbs.
+Action = tuple[Fraction, tuple[tuple[int, Fraction], ...], bool]
+
+_PROB = (None, Fraction(1), Fraction(1, 2))  # of each branch, by their number
 
 
 class NonConvergence(Exception):
@@ -52,118 +62,115 @@ class SolveResult:
         return max(self.values.values())
 
 
-def _q_value(edges, pid: int, branch_fn: BranchFn, v) -> Fraction:
-    """Expected value of scheduling `pid`, under the value estimate v."""
-    q = Fraction(0)
-    for e in edges:
-        if e.pid != pid:
-            continue
-        reward, absorbing = branch_fn(e)
-        q += e.prob * (reward + (0 if absorbing else v[e.dst]))
-    return q
+def _actions(m: Model, branch_fn: BranchFn) -> list[Action]:
+    out: list[Action] = []
+    for k, branches in enumerate(m.branches):
+        p = _PROB[len(branches)]
+        reward = Fraction(0)
+        succ = []
+        exits = False
+        for d, _, move in branches:
+            r, absorbing = branch_fn(k % 2, move)
+            reward += p * r
+            if absorbing:
+                exits = True
+            else:
+                succ.append((d, p))
+        out.append((reward, tuple(succ), exits))
+    return out
 
 
-def _evaluate(
-    emap: dict[Config, tuple[Edge, ...]],
-    branch_fn: BranchFn,
-    policy: dict[Config, int],
-) -> dict[Config, Fraction]:
+def _q_value(action: Action, v: list[Fraction]) -> Fraction:
+    """Expected value of an action, under the value estimate v."""
+    reward, succ, _ = action
+    return reward + sum(p * v[d] for d, p in succ)
+
+
+def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]:
     """Exact values of a fixed policy: v = r + P·v by sparse Gaussian
-    elimination over Fractions, one unknown per configuration."""
-    # rows[c] holds the coefficients of (I - P) for configuration c.
-    rows: dict[Config, dict[Config, Fraction]] = {}
-    rhs: dict[Config, Fraction] = {}
-    for c, edges in emap.items():
-        row = {c: Fraction(1)}
-        r = Fraction(0)
-        for e in edges:
-            if e.pid != policy[c]:
-                continue
-            reward, absorbing = branch_fn(e)
-            r += e.prob * reward
-            if not absorbing:
-                row[e.dst] = row.get(e.dst, 0) - e.prob
-        rows[c] = {d: a for d, a in row.items() if a}
-        rhs[c] = r
-    order = list(emap)
-    for k, c in enumerate(order):
-        row = rows[c]
-        pivot = row.get(c)
+    elimination over Fractions, one unknown per configuration id."""
+    n = len(m)
+    # rows[i] holds the nonzero coefficients of (I - P) in row i, and
+    # cols[j] the rows that have (or had) a nonzero in column j.
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        reward, succ, _ = acts[2 * i + policy[i]]
+        row = {i: Fraction(1)}
+        for d, p in succ:
+            row[d] = row.get(d, 0) - p
+        row = {j: a for j, a in row.items() if a}
+        for j in row:
+            cols[j].add(i)
+        rows.append(row)
+        rhs.append(reward)
+    for k in range(n):
+        row = rows[k]
+        pivot = row.get(k)
         if pivot is None:
             # I - P is singular: the policy never leaves some closed set
             # of configurations.
-            raise NonConvergence(f"policy is improper at {_cfg_name(c)}")
-        for d in order[k + 1:]:
+            raise NonConvergence(f"policy is improper at {_cfg_name(m.configs[k])}")
+        for d in cols[k]:
             other = rows[d]
-            a = other.get(c)
-            if a is None:
+            if d <= k or k not in other:
                 continue
-            f = a / pivot
+            f = other.pop(k) / pivot
             for x, b in row.items():
+                if x == k:
+                    continue
                 y = other.get(x, 0) - f * b
                 if y:
                     other[x] = y
+                    cols[x].add(d)
                 else:
                     del other[x]
-            rhs[d] -= f * rhs[c]
-    values: dict[Config, Fraction] = {}
-    for c in reversed(order):
-        row = rows[c]
-        acc = rhs[c]
-        for x, b in row.items():
-            if x != c:
+            rhs[d] -= f * rhs[k]
+    values: list[Fraction] = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        acc = rhs[k]
+        for x, b in rows[k].items():
+            if x != k:
                 acc -= b * values[x]
-        values[c] = acc / row[c]
-    return {c: values[c] for c in order}
+        values[k] = acc / rows[k][k]
+    return values
 
 
 def _certify(
-    emap: dict[Config, tuple[Edge, ...]],
-    branch_fn: BranchFn,
-    values: dict[Config, Fraction],
-    iterations: int,
-    tracked: int,
+    m: Model, acts: list[Action], values: list[Fraction], iterations: int, tracked: int
 ) -> SolveResult:
     # Greedy policy; ties go to the tracked process so that the policy
     # keeps making progress toward absorption (a solo process always
     # finishes its operation).
-    policy: dict[Config, int] = {}
-    for c, edges in emap.items():
-        q_tracked = _q_value(edges, tracked, branch_fn, values)
-        q_other = _q_value(edges, 1 - tracked, branch_fn, values)
-        policy[c] = tracked if q_tracked >= q_other else 1 - tracked
+    policy: list[int] = []
+    for i, v in enumerate(values):
+        q_tracked = _q_value(acts[2 * i + tracked], values)
+        q_other = _q_value(acts[2 * i + 1 - tracked], values)
+        policy.append(tracked if q_tracked >= q_other else 1 - tracked)
         # Optimal Bellman fixed point, exactly.
-        if values[c] != max(q_tracked, q_other):
+        if v != max(q_tracked, q_other):
             raise NonConvergence(
-                f"values are not a Bellman fixed point at {_cfg_name(c)}"
+                f"values are not a Bellman fixed point at {_cfg_name(m.configs[i])}"
             )
     # Properness: under the policy some absorbing branch is reachable
     # from every configuration, hence absorption is almost sure and the
     # policy's affine operator has a unique fixed point.
-    _policy_properness(emap, branch_fn, policy)
-    return SolveResult(values=values, policy=policy, iterations=iterations)
+    _policy_properness(m, acts, policy)
+    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, policy)), iterations)
 
 
-def _policy_properness(emap, branch_fn, policy) -> None:
-    for start in emap:
-        seen = {start}
-        stack = [start]
-        live = False
-        while stack and not live:
-            c = stack.pop()
-            for e in emap[c]:
-                if e.pid != policy[c]:
-                    continue
-                if branch_fn(e)[1]:
-                    live = True
-                    break
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-        if not live:
-            raise NonConvergence(
-                f"policy is improper from {_cfg_name(start)}"
-            )
+def _policy_properness(m: Model, acts: list[Action], policy: list[int]) -> None:
+    # Live: the scheduled access can absorb, or lead to a live configuration.
+    live = [acts[2 * i + pid][2] for i, pid in enumerate(policy)]
+    grew = True
+    while grew:
+        grew = False
+        for i, pid in enumerate(policy):
+            if not live[i] and any(live[d] for d, _ in acts[2 * i + pid][1]):
+                live[i] = grew = True
+    if not all(live):
+        raise NonConvergence(f"policy is improper from {_cfg_name(m.configs[live.index(False)])}")
 
 
 def evaluate_policy(
@@ -173,61 +180,58 @@ def evaluate_policy(
 ) -> SolveResult:
     """Certified exact value of a *fixed* scheduling policy: the
     properness check, then one exact evaluation."""
-    emap = edge_map()
-    branch_fn = branch_fn_for(tracked)
-    _policy_properness(emap, branch_fn, policy)
-    values = _evaluate(emap, branch_fn, policy)
-    return SolveResult(values=values, policy=dict(policy), iterations=1)
+    m = model()
+    acts = _actions(m, branch_fn_for(tracked))
+    ids = [policy[c] for c in m.configs]
+    _policy_properness(m, acts, ids)
+    values = _evaluate(m, acts, ids)
+    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, ids)), 1)
 
 
-def _solve_mdp(
-    branch_fn_for: Callable[[int], BranchFn],
-    tracked: int,
-) -> SolveResult:
-    emap = edge_map()
-    branch_fn = branch_fn_for(tracked)
+def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
+    m = model()
+    acts = _actions(m, branch_fn_for(tracked))
     # Scheduling only the tracked process is proper: a solo process
     # always finishes its operation.
-    policy = {c: tracked for c in emap}
+    policy = [tracked] * len(m)
     rounds = 0
     while True:
-        values = _evaluate(emap, branch_fn, policy)
+        values = _evaluate(m, acts, policy)
         rounds += 1
         stable = True
-        for c, edges in emap.items():
-            other = 1 - policy[c]
-            if _q_value(edges, other, branch_fn, values) > values[c]:
-                policy[c] = other
+        for i, pid in enumerate(policy):
+            if _q_value(acts[2 * i + 1 - pid], values) > values[i]:
+                policy[i] = 1 - pid
                 stable = False
         if stable:
-            return _certify(emap, branch_fn, values, rounds, tracked)
+            return _certify(m, acts, values, rounds, tracked)
 
 
 def _access_cost(tracked: int) -> BranchFn:
-    def branch(e: Edge) -> tuple[int, bool]:
-        if e.pid != tracked:
+    def branch(pid: int, move: Move) -> tuple[int, bool]:
+        if pid != tracked:
             return (0, False)
-        return (1, e.finishes)
+        return (1, move.finishes)
 
     return branch
 
 
 def _choose_entry_reward(tracked: int) -> BranchFn:
-    def branch(e: Edge) -> tuple[int, bool]:
-        if e.pid != tracked:
+    def branch(pid: int, move: Move) -> tuple[int, bool]:
+        if pid != tracked:
             return (0, False)
-        if e.dst[tracked] is ProcState.CHOOSE:
+        if move.post is ProcState.CHOOSE:
             return (1, True)  # success: absorbed with reward 1
-        return (0, e.finishes)
+        return (0, move.finishes)
 
     return branch
 
 
 def _choose_visit_cost(tracked: int) -> BranchFn:
-    def branch(e: Edge) -> tuple[int, bool]:
-        if e.pid != tracked:
+    def branch(pid: int, move: Move) -> tuple[int, bool]:
+        if pid != tracked:
             return (0, False)
-        return (1 if e.dst[tracked] is ProcState.CHOOSE else 0, e.finishes)
+        return (1 if move.post is ProcState.CHOOSE else 0, move.finishes)
 
     return branch
 
@@ -261,19 +265,16 @@ def one_step_consistency(result: SolveResult) -> list[str]:
     never pays more than the current value predicts, with equality when
     the optimal adversary schedules it."""
     problems: list[str] = []
-    emap = edge_map()
-    branch_fn = _access_cost(0)
-    for c, edges in emap.items():
-        q = _q_value(edges, 0, branch_fn, result.values)
-        if q > result.values[c]:
+    m = model()
+    acts = _actions(m, _access_cost(0))
+    values = [result.values[c] for c in m.configs]
+    for i, c in enumerate(m.configs):
+        q = _q_value(acts[2 * i], values)
+        if q > values[i]:
+            problems.append(f"{_cfg_name(c)}: tracked step pays {q} > value {values[i]}")
+        if result.policy[c] == 0 and q != values[i]:
             problems.append(
-                f"{_cfg_name(c)}: tracked step pays {q} > "
-                f"value {result.values[c]}"
-            )
-        if result.policy[c] == 0 and q != result.values[c]:
-            problems.append(
-                f"{_cfg_name(c)}: optimal tracked step pays "
-                f"{q} != value {result.values[c]}"
+                f"{_cfg_name(c)}: optimal tracked step pays {q} != value {values[i]}"
             )
     return problems
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import core, expectation
-from .checker import Config
+from . import expectation
+from .checker import INITIAL_CONFIG, Branch, Config, model
 from .core import Access, OpRecord, Trace
-from .protocol import CHART, GROUP, IDLE_OP, ProcState, branches
+from .protocol import IDLE_OP, ProcState
 
 # An adversary sees the full visible history (accesses so far, current
 # chart states) and the schedulable pids, and picks one of them.
@@ -79,39 +79,32 @@ class RunStats:
 
 
 class _Engine:
-    """Mutable two-process system: chart states, registers, coin source."""
+    """Mutable two-process system: configuration id, operations, coins."""
 
-    def __init__(self, rng: random.Random, config: Config = (ProcState.RST, ProcState.RST)):
+    def __init__(self, rng: random.Random, config: Config = INITIAL_CONFIG):
         self.rng = rng
-        self.states: list[ProcState] = list(config)
-        self.regs = core.Registers(GROUP[config[0]], GROUP[config[1]])
+        self.model = model()
+        self.cid = self.model.index[config]
         self.op_seq = [-1, -1]
         self.mid_op: list[Optional[str]] = [None, None]
         self.t = 0
 
     @property
     def config(self) -> Config:
-        return (self.states[0], self.states[1])
+        return self.model.configs[self.cid]
 
     def step_pid(self, pid: int) -> Access:
         """Execute one access of `pid`, invoking its next op if idle."""
-        s = self.states[pid]
         if self.mid_op[pid] is None:
             self.op_seq[pid] += 1
-            self.mid_op[pid] = IDLE_OP[s]
-        entries = branches(CHART, s, self.regs.read(pid))
-        coin, move = entries[0]
-        if len(entries) == 2 and self.rng.random() >= 0.5:  # tails
-            coin, move = entries[1]
-        if move.action == "w":
-            self.regs.write(pid, move.value)
-            reg = pid
-        else:
-            reg = 1 - pid
+            self.mid_op[pid] = IDLE_OP[self.config[pid]]
+        b = self.model.branches[2 * self.cid + pid]
+        # A coin read draws one rng.random(): heads below 1/2.
+        self.cid, coin, move = b[1] if len(b) == 2 and self.rng.random() >= 0.5 else b[0]
         a = Access(
             t=self.t,
             pid=pid,
-            reg=reg,
+            reg=pid if move.action == "w" else 1 - pid,
             action=move.action,
             value=move.value,
             coin=coin,
@@ -122,7 +115,6 @@ class _Engine:
             op=self.mid_op[pid],
         )
         self.t += 1
-        self.states[pid] = move.post
         if move.finishes:
             self.mid_op[pid] = None
         return a
@@ -144,7 +136,7 @@ def run(
     while True:
         schedulable = []
         for pid in (0, 1):
-            s = eng.states[pid]
+            s = eng.config[pid]
             if eng.mid_op[pid] is not None:
                 schedulable.append(pid)
             elif IDLE_OP[s] == "reset":
@@ -159,7 +151,7 @@ def run(
         pid = adversary(trace.accesses, eng.config, tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        invoking = eng.mid_op[pid] is None and IDLE_OP[eng.states[pid]] == "tas"
+        invoking = eng.mid_op[pid] is None and IDLE_OP[eng.config[pid]] == "tas"
         if invoking:
             remaining[pid] -= 1
         trace.append(eng.step_pid(pid))
@@ -229,6 +221,12 @@ def builtin_adversaries(seed: int) -> dict[str, Adversary]:
     }
 
 
+def _policy_branches(policy: dict[Config, int]) -> list[tuple[int, tuple[Branch, ...]]]:
+    """Per configuration id, the pid `policy` schedules and its branches."""
+    m = model()
+    return [(policy[c], m.branches[2 * i + policy[c]]) for i, c in enumerate(m.configs)]
+
+
 def measure_from_config(config: Config, n_ops: int, seed: int) -> list[int]:
     """Access counts of n_ops operations of P0, each started fresh from
     `config` and scheduled by the policy maximizing P0's access count.
@@ -236,18 +234,19 @@ def measure_from_config(config: Config, n_ops: int, seed: int) -> list[int]:
     Used for the Monte Carlo check of the expectation table: the mean of
     the returned counts estimates the solved value at `config`.
     """
-    policy = expectation.solve(0).policy
-    rng = random.Random(seed)
+    moves = _policy_branches(expectation.solve(0).policy)
+    start = model().index[config]
+    coin = random.Random(seed).random
     counts: list[int] = []
     for _ in range(n_ops):
-        eng = _Engine(rng, config)
+        c = start
         accesses = 0
         while True:
-            pid = policy[eng.config]
-            eng.step_pid(pid)
+            pid, b = moves[c]
+            c, _, move = b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
             if pid == 0:
                 accesses += 1
-                if eng.mid_op[0] is None:
+                if move.finishes:
                     break
         counts.append(accesses)
     return counts
@@ -303,24 +302,28 @@ def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
     """
     sigma = expectation.expected_choose_visits(0).policy
     lp = expectation.evaluate_policy(sigma, expectation._choose_entry_reward, 0)
-    eng = _Engine(random.Random(seed))
+    moves = _policy_branches(lp.policy)
+    values = [lp.values[c] for c in model().configs]
+    coin = random.Random(seed).random
     exp = LoopExperiment()
+    probs, successes = exp.probs, exp.successes
+    c = t = 0
     pending: Optional[Fraction] = None
-    while exp.n < min_visits:
-        if eng.t >= 100 * DEFAULT_MAX_STEPS:
+    while len(probs) < min_visits:
+        if t >= 100 * DEFAULT_MAX_STEPS:
             raise RuntimeError("loop experiment exceeded its step budget")
-        pid = lp.policy[eng.config]
-        eng.step_pid(pid)
+        t += 1
+        pid, b = moves[c]
+        c, _, move = b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
         if pid != 0:
             continue
-        post = eng.states[pid]
-        if post is ProcState.CHOOSE:
+        if move.post is ProcState.CHOOSE:
             if pending is not None:
-                exp.probs.append(pending)
-                exp.successes.append(True)
-            pending = lp.values[eng.config]
-        elif eng.mid_op[0] is None and pending is not None:
-            exp.probs.append(pending)
-            exp.successes.append(False)
+                probs.append(pending)
+                successes.append(True)
+            pending = values[c]
+        elif move.finishes and pending is not None:
+            probs.append(pending)
+            successes.append(False)
             pending = None
     return exp

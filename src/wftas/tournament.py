@@ -134,7 +134,7 @@ class TournamentTree:
         nd.t = self.t
         a = nd.step_pid(role)
         if nd.mid_op[role] is None:
-            return a, protocol.returns_value(nd.states[role])
+            return a, protocol.returns_value(nd.config[role])
         return a, None
 
     def step(self, pid: int) -> None:
@@ -243,6 +243,8 @@ def _run_schedule(n: int, schedule: Sequence[int], seed: int) -> TournamentTree:
         tree.step(pid)
         if not tree.busy(pid):
             done.add(pid)
+            if len(done) == n:
+                break
     return tree
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from wftas import checker, cli, protocol
 from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
-from wftas.checker import INITIAL_CONFIG, edge_map
+from wftas.checker import INITIAL_CONFIG, model
 from wftas.core import RegValue
-from wftas.protocol import ProcState as S
+from wftas.protocol import GROUP, ProcState as S
 
 
 def test_initial_config():
@@ -14,23 +14,66 @@ def test_initial_config():
 
 
 def test_reachable_count():
-    assert len(edge_map()) == 98
+    assert len(model()) == len(model().configs) == 98
 
 
 def test_edges_probabilities():
-    for cfg, out in edge_map().items():
+    m = model()
+    assert len(m.branches) == 2 * len(m.configs)
+    for i in range(len(m.configs)):
         for pid in (0, 1):
-            edges = [e for e in out if e.pid == pid]
-            assert sum(e.prob for e in edges) == Fraction(1)
-            for e in edges:
-                assert e.src == cfg
+            branches = m.branches[2 * i + pid]
+            # One branch, or the two outcomes of a coin read.
+            assert len(branches) in (1, 2)
+            assert sum(Fraction(1, len(branches)) for _ in branches) == Fraction(1)
 
 
 def test_coin_branch_at_choose_choose():
-    edges = [e for e in edge_map()[(S.CHOOSE, S.CHOOSE)] if e.pid == 0]
-    assert sorted(e.coin for e in edges) == [False, True]
-    assert all(e.prob == Fraction(1, 2) for e in edges)
-    assert {e.dst[0] for e in edges} == {S.TOME, S.TOHE}
+    m = model()
+    branches = m.branches[2 * m.index[(S.CHOOSE, S.CHOOSE)]]
+    assert [coin for _, coin, _ in branches] == [True, False]
+    assert [m.configs[d][0] for d, _, _ in branches] == [S.TOME, S.TOHE]
+
+
+def _reachable():
+    """The configurations reachable from (rst, rst), by a plain search
+    over the compiled chart."""
+    seen = {INITIAL_CONFIG}
+    stack = [INITIAL_CONFIG]
+    while stack:
+        c = stack.pop()
+        for pid in (0, 1):
+            for _, move in protocol.branches(protocol.CHART, c[pid], GROUP[c[1 - pid]]):
+                d = (move.post, c[1]) if pid == 0 else (c[0], move.post)
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+    return seen
+
+
+def test_model_conforms_to_chart():
+    m = model()
+    assert m is model(protocol.step)
+    assert m.configs[0] == (S.RST, S.RST)
+    assert set(m.configs) == _reachable() and len(_reachable()) == 98
+    assert m.index == {c: i for i, c in enumerate(m.configs)}
+    coin_reads = 0
+    for i, c in enumerate(m.configs):
+        for pid in (0, 1):
+            other = c[1 - pid]
+            want = [
+                ((move.post, other) if pid == 0 else (other, move.post), coin, move)
+                for coin, move in protocol.branches(protocol.CHART, c[pid], GROUP[other])
+            ]
+            got = [(m.configs[d], coin, move) for d, coin, move in m.branches[2 * i + pid]]
+            assert got == want
+            coins = [coin for _, coin, _ in got]
+            if len(got) == 2:
+                coin_reads += 1
+                assert c[pid] is S.CHOOSE and coins == [True, False]
+            else:
+                assert coins == [None]
+    assert coin_reads > 0
 
 
 def test_verify_against_table(check_report):
@@ -84,19 +127,19 @@ def test_representative_set_mirror(rep_sets):
 
 
 def test_op_outcomes():
-    emap = edge_map()
+    m = model()
     # Both outcomes are open in the symmetric race.
-    assert checker.op_outcomes(emap, (S.ME, S.ME), 0) == frozenset({0, 1})
+    assert checker.op_outcomes(m, m.index[(S.ME, S.ME)], 0) == frozenset({0, 1})
     # A process in HE facing a winner can only lose.
-    assert checker.op_outcomes(emap, (S.HE, S.TST0), 0) == frozenset({1})
+    assert checker.op_outcomes(m, m.index[(S.HE, S.TST0)], 0) == frozenset({1})
 
 
 def test_solo_returns_one():
-    emap = edge_map()
+    m = model()
     # From TST1 the one-access tas returns 1 without the peer moving.
-    assert checker.solo_returns_one(emap, (S.TST1, S.ME), 0)
+    assert checker.solo_returns_one(m, m.index[(S.TST1, S.ME)], 0)
     # From RST a solo run wins; it cannot return 1 on its own.
-    assert not checker.solo_returns_one(emap, (S.ME, S.RST), 0)
+    assert not checker.solo_returns_one(m, m.index[(S.ME, S.RST)], 0)
 
 
 def _mutant(state, value, post):
@@ -124,21 +167,23 @@ def test_mutation_report_lists_each_mismatch_once():
     assert len(rep.mismatches) == len(set(rep.mismatches))
 
 
-def _reference_families(emap):
+def _reference_families(m):
     """forward_families on FA4 state sets: subset steps, then canonical."""
     fa3 = fa3_build()
     fam = {INITIAL_CONFIG: {fa3.fa4_initial()}}
     frontier = [(INITIAL_CONFIG, fa3.fa4_initial())]
     while frontier:
         c, S_ = frontier.pop()
-        for e in emap[c]:
-            T = S_
-            for ev in e.events:
-                T = fa3.fa4_step(T, ev)
-            T = fa3.canonical(T)
-            if T not in fam.setdefault(e.dst, set()):
-                fam[e.dst].add(T)
-                frontier.append((e.dst, T))
+        for pid in (0, 1):
+            for d, _, move in m.branches[2 * m.index[c] + pid]:
+                T = S_
+                for ev in move.events[pid]:
+                    T = fa3.fa4_step(T, ev)
+                T = fa3.canonical(T)
+                dst = m.configs[d]
+                if T not in fam.setdefault(dst, set()):
+                    fam[dst].add(T)
+                    frontier.append((dst, T))
     return fam
 
 
@@ -152,14 +197,14 @@ def _reference_families(emap):
     ids=["chart", "choose-reads-rst-tome", "me-reads-me-tst0"],
 )
 def test_forward_families_match_subset_construction(step_fn, empty_configs):
-    emap = edge_map(step_fn)
-    fam = checker.forward_families(emap)
-    assert fam == _reference_families(emap)
+    m = model(step_fn)
+    fam = checker.forward_families(m)
+    assert fam == _reference_families(m)
     assert sum(frozenset() in sets for sets in fam.values()) == empty_configs
 
 
 def test_default_graph_built_once(monkeypatch):
-    checker._edge_map.cache_clear()
+    checker._model.cache_clear()
     compiled = []
     orig = protocol.compile_chart
 
@@ -171,3 +216,18 @@ def test_default_graph_built_once(monkeypatch):
     assert cli.main(["check", "--json"]) == 0
     assert cli.main(["expect", "--verify", "--policy"]) == 0
     assert compiled == [protocol.step]
+
+
+@pytest.mark.parametrize(
+    "step_fn",
+    [_mutant(S.HE, RegValue.HE, S.TST1), _mutant(S.ME, RegValue.ME, S.TST0)],
+    ids=["he-reads-he-tst1", "me-reads-me-tst0"],
+)
+def test_claim_induction_walks_the_mutant_model(step_fn):
+    rep = checker.representative_sets(step_fn)
+    # Each mutant reaches a configuration the default model lacks, so
+    # only the mutant's own model can step its sets.
+    assert set(rep) - set(model().configs)
+    problems = checker.claim_induction_check(rep, step_fn)
+    assert isinstance(problems, list)
+    assert all(isinstance(p, str) and p.endswith("not derivable") for p in problems)

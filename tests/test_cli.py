@@ -2,7 +2,10 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +325,25 @@ def test_lint_trace_fuzz(seed, at, mutation):
     assert rc in (0, 2, 3)
     if checked_change:
         assert rc != 0, mutation
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    # Like `wftas simulate --ops 2000 --seed 1 | head -1`: about 1 MB of
+    # trace, so the writer is still writing when the reader goes away.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wftas.cli", "simulate", "--ops", "2000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["t"] == 0
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from wftas import checker, expectation
-from wftas.checker import Edge
-from wftas.protocol import ProcState as S
+from wftas.checker import Model
+from wftas.core import RegValue
+from wftas.protocol import Move, ProcState as S
 
 
 def test_values_match_table(solve0):
@@ -72,13 +73,14 @@ def test_evaluate_policy_reproduces_solve(solver, branch_fn_for, tracked):
 
 
 def test_untracked_only_policy_is_improper():
-    emap = checker.edge_map()
-    untracked = {c: 1 for c in emap}
+    m = checker.model()
+    untracked = {c: 1 for c in m.configs}
     with pytest.raises(expectation.NonConvergence):
         expectation.evaluate_policy(untracked, expectation._access_cost, 0)
     # The elimination alone also reports it, as a zero pivot.
+    acts = expectation._actions(m, expectation._access_cost(0))
     with pytest.raises(expectation.NonConvergence):
-        expectation._evaluate(emap, expectation._access_cost(0), untracked)
+        expectation._evaluate(m, acts, [1] * len(m))
 
 
 def test_exact_value_beyond_2_pow_20():
@@ -86,18 +88,20 @@ def test_exact_value_beyond_2_pow_20():
     # only c21 pays, 1.  The value at c0 is 2**-21, whose denominator a
     # snap to denominators <= 2**20 cannot represent.
     configs = list(itertools.product(S, repeat=2))[:22]
-    emap = {}
-    for i, c in enumerate(configs[:-1]):
-        emap[c] = (
-            Edge(c, configs[i + 1], 0, True, Fraction(1, 2), (), False),
-            Edge(c, c, 0, False, Fraction(1, 2), (), True),
-        )
-    last = configs[-1]
-    emap[last] = (Edge(last, last, 0, None, Fraction(1), (), True),)
 
-    def branch_fn(e):
-        return (1 if e.src == last else 0, e.finishes)
+    def move(finishes):
+        return Move("r", RegValue.RST, S.RST, "rst", "rst", ((), ()), finishes)
 
-    values = expectation._evaluate(emap, branch_fn, {c: 0 for c in emap})
-    assert values[configs[0]] == Fraction(1, 2**21)
-    assert values[last] == 1
+    survive, stop, pay = move(False), move(True), move(True)
+    branches = []
+    for i in range(21):
+        branches += [((i + 1, True, survive), (i, False, stop)), ()]
+    branches += [((21, None, pay),), ()]
+    m = Model(tuple(configs), {c: i for i, c in enumerate(configs)}, tuple(branches))
+
+    def branch_fn(pid, mv):
+        return (1 if mv is pay else 0, mv.finishes)
+
+    values = expectation._evaluate(m, expectation._actions(m, branch_fn), [0] * 22)
+    assert values[0] == Fraction(1, 2**21)
+    assert values[21] == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from wftas import linearize, tournament
+from wftas.protocol import GROUP
 from wftas.tournament import BudgetExceeded, NotOwner, TournamentTree
 
 
@@ -11,7 +12,7 @@ def test_solo_win_n4():
     assert rec.accesses == 4  # two uncontended node wins, 2 accesses each
     tree.n_reset(0)
     for node in tree.nodes.values():
-        assert all(v.value == "rst" for v in node.regs.snapshot())
+        assert all(GROUP[s].value == "rst" for s in node.config)
 
 
 def test_n2_matches_plain_object():
@@ -42,7 +43,7 @@ def test_loser_resets_won_nodes():
     assert tree.n_tas(2) == 0  # P2 wins solo
     assert tree.n_tas(0) == 1  # P0 wins its leaf node, loses the root
     left = tree.nodes[2]
-    assert all(v.value == "rst" for v in left.regs.snapshot())
+    assert all(GROUP[s].value == "rst" for s in left.config)
 
 
 def test_guided_violation():
