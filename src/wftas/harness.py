@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import expectation
-from .checker import INITIAL_CONFIG, Branch, Config, model
+from .checker import Branch, Config, model
 from .core import Access, OpRecord, Trace
 from .protocol import IDLE_OP, ProcState
 
@@ -78,13 +78,18 @@ class RunStats:
         return st
 
 
+def _take(b: tuple[Branch, ...], coin: Callable[[], float]) -> Branch:
+    """The branch taken: a coin read draws one coin(), heads below 1/2."""
+    return b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
+
+
 class _Engine:
     """Mutable two-process system: configuration id, operations, coins."""
 
-    def __init__(self, rng: random.Random, config: Config = INITIAL_CONFIG):
+    def __init__(self, rng: random.Random):
         self.rng = rng
         self.model = model()
-        self.cid = self.model.index[config]
+        self.cid = 0  # (rst, rst)
         self.op_seq = [-1, -1]
         self.mid_op: list[Optional[str]] = [None, None]
         self.t = 0
@@ -98,9 +103,7 @@ class _Engine:
         if self.mid_op[pid] is None:
             self.op_seq[pid] += 1
             self.mid_op[pid] = IDLE_OP[self.config[pid]]
-        b = self.model.branches[2 * self.cid + pid]
-        # A coin read draws one rng.random(): heads below 1/2.
-        self.cid, coin, move = b[1] if len(b) == 2 and self.rng.random() >= 0.5 else b[0]
+        self.cid, coin, move = _take(self.model.branches[2 * self.cid + pid], self.rng.random)
         a = Access(
             t=self.t,
             pid=pid,
@@ -239,11 +242,10 @@ def measure_from_config(config: Config, n_ops: int, seed: int) -> list[int]:
     coin = random.Random(seed).random
     counts: list[int] = []
     for _ in range(n_ops):
-        c = start
-        accesses = 0
+        c, accesses = start, 0
         while True:
             pid, b = moves[c]
-            c, _, move = b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
+            c, _, move = _take(b, coin)
             if pid == 0:
                 accesses += 1
                 if move.finishes:
@@ -306,24 +308,23 @@ def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
     values = [lp.values[c] for c in model().configs]
     coin = random.Random(seed).random
     exp = LoopExperiment()
-    probs, successes = exp.probs, exp.successes
     c = t = 0
     pending: Optional[Fraction] = None
-    while len(probs) < min_visits:
+    while len(exp.probs) < min_visits:
         if t >= 100 * DEFAULT_MAX_STEPS:
             raise RuntimeError("loop experiment exceeded its step budget")
         t += 1
         pid, b = moves[c]
-        c, _, move = b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
+        c, _, move = _take(b, coin)
         if pid != 0:
             continue
         if move.post is ProcState.CHOOSE:
             if pending is not None:
-                probs.append(pending)
-                successes.append(True)
+                exp.probs.append(pending)
+                exp.successes.append(True)
             pending = values[c]
         elif move.finishes and pending is not None:
-            probs.append(pending)
-            successes.append(False)
+            exp.probs.append(pending)
+            exp.successes.append(False)
             pending = None
     return exp

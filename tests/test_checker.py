@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wftas import checker, cli, protocol
+from wftas import checker, cli, expectation, protocol
 from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
 from wftas.checker import INITIAL_CONFIG, model
 from wftas.core import RegValue
@@ -20,12 +20,31 @@ def test_reachable_count():
 def test_edges_probabilities():
     m = model()
     assert len(m.branches) == 2 * len(m.configs)
-    for i in range(len(m.configs)):
-        for pid in (0, 1):
-            branches = m.branches[2 * i + pid]
-            # One branch, or the two outcomes of a coin read.
-            assert len(branches) in (1, 2)
-            assert sum(Fraction(1, len(branches)) for _ in branches) == Fraction(1)
+    for branches in m.branches:
+        # One branch, or the two outcomes of a coin read.
+        assert len(branches) in (1, 2)
+    # With no absorbing branch, every action's successors carry mass 1.
+    for _, succ, exits in expectation._actions(m, lambda pid, move: (0, False)):
+        assert not exits
+        assert sum(p for _, p in succ) == 1
+    # Under each solver's branch function, the absorbing branches carry
+    # exactly the rest.
+    for cost in (
+        expectation._access_cost,
+        expectation._choose_entry_reward,
+        expectation._choose_visit_cost,
+    ):
+        for tracked in (0, 1):
+            fn = cost(tracked)
+            for k, (_, succ, exits) in enumerate(expectation._actions(m, fn)):
+                branches = m.branches[k]
+                absorbed = sum(
+                    Fraction(1, len(branches))
+                    for _, _, move in branches
+                    if fn(k % 2, move)[1]
+                )
+                assert sum(p for _, p in succ) + absorbed == 1
+                assert exits == (absorbed > 0)
 
 
 def test_coin_branch_at_choose_choose():
@@ -218,6 +237,29 @@ def test_default_graph_built_once(monkeypatch):
     assert compiled == [protocol.step]
 
 
+def _reference_induction(rep, step_fn):
+    """claim_induction_check by stepping the compiled chart of `step_fn`
+    directly, without the model."""
+    fa3 = fa3_build()
+    chart = protocol.compile_chart(step_fn)
+    problems = []
+    for c in sorted(rep, key=checker._cfg_key):
+        for pid in (0, 1):
+            for _, move in protocol.branches(chart, c[pid], GROUP[c[1 - pid]]):
+                T = rep[c]
+                for ev in move.events[pid]:
+                    T = fa3.fa4_step(T, ev)
+                T = fa3.canonical(T)
+                dst = (move.post, c[1]) if pid == 0 else (c[0], move.post)
+                problems += [
+                    f"{checker._cfg_name(c)} -> {checker._cfg_name(dst)}: "
+                    f"state {y!r} not derivable"
+                    for y in rep[dst]
+                    if y not in T
+                ]
+    return problems
+
+
 @pytest.mark.parametrize(
     "step_fn",
     [_mutant(S.HE, RegValue.HE, S.TST1), _mutant(S.ME, RegValue.ME, S.TST0)],
@@ -227,7 +269,15 @@ def test_claim_induction_walks_the_mutant_model(step_fn):
     rep = checker.representative_sets(step_fn)
     # Each mutant reaches a configuration the default model lacks, so
     # only the mutant's own model can step its sets.
-    assert set(rep) - set(model().configs)
-    problems = checker.claim_induction_check(rep, step_fn)
-    assert isinstance(problems, list)
-    assert all(isinstance(p, str) and p.endswith("not derivable") for p in problems)
+    extra = sorted(set(rep) - set(model().configs), key=checker._cfg_key)
+    assert extra
+    assert checker.claim_induction_check(rep, step_fn) == []
+    assert _reference_induction(rep, step_fn) == []
+    # Plant a state in the first mutant-only configuration: the edges
+    # into it, which only the mutant has, must now be reported.
+    planted = dict(rep)
+    planted[extra[0]] = fa3_build().fa4_initial()
+    problems = checker.claim_induction_check(planted, step_fn)
+    assert problems == _reference_induction(planted, step_fn)
+    into = f"-> {checker._cfg_name(extra[0])}: "
+    assert problems and all(into in p for p in problems)
