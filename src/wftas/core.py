@@ -8,6 +8,7 @@ every access happens at its own step.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -96,7 +97,7 @@ def new_registers() -> Registers:
     return Registers(RegValue.RST, RegValue.RST)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Access:
     """One atomic shared-memory step.
 
@@ -105,6 +106,9 @@ class Access:
     performed from the CHOOSE state.  `pre`/`post` are the chart states of
     the acting process (stored as their serialized names so this module
     stays independent of the protocol module).
+
+    Construction checks nothing: the engine builds accesses from the
+    compiled chart, and `from_json` checks every line read from outside.
     """
 
     t: int
@@ -119,19 +123,26 @@ class Access:
     op_seq: int
     op: str  # "tas" or "reset"
 
-    def __post_init__(self) -> None:
-        if self.action not in ("r", "w"):
-            raise CorruptTrace(f"bad action {self.action!r}")
-        if self.pid not in (0, 1) or self.reg not in (0, 1):
-            raise CorruptTrace("bad pid/reg")
-        if self.op not in ("tas", "reset"):
-            raise CorruptTrace(f"bad op kind {self.op!r}")
-        for e in self.events:
-            if e.is_eps:
-                raise CorruptTrace("accesses carry only B-events")
-
     def to_json(self) -> str:
-        obj = {
+        """The canonical line: `json.dumps` of the fields in the order
+        t, pid, op_seq, op, action, reg, value, coin, pre, post, events.
+
+        The part after `op` is encoded once per distinct tail."""
+        t, pid, op_seq, op = self.t, self.pid, self.op_seq, self.op
+        reg, coin = self.reg, self.coin
+        # The types are part of the key: True == 1, but they encode apart.
+        key = (reg, self.action, self.value, coin, self.pre, self.post,
+               self.events, type(reg), type(coin))
+        try:
+            tail = _TAILS_OUT[key]
+        except (KeyError, TypeError):
+            tail = _encode_tail(self, key)
+        if type(t) is int and type(pid) is int and type(op_seq) is int and op in _OPS:
+            return f'{{"t": {t}, "pid": {pid}, "op_seq": {op_seq}, "op": "{op}", {tail}'
+        return json.dumps(self._fields())
+
+    def _fields(self) -> dict:
+        return {
             "t": self.t,
             "pid": self.pid,
             "op_seq": self.op_seq,
@@ -144,40 +155,102 @@ class Access:
             "post": self.post,
             "events": [e.kind for e in self.events],
         }
-        return json.dumps(obj)
 
     @staticmethod
     def from_json(line: str) -> "Access":
-        try:
-            obj = json.loads(line)
-            t, pid, op_seq, reg = obj["t"], obj["pid"], obj["op_seq"], obj["reg"]
-            coin, events = obj["coin"], obj["events"]
-            # type() rather than isinstance(): JSON true must not pass as 1.
-            if type(t) is not int or type(op_seq) is not int:
-                raise CorruptTrace(f"bad t/op_seq {t!r}/{op_seq!r}")
-            if type(pid) is not int or pid not in (0, 1):
-                raise CorruptTrace(f"bad pid {pid!r}")
-            if reg not in ("R0", "R1"):
-                raise CorruptTrace(f"bad reg {reg!r}")
-            if coin is not None and type(coin) is not bool:
-                raise CorruptTrace(f"bad coin {coin!r}")
-            if type(events) is not list or any(type(k) is not str for k in events):
-                raise CorruptTrace(f"bad events {events!r}")
-            return Access(
-                t=t,
-                pid=pid,
-                reg=int(reg[1]),
-                action=obj["action"],
-                value=RegValue(obj["value"]),
-                coin=coin,
-                pre=obj["pre"],
-                post=obj["post"],
-                events=tuple(_SHARED_EVENTS[k, pid] for k in events),
-                op_seq=op_seq,
-                op=obj["op"],
-            )
-        except (KeyError, ValueError, IndexError, TypeError, json.JSONDecodeError) as exc:
-            raise CorruptTrace(f"bad trace line: {exc}") from exc
+        """Parse one trace line, exactly as `json.loads` plus the checks
+        of `_decode_strict` would.
+
+        A line with the canonical head `{"t": N, "pid": P, "op_seq": N,
+        "op": "tas"|"reset", ` reuses the strict decoding of its tail, the
+        rest of the line, when an earlier line of the same pid had the
+        same tail.  Every other line is decoded strictly."""
+        m = _HEAD.match(line)
+        if m is None:
+            return _decode_strict(line)
+        t, pid, op_seq, op, tail = m.groups()
+        fields = _TAILS_IN.get((pid, tail))
+        if fields is not None:
+            return Access(int(t), *fields, int(op_seq), op)
+        a = _decode_strict(line)
+        # A tail that repeats a head key overrides the head: never store it.
+        if tuple(json.loads("{" + tail)) == _TAIL_KEYS:
+            if len(_TAILS_IN) >= _MEMO_MAX:
+                _TAILS_IN.clear()
+            _TAILS_IN[pid, tail] = (a.pid, a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
+        return a
+
+
+_OPS = ("tas", "reset")
+_TAIL_KEYS = ("action", "reg", "value", "coin", "pre", "post", "events")
+
+# A canonical head, as `to_json` writes it.  Numbers of up to 18 digits
+# always convert; longer ones take the strict path.
+_HEAD = re.compile(
+    r'\{"t": (0|[1-9][0-9]{0,17}), "pid": ([01]), '
+    r'"op_seq": (0|[1-9][0-9]{0,17}), "op": "(tas|reset)", (.*)',
+    re.DOTALL,
+)
+
+# Encoded and decoded tails.  A simulated trace has at most 48 distinct
+# tails (24 chart entries x 2 pids); forged input may have any number, so
+# a full memo starts over.
+_MEMO_MAX = 4096
+_TAILS_OUT: dict[tuple, str] = {}
+_TAILS_IN: dict[tuple[str, str], tuple] = {}
+
+
+def _encode_tail(a: Access, key: tuple) -> str:
+    fields = a._fields()
+    tail = json.dumps({k: fields[k] for k in _TAIL_KEYS})[1:]
+    if len(_TAILS_OUT) >= _MEMO_MAX:
+        _TAILS_OUT.clear()
+    try:
+        _TAILS_OUT[key] = tail
+    except TypeError:  # an unhashable field, e.g. events as a list
+        pass
+    return tail
+
+
+def _decode_strict(line: str) -> Access:
+    """`json.loads` the line and check every field; any failure is a
+    CorruptTrace."""
+    try:
+        obj = json.loads(line)
+        t, pid, op_seq, reg = obj["t"], obj["pid"], obj["op_seq"], obj["reg"]
+        coin, events = obj["coin"], obj["events"]
+        # type() rather than isinstance(): JSON true must not pass as 1.
+        if type(t) is not int or type(op_seq) is not int:
+            raise CorruptTrace(f"bad t/op_seq {t!r}/{op_seq!r}")
+        if type(pid) is not int or pid not in (0, 1):
+            raise CorruptTrace(f"bad pid {pid!r}")
+        if reg not in ("R0", "R1"):
+            raise CorruptTrace(f"bad reg {reg!r}")
+        if coin is not None and type(coin) is not bool:
+            raise CorruptTrace(f"bad coin {coin!r}")
+        if type(events) is not list or any(type(k) is not str for k in events):
+            raise CorruptTrace(f"bad events {events!r}")
+        a = Access(
+            t=t,
+            pid=pid,
+            reg=int(reg[1]),
+            action=obj["action"],
+            value=RegValue(obj["value"]),
+            coin=coin,
+            pre=obj["pre"],
+            post=obj["post"],
+            # Only B-events are keys: an epsilon event is a KeyError.
+            events=tuple(_SHARED_EVENTS[k, pid] for k in events),
+            op_seq=op_seq,
+            op=obj["op"],
+        )
+    except (KeyError, ValueError, IndexError, TypeError, RecursionError) as exc:
+        raise CorruptTrace(f"bad trace line: {exc}") from exc
+    if a.action not in ("r", "w"):
+        raise CorruptTrace(f"bad action {a.action!r}")
+    if a.op not in _OPS:
+        raise CorruptTrace(f"bad op kind {a.op!r}")
+    return a
 
 
 def apply_access(regs: Registers, a: Access) -> None:

@@ -191,7 +191,11 @@ def test_lint_trace_corrupt(capsys, tmp_path):
         "coin as string": ("coin", lambda c: c if c is None else "yes" if c else ""),
         "events as dict": ("events", lambda ev: dict.fromkeys(ev, 1)),
     }
-    cases = {"not an access": '{"nonsense": true}\n'}
+    cases = {
+        "not an access": '{"nonsense": true}\n',
+        # Deeper than the JSON decoder can recurse: a RecursionError.
+        "over-deep": "[" * 100_000 + "\n",
+    }
     for name, (key, corrupt) in corruptions.items():
         cases[name] = "".join(
             json.dumps({**obj, key: corrupt(obj[key])}) + "\n" for obj in lines
