@@ -56,14 +56,12 @@ class _Proc:
         self.path = path  # node ids leaf-parent .. root
         self.roles = roles
         self.op: Optional[str] = None  # "tas" | "reset"
-        self.phase: Optional[str] = None  # "ascend" | "descend"
+        self.descending = False  # resetting the nodes it holds
+        # The process holds the nodes path[:level], and the 0 exactly
+        # when it is idle holding them all.
         self.level = 0
-        self.won: list[int] = []
-        self.to_reset: list[int] = []
         self.records: list[OpRecord] = []
         self.current: Optional[OpRecord] = None
-        self.holds_zero = False
-        self.op_count = 0
 
 
 class TournamentTree:
@@ -96,98 +94,65 @@ class TournamentTree:
 
     # -- operation control -------------------------------------------------
 
-    def invoke_tas(self, pid: int) -> None:
+    def _invoke(self, pid: int, kind: str) -> None:
         p = self.procs[pid]
         if p.op is not None:
             raise ValueError(f"P{pid} is mid-operation")
-        if p.holds_zero:
+        holds_zero = p.level == len(p.path)
+        if kind == "tas" and holds_zero:
             raise ValueError(f"P{pid} holds the 0 and must reset first")
-        p.op = "tas"
-        p.phase = "ascend"
-        p.level = 0
-        p.won = []
-        p.current = OpRecord(pid=pid, kind="tas", op_seq=p.op_count, start=self.t)
-        p.op_count += 1
+        if kind == "reset" and not holds_zero:
+            raise NotOwner(f"P{pid} does not hold the 0")
+        p.op = kind
+        p.descending = kind == "reset"  # a reset releases root toward leaf
+        p.current = OpRecord(pid=pid, kind=kind, op_seq=len(p.records), start=self.t)
+
+    def invoke_tas(self, pid: int) -> None:
+        self._invoke(pid, "tas")
 
     def invoke_reset(self, pid: int) -> None:
-        p = self.procs[pid]
-        if p.op is not None:
-            raise ValueError(f"P{pid} is mid-operation")
-        if not p.holds_zero:
-            raise NotOwner(f"P{pid} does not hold the 0")
-        p.op = "reset"
-        p.phase = "descend"
-        p.to_reset = list(reversed(p.path))  # root toward leaf
-        p.current = OpRecord(pid=pid, kind="reset", op_seq=p.op_count, start=self.t)
-        p.op_count += 1
+        self._invoke(pid, "reset")
 
     def busy(self, pid: int) -> bool:
         return self.procs[pid].op is not None
 
     # -- one access --------------------------------------------------------
 
-    def _node_access(self, node_id: int, role: int) -> tuple[Access, Optional[int]]:
-        """One access of `role` at `node_id`; returns the access (pid =
-        role, node-local op bookkeeping) and the node-level return value
-        if this access finished a node-level operation."""
-        nd = self.nodes[node_id]
-        nd.t = self.t
-        a = nd.step_pid(role)
-        if nd.mid_op[role] is None:
-            return a, protocol.returns_value(nd.config[role])
-        return a, None
-
     def step(self, pid: int) -> None:
-        """Execute one register access of pid's operation in progress."""
+        """Execute one register access of pid's operation in progress:
+        ascending, at the next node up; descending, resetting the
+        root-most node still held."""
         p = self.procs[pid]
         if p.op is None:
             raise ValueError(f"P{pid} has no operation in progress")
-        if p.phase == "ascend":
-            node_id = p.path[p.level]
-            role = p.roles[p.level]
-            a, ret = self._node_access(node_id, role)
-            self._record(pid, node_id, role, a)
-            if ret == 0:
-                p.won.append(node_id)
-                p.level += 1
-                if p.level == len(p.path):
-                    p.holds_zero = True
-                    self._finish(p, 0)
-            elif ret == 1:
-                p.to_reset = list(reversed(p.won))  # root-most first
-                p.phase = "descend"
-                if not p.to_reset:
-                    self._finish(p, 1)
-        else:  # descend: reset the next owed node (one access each)
-            node_id = p.to_reset[0]
-            role = p.roles[p.path.index(node_id)]
-            a, ret = self._node_access(node_id, role)
-            self._record(pid, node_id, role, a)
-            if self.nodes[node_id].mid_op[role] is None:
-                p.to_reset.pop(0)
-                if not p.to_reset:
-                    if p.op == "reset":
-                        p.holds_zero = False
-                        self._finish(p, None)
-                    else:
-                        self._finish(p, 1)
-
-    def _record(self, pid: int, node_id: int, role: int, a: Access) -> None:
-        self.accesses.append(NodeAccess(self.t, pid, node_id, role, a))
+        i = p.level - 1 if p.descending else p.level
+        node_id, role = p.path[i], p.roles[i]
+        nd = self.nodes[node_id]
+        nd.t = self.t
+        self.accesses.append(NodeAccess(self.t, pid, node_id, role, nd.step_pid(role)))
         self.t += 1
+        p.current.accesses += 1
+        if nd.mid_op[role] is not None:
+            return  # the node-level operation is still in progress
+        if p.descending:
+            p.level -= 1  # released this node
+        elif protocol.returns_value(nd.config[role]) == 0:
+            p.level += 1  # won this node
+        else:
+            p.descending = True  # lost here: release the nodes won below
+        if not p.descending and p.level == len(p.path):
+            self._finish(p, 0)
+        elif p.descending and p.level == 0:
+            self._finish(p, 1 if p.op == "tas" else None)
 
     def _finish(self, p: _Proc, ret: Optional[int]) -> None:
         rec = p.current
         rec.finish = self.t - 1
         rec.ret = ret
-        rec.accesses = sum(
-            1 for na in self.accesses
-            if na.pid == p.pid and rec.start <= na.t <= rec.finish
-        )
         p.records.append(rec)
         p.current = None
         p.op = None
-        p.phase = None
+        p.descending = False
 
     # -- whole operations (solo convenience) -------------------------------
 
@@ -248,14 +213,6 @@ def _run_schedule(n: int, schedule: Sequence[int], seed: int) -> TournamentTree:
     return tree
 
 
-def _random_schedule(n: int, rng: random.Random) -> list[int]:
-    # Enough steps for every process to finish one n-tas (and resets).
-    out = []
-    for _ in range(40 * n):
-        out.append(rng.randrange(n))
-    return out
-
-
 def find_violation(
     n: int = 3,
     budget: int = 2000,
@@ -268,31 +225,27 @@ def find_violation(
     linearizable histories (this is the expected outcome for n=2).
     """
     rng = random.Random(seed)
-    candidates: list[tuple[int, ...]] = []
-    if n == 3:
-        candidates.append(GUIDED_SCHEDULE_N3)
-    attempts = 0
-    while attempts < budget:
-        if candidates:
-            schedule = candidates.pop(0)
+    for attempt in range(budget):
+        if n == 3 and attempt == 0:
+            schedule = GUIDED_SCHEDULE_N3
         else:
-            schedule = tuple(_random_schedule(n, rng))
-        attempts += 1
+            # Enough steps for every process to finish one n-tas.
+            schedule = [rng.randrange(n) for _ in range(40 * n)]
         tree = _run_schedule(n, schedule, seed=seed)
         history = [r for r in tree.history() if r.finished]
         verdict = linearize.check_n_process(history, n)
         if not verdict.ok:
-            node_verdicts = {
-                v: linearize.check_two_process(tree.node_trace(v)).ok
-                for v in tree.nodes
-                if len(tree.node_trace(v)) > 0
-            }
+            traces = {v: tree.node_trace(v) for v in tree.nodes}
             return ViolationReport(
                 n=n,
                 schedule=tuple(schedule),
                 tree=tree,
                 history=history,
                 verdict=verdict,
-                node_verdicts=node_verdicts,
+                node_verdicts={
+                    v: linearize.check_two_process(tr).ok
+                    for v, tr in traces.items()
+                    if len(tr) > 0
+                },
             )
     raise BudgetExceeded(f"no violation in {budget} schedules for n={n}")

@@ -36,6 +36,8 @@ PINNED = {
         "e712c60ce2c039adf24a764ac24baddd0c3ecec052426e8b10e4e51c44cf737c",
     "scripts/loop_experiment.py --visits 1000 --seed 0":
         "d7eeb987aff72ec046700605b7387060b4d2eb9736ac9bca57cf9e6ebe97a8fb",
+    "scripts/tournament_demo.py --n 4":
+        "2acc19719bb61b4d1e12be86b390ff7c002d21a675cc3a31d3687b03132ba794",
 }
 
 

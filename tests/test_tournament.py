@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wftas import linearize, tournament
 from wftas.protocol import GROUP
@@ -69,3 +71,36 @@ def test_violation_nodes_individually_correct():
 def test_n2_no_violation():
     with pytest.raises(BudgetExceeded):
         tournament.find_violation(n=2, budget=300, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contention_bookkeeping(data):
+    """Under a drawn schedule, an idle process resets if its last tas
+    returned 0 and otherwise starts a tas; then it takes one access."""
+    n = data.draw(st.sampled_from((2, 3, 4)), label="n")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    schedule = data.draw(st.lists(st.integers(0, n - 1), max_size=150), label="schedule")
+    tree = TournamentTree(n, seed=seed)
+    for pid in schedule:
+        if not tree.busy(pid):
+            records = tree.procs[pid].records
+            if records and records[-1].kind == "tas" and records[-1].ret == 0:
+                tree.invoke_reset(pid)
+            else:
+                with pytest.raises(NotOwner):
+                    tree.invoke_reset(pid)
+                tree.invoke_tas(pid)
+        tree.step(pid)
+    for pid, p in tree.procs.items():
+        ops = p.records + ([p.current] if p.current is not None else [])
+        assert [r.op_seq for r in ops] == list(range(len(ops)))
+        for r in p.records:
+            assert r.accesses == sum(
+                1 for na in tree.accesses
+                if na.pid == pid and r.start <= na.t <= r.finish
+            )
+    for v in tree.nodes:
+        tr = tree.node_trace(v)
+        if len(tr):
+            assert linearize.lint(tr).ok
