@@ -9,10 +9,11 @@ the generator.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import expectation
 from .checker import Branch, Config, model
@@ -78,9 +79,38 @@ class RunStats:
         return st
 
 
-def _take(b: tuple[Branch, ...], coin: Callable[[], float]) -> Branch:
+_B = TypeVar("_B")
+
+
+def _take(b: tuple[_B, ...], coin: Callable[[], float]) -> _B:
     """The branch taken: a coin read draws one coin(), heads below 1/2."""
     return b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
+
+
+# One entry of `_steps()[2 * id + pid]`: the operation pid invokes there
+# when idle (None if its state is not idle) and per branch the
+# destination id, whether the access finishes the operation and the
+# access's fields from `reg` to `events`.
+_Step = tuple[Optional[str], tuple[tuple[int, bool, tuple], ...]]
+
+
+@functools.cache
+def _steps() -> tuple[_Step, ...]:
+    """`model()`'s branches compiled for the engine, once."""
+    m = model()
+    return tuple(
+        (
+            IDLE_OP.get(c[pid]),
+            tuple(
+                (d, move.finishes, (pid if move.action == "w" else 1 - pid,
+                                    move.action, move.value, coin, move.pre_name,
+                                    move.post_name, move.events[pid]))
+                for d, coin, move in m.branches[2 * i + pid]
+            ),
+        )
+        for i, c in enumerate(m.configs)
+        for pid in (0, 1)
+    )
 
 
 class _Engine:
@@ -89,6 +119,7 @@ class _Engine:
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.model = model()
+        self.steps = _steps()
         self.cid = 0  # (rst, rst)
         self.op_seq = [-1, -1]
         self.mid_op: list[Optional[str]] = [None, None]
@@ -100,25 +131,14 @@ class _Engine:
 
     def step_pid(self, pid: int) -> Access:
         """Execute one access of `pid`, invoking its next op if idle."""
+        op, b = self.steps[2 * self.cid + pid]
         if self.mid_op[pid] is None:
             self.op_seq[pid] += 1
-            self.mid_op[pid] = IDLE_OP[self.config[pid]]
-        self.cid, coin, move = _take(self.model.branches[2 * self.cid + pid], self.rng.random)
-        a = Access(
-            t=self.t,
-            pid=pid,
-            reg=pid if move.action == "w" else 1 - pid,
-            action=move.action,
-            value=move.value,
-            coin=coin,
-            pre=move.pre_name,
-            post=move.post_name,
-            events=move.events[pid],
-            op_seq=self.op_seq[pid],
-            op=self.mid_op[pid],
-        )
+            self.mid_op[pid] = op
+        self.cid, finishes, fields = _take(b, self.rng.random)
+        a = Access(self.t, pid, *fields, self.op_seq[pid], self.mid_op[pid])
         self.t += 1
-        if move.finishes:
+        if finishes:
             self.mid_op[pid] = None
         return a
 
@@ -139,10 +159,9 @@ def run(
     while True:
         schedulable = []
         for pid in (0, 1):
-            s = eng.config[pid]
             if eng.mid_op[pid] is not None:
                 schedulable.append(pid)
-            elif IDLE_OP[s] == "reset":
+            elif eng.steps[2 * eng.cid + pid][0] == "reset":
                 schedulable.append(pid)  # a pending reset is mandatory
             elif remaining[pid] > 0:
                 schedulable.append(pid)
@@ -154,7 +173,7 @@ def run(
         pid = adversary(trace.accesses, eng.config, tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        invoking = eng.mid_op[pid] is None and IDLE_OP[eng.config[pid]] == "tas"
+        invoking = eng.mid_op[pid] is None and eng.steps[2 * eng.cid + pid][0] == "tas"
         if invoking:
             remaining[pid] -= 1
         trace.append(eng.step_pid(pid))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import linearize, protocol
 from .core import Access, OpRecord, Trace
@@ -64,12 +64,16 @@ class _Proc:
         self.current: Optional[OpRecord] = None
 
 
+def _check_size(n: int) -> None:
+    if n not in (2, 3, 4):
+        raise ValueError("n must be 2, 3 or 4")
+
+
 class TournamentTree:
     """Scheduler-driven tournament of n processes (n in {2, 3, 4})."""
 
     def __init__(self, n: int, seed: int = 0):
-        if n not in (2, 3, 4):
-            raise ValueError("n must be 2, 3 or 4")
+        _check_size(n)
         self.n = n
         self.rng = random.Random(seed)
         n_leaves = 2 if n == 2 else 4
@@ -213,6 +217,30 @@ def _run_schedule(n: int, schedule: Sequence[int], seed: int) -> TournamentTree:
     return tree
 
 
+def _schedules(rng: random.Random, n: int) -> Iterator[bytes]:
+    """Successive `40 * n`-entry slices of the stream of
+    `rng.randrange(n)` draws, drawn 1,024 generator words at a time.
+
+    `randrange(n)` keeps the top `k = n.bit_length()` bits of one 32-bit
+    word and draws again while they are `>= n`, and
+    `getrandbits(32 * m)` returns m successive words, the first least
+    significant.  So each word's top byte shifted right by `8 - k`, with
+    the rejected values deleted, is the same stream."""
+    _check_size(n)
+    length = 40 * n  # enough steps for every process to finish one n-tas
+    shift = 8 - n.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    reject = bytes(range(n << shift, 256))
+    buf, pos = b"", 0
+    while True:
+        while len(buf) - pos < length:
+            words = rng.getrandbits(32 * 1024).to_bytes(4 * 1024, "little")
+            buf = buf[pos:] + words[3::4].translate(table, reject)
+            pos = 0
+        yield buf[pos:pos + length]
+        pos += length
+
+
 def find_violation(
     n: int = 3,
     budget: int = 2000,
@@ -224,13 +252,12 @@ def find_violation(
     Raises BudgetExceeded when `budget` schedules produce only
     linearizable histories (this is the expected outcome for n=2).
     """
-    rng = random.Random(seed)
+    schedules = _schedules(random.Random(seed), n)
     for attempt in range(budget):
         if n == 3 and attempt == 0:
             schedule = GUIDED_SCHEDULE_N3
         else:
-            # Enough steps for every process to finish one n-tas.
-            schedule = [rng.randrange(n) for _ in range(40 * n)]
+            schedule = next(schedules)
         tree = _run_schedule(n, schedule, seed=seed)
         history = [r for r in tree.history() if r.finished]
         verdict = linearize.check_n_process(history, n)

@@ -1,8 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wftas import harness, linearize
+from wftas.checker import model
+from wftas.core import Access, Trace
 from wftas.harness import ScriptExhausted, Workload
-from wftas.protocol import ProcState as S
+from wftas.protocol import IDLE_OP, ProcState as S
 
 
 def test_solo_run_three_accesses():
@@ -90,3 +96,43 @@ def test_loop_experiment_small():
     assert exp.n >= 500
     assert 0 < exp.empirical_frequency < 1
     assert exp.analytic_frequency <= 0.5 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 1), max_size=300))
+def test_engine_steps_like_the_model(seed, schedule):
+    """Each access the engine builds is the one an idle-op lookup and a
+    branch of `model()` give, with the coins of the same generator."""
+    m = model()
+    eng = harness._Engine(random.Random(seed))
+    rng = random.Random(seed)
+    cid, op_seq, mid_op = 0, [-1, -1], [None, None]
+    trace = Trace()
+    for t, pid in enumerate(schedule):
+        if mid_op[pid] is None:
+            op_seq[pid] += 1
+            mid_op[pid] = IDLE_OP[m.configs[cid][pid]]
+        cid, coin, move = harness._take(m.branches[2 * cid + pid], rng.random)
+        expected = Access(
+            t=t,
+            pid=pid,
+            reg=pid if move.action == "w" else 1 - pid,
+            action=move.action,
+            value=move.value,
+            coin=coin,
+            pre=move.pre_name,
+            post=move.post_name,
+            events=move.events[pid],
+            op_seq=op_seq[pid],
+            op=mid_op[pid],
+        )
+        if move.finishes:
+            mid_op[pid] = None
+        a = eng.step_pid(pid)
+        assert a == expected
+        assert [type(getattr(a, f)) for f in Access.__slots__] == [
+            type(getattr(expected, f)) for f in Access.__slots__
+        ]
+        assert (eng.cid, eng.t, eng.op_seq, eng.mid_op) == (cid, t + 1, op_seq, mid_op)
+        trace.append(a)
+    assert linearize.lint(trace).ok

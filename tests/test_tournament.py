@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,32 @@ def test_violation_nodes_individually_correct():
 def test_n2_no_violation():
     with pytest.raises(BudgetExceeded):
         tournament.find_violation(n=2, budget=300, seed=0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_schedule_stream(monkeypatch, n, seed):
+    """The search tries the schedules of successive `randrange(n)` draws
+    from `Random(seed)`, after the guided one for n=3."""
+    recorded = []
+    real = tournament._run_schedule
+
+    def record(n, schedule, seed):
+        recorded.append(list(schedule))
+        return real(n, schedule, seed)
+
+    monkeypatch.setattr(tournament, "_run_schedule", record)
+    if n == 2:
+        with pytest.raises(BudgetExceeded):
+            tournament.find_violation(n, 2000, seed)
+        assert len(recorded) == 2000
+    else:
+        tournament.find_violation(n, 2000, seed)
+    rng = random.Random(seed)
+    expected = [list(tournament.GUIDED_SCHEDULE_N3)] if n == 3 else []
+    while len(expected) < len(recorded):
+        expected.append([rng.randrange(n) for _ in range(40 * n)])
+    assert recorded == expected
 
 
 @settings(max_examples=60, deadline=None)
