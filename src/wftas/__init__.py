@@ -6,7 +6,7 @@ n-process tournament extension.
 """
 
 from . import automata, checker, core, expectation, goldens, harness, linearize, protocol, tournament
-from .core import Access, Event, OpRecord, RegValue, Registers, Trace
+from .core import Access, Event, OpRecord, RegValue, Trace
 from .protocol import ProcState
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "Event",
     "OpRecord",
     "RegValue",
-    "Registers",
     "Trace",
     "ProcState",
     "__version__",

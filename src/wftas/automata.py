@@ -8,8 +8,9 @@ labeled `a` through `t`.
 FA4 is FA3 with the internal occurrence events tas0/tas1 turned into
 epsilon-moves; nondeterministic sets of FA4 states are kept in a canonical
 form that drops states whose outgoing moves are epsilon-moves only.
-`Fa3` also compiles FA4 into a 16-state DFA over the 8 B-events, and FA3
-into integer move tables, for the trace checker.
+`Fa3` also compiles FA4 into a 16-state DFA over the 8 B-events, FA3
+into integer move tables, and the DFA into witness back-pointers, for the
+trace checker.
 """
 
 from __future__ import annotations
@@ -182,6 +183,30 @@ class Fa3:
             dfa.append(tuple(row))
         self.fa4_sets = tuple(sets)
         self.fa4_dfa = tuple(dfa)
+        # Witness back-pointers.  fa4_pred[q][col] maps each state id y
+        # in the epsilon-closure of the col-image of C = closure(
+        # fa4_sets[q]) to (x, eps): x in C has a col-move, and eps is the
+        # shortest epsilon-event path from that move's target to y (the
+        # smallest x on ties).  fa4_end[q] is the smallest id in C with
+        # no epsilon-move, where a run after q may end.
+        closures = [sorted(ids[s] for s in self.eps_closure(S)) for S in sets]
+        pred: list[tuple[dict[int, tuple[int, tuple[Event, ...]]], ...]] = []
+        for c in closures:
+            cells = []
+            for col in range(len(B_EVENTS)):
+                back: dict[int, tuple[int, tuple[Event, ...]]] = {}
+                for x in c:
+                    z = self.b_moves[x][col]
+                    frontier = [(z, ())] if z >= 0 else []
+                    while frontier:
+                        y, path = frontier.pop(0)
+                        if y not in back or len(path) < len(back[y][1]):
+                            back[y] = (x, path)
+                        frontier += [(w, path + (e,)) for e, w in self.eps_moves[y]]
+                cells.append(back)
+            pred.append(tuple(cells))
+        self.fa4_pred = tuple(pred)
+        self.fa4_end = tuple(min(y for y in c if not self.eps_moves[y]) for c in closures)
 
     # -- FA4 machinery -------------------------------------------------
 

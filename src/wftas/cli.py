@@ -173,7 +173,7 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
         print(f"corrupt trace: {exc}")
         return 3
     if verdict.ok:
-        n_ops = len(verdict.linearization.order) if verdict.linearization else 0
+        n_ops = len(verdict.linearization.order)
         print(f"linearizable: {len(trace)} accesses, {n_ops} operations")
         return 0
     print(f"violation: shortest rejected prefix = {verdict.rejected_prefix} accesses")

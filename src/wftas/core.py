@@ -28,14 +28,6 @@ class TraceError(Exception):
     """A trace is inconsistent with the register model."""
 
 
-class OwnershipViolation(TraceError):
-    pass
-
-
-class StaleRead(TraceError):
-    pass
-
-
 class CorruptTrace(TraceError):
     pass
 
@@ -67,34 +59,6 @@ class Event:
 
 # One shared Event per B-event (kind, pid), for trace parsing.
 _SHARED_EVENTS = {(k, pid): Event(k, pid) for k in B_EVENT_KINDS for pid in (0, 1)}
-
-
-class Registers:
-    """The two shared registers, with ownership enforced at access time."""
-
-    __slots__ = ("_vals",)
-
-    def __init__(self, r0: RegValue, r1: RegValue):
-        self._vals = [r0, r1]
-
-    def write(self, pid: int, value: RegValue) -> None:
-        if pid not in (0, 1):
-            raise OwnershipViolation(f"bad pid {pid}")
-        self._vals[pid] = value
-
-    def read(self, pid: int) -> RegValue:
-        """Read by process `pid` of the *other* process's register."""
-        if pid not in (0, 1):
-            raise OwnershipViolation(f"bad pid {pid}")
-        return self._vals[1 - pid]
-
-    def snapshot(self) -> tuple[RegValue, RegValue]:
-        return (self._vals[0], self._vals[1])
-
-
-def new_registers() -> Registers:
-    """Both registers initialized to `rst`."""
-    return Registers(RegValue.RST, RegValue.RST)
 
 
 @dataclass(slots=True)
@@ -253,31 +217,6 @@ def _decode_strict(line: str) -> Access:
     return a
 
 
-def apply_access(regs: Registers, a: Access) -> None:
-    """Replay one access against the registers, checking the model.
-
-    Writes must target the acting process's own register; reads must
-    target the other register and observe its current content.
-    """
-    if a.action == "w":
-        if a.reg != a.pid:
-            raise OwnershipViolation(
-                f"step {a.t}: P{a.pid} writing R{a.reg}"
-            )
-        regs.write(a.pid, a.value)
-    else:
-        if a.reg != 1 - a.pid:
-            raise OwnershipViolation(
-                f"step {a.t}: P{a.pid} reading R{a.reg}"
-            )
-        current = regs.read(a.pid)
-        if current is not a.value:
-            raise StaleRead(
-                f"step {a.t}: P{a.pid} observed {a.value.value}, "
-                f"register holds {current.value}"
-            )
-
-
 @dataclass
 class OpRecord:
     """Start/finish bookkeeping of one operation execution."""
@@ -313,16 +252,32 @@ class Trace:
     def __iter__(self) -> Iterator[Access]:
         return iter(self.accesses)
 
-    def replay(self) -> Registers:
-        """Replay from fresh registers; raises TraceError if inconsistent."""
+    def replay(self) -> tuple[RegValue, RegValue]:
+        """Replay from both registers holding rst and return their final
+        contents.  Step indices must increase, each write must go to the
+        writer's own register and each read to the other one, observing
+        its current content; the first failure raises CorruptTrace."""
         last_t = -1
-        regs = new_registers()
+        regs = [RegValue.RST, RegValue.RST]
         for a in self.accesses:
-            if a.t <= last_t:
+            t, pid, reg = a.t, a.pid, a.reg
+            if t <= last_t:
                 raise CorruptTrace("step indices must strictly increase")
-            last_t = a.t
-            apply_access(regs, a)
-        return regs
+            last_t = t
+            if pid not in (0, 1):
+                raise CorruptTrace(f"step {t}: bad pid {pid}")
+            if a.action == "w":
+                if reg != pid:
+                    raise CorruptTrace(f"step {t}: P{pid} writing R{reg}")
+                regs[pid] = a.value
+            elif reg != 1 - pid:
+                raise CorruptTrace(f"step {t}: P{pid} reading R{reg}")
+            elif regs[reg] is not a.value:
+                raise CorruptTrace(
+                    f"step {t}: P{pid} observed {a.value.value}, "
+                    f"register holds {regs[reg].value}"
+                )
+        return regs[0], regs[1]
 
     def op_records(self) -> list[OpRecord]:
         """Reconstruct per-operation records from the recorded accesses."""

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import protocol
 from .automata import B_EVENT_ID, fa3_build
-from .core import CorruptTrace, Event, OpRecord, Trace, TraceError
+from .core import CorruptTrace, Event, OpRecord, Trace
 
 
 class SearchBudgetExceeded(Exception):
@@ -34,7 +34,7 @@ class SeqOp:
 
 @dataclass(frozen=True)
 class Linearization:
-    """A witness total order with one point per linearized operation."""
+    """A witness total order with one point per operation."""
 
     order: tuple[SeqOp, ...]
 
@@ -49,17 +49,10 @@ class Verdict:
 
 
 def project_b(trace: Trace) -> list[tuple[int, Event]]:
-    """h|B with source step indices; composite accesses contribute their
-    events in order at the same index."""
-    try:
-        trace.replay()
-    except TraceError as exc:
-        raise CorruptTrace(str(exc)) from exc
-    out: list[tuple[int, Event]] = []
-    for a in trace:
-        for e in a.events:
-            out.append((a.t, e))
-    return out
+    """h|B as (access position, event) pairs, after the register replay;
+    a composite access contributes its events in order at its position."""
+    trace.replay()
+    return [(i, e) for i, a in enumerate(trace.accesses) for e in a.events]
 
 
 def _fa1_legal(order: Sequence[SeqOp]) -> bool:
@@ -83,90 +76,51 @@ def _fa1_legal(order: Sequence[SeqOp]) -> bool:
 
 
 def check_two_process(trace: Trace) -> Verdict:
-    """FA4 acceptance plus witness extraction for a two-process trace."""
+    """FA4 acceptance plus witness extraction for a two-process trace.
+
+    A rejected trace gets the length of its shortest rejected prefix.
+    An accepted one gets one accepting FA3 run, read backwards through
+    `Fa3.fa4_pred` from the end state of the last DFA state: every
+    operation, a tas still pending at the end included, gets exactly
+    one SeqOp.  A reset linearizes at its rstOp; a tas at the epsilon
+    move the run fires for it, which gets the step of the B-event it
+    follows (a tas occurrence always follows its own sTas).
+    """
     fa3 = fa3_build()
     events = project_b(trace)
-
     cols = [B_EVENT_ID[e.kind, e.pid] for _, e in events]
 
-    # The FA4 DFA for acceptance / shortest rejected prefix.
+    # Forward: the DFA state before each B-event.
     dfa = fa3.fa4_dfa
+    before: list[int] = []
     q = 0
     for j, col in enumerate(cols):
+        before.append(q)
         q = dfa[q][col]
         if q < 0:
             # Shortest rejected prefix: up to and including this access.
-            t = events[j][0]
-            n_prefix = sum(1 for a in trace if a.t <= t)
-            return Verdict(ok=False, rejected_prefix=n_prefix)
+            return Verdict(ok=False, rejected_prefix=events[j][0] + 1)
 
-    # One accepting FA3 path, epsilon moves fired as early as possible.
-    # Node (k, x): first k B-events consumed, FA3 in state (id) x.  From
-    # a node, epsilon moves are preferred (sorted), then the next B-event.
-    total = len(events)
-    eps_moves, b_moves = fa3.eps_moves, fa3.b_moves
-    dead: set[tuple[int, int]] = set()
-    path: list[tuple[str, int, Event, int]] = []
+    # Backward: the FA3 state after each B-event's epsilon moves, and
+    # those moves, one predecessor per B-event.
+    pred = fa3.fa4_pred
+    y = fa3.fa4_end[q]
+    fired: list[tuple[Event, ...]] = [()] * len(cols)
+    for k in range(len(cols) - 1, -1, -1):
+        y, fired[k] = pred[before[k]][cols[k]][y]
 
-    def _candidates(k: int, x: int):
-        for e, y in eps_moves[x]:
-            yield ("eps", k, e, y)
-        if k < total:
-            y = b_moves[x][cols[k]]
-            if y >= 0:
-                yield ("b", k, events[k][1], y)
-
-    # Explicit-stack DFS (traces can be long); each stack entry is the
-    # node plus its remaining candidate moves.
-    x0 = fa3.initial_id
-    stack = [((0, x0), _candidates(0, x0))]
-    found = False
-    while stack:
-        (k, x), it = stack[-1]
-        if k == total:
-            found = True
-            break
-        step = next(it, None)
-        if step is None:
-            dead.add((k, x))
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        move, _, _e, y = step
-        nk = k if move == "eps" else k + 1
-        if (nk, y) in dead:
-            continue
-        path.append(step)
-        stack.append(((nk, y), _candidates(nk, y)))
-    if not found:  # cannot happen when the subset construction accepted
-        raise AssertionError("accepting run exists but path search failed")
-
-    # Assemble the witness: every epsilon firing and every rstOp is a
-    # linearization point.  An epsilon fired after consuming k B-events
-    # gets the step index of the k-th B-event (k >= 1 always, since a
-    # tas occurrence needs the preceding sTas).
-    op_seq_at: dict[tuple[int, int], int] = {}
-    for a in trace:
-        for e in a.events:
-            if e.kind in ("sTas", "rstOp"):
-                op_seq_at[(e.pid, a.t)] = a.op_seq
-    # Track, per pid, the op_seq of its currently open tas as we replay.
-    open_tas: dict[int, int] = {}
+    accesses = trace.accesses
+    open_tas = [0, 0]  # op_seq of each pid's latest tas
     order: list[SeqOp] = []
-    for move, k, e, _y in path:
-        if move == "b":
-            t = events[k][0]
-            if e.kind == "sTas":
-                open_tas[e.pid] = op_seq_at[(e.pid, t)]
-            elif e.kind == "rstOp":
-                order.append(
-                    SeqOp(e.pid, "reset", None, t, op_seq_at[(e.pid, t)])
-                )
-        else:  # epsilon: the linearization point of pid's open tas
-            t = events[k - 1][0]
-            ret = 0 if e.kind == "tas0" else 1
-            order.append(SeqOp(e.pid, "tas", ret, t, open_tas[e.pid]))
+    for (i, e), eps in zip(events, fired):
+        a = accesses[i]
+        if e.kind == "sTas":
+            open_tas[e.pid] = a.op_seq
+        elif e.kind == "rstOp":
+            order.append(SeqOp(e.pid, "reset", None, a.t, a.op_seq))
+        for o in eps:
+            ret = 0 if o.kind == "tas0" else 1
+            order.append(SeqOp(o.pid, "tas", ret, a.t, open_tas[o.pid]))
     lin = Linearization(order=tuple(order))
     if not _fa1_legal(lin.order):
         raise AssertionError("extracted linearization is not legal")
@@ -248,7 +202,8 @@ def lint(trace: Trace) -> Verdict:
        the recorded value and coin, leading to the recorded post state;
        its `op` is the one its process invoked from an idle state and
        its `op_seq` counts the process's invocations from 0;
-    2. check_two_process: register replay, then FA4 acceptance;
+    2. check_two_process: register replay, then FA4 acceptance and, on
+       acceptance, the witness;
     3. on acceptance, event classification: each access carries the
        B-events of its chart transition.
 

@@ -39,7 +39,7 @@ class BudgetExceeded(Exception):
 GUIDED_SCHEDULE_N3: tuple[int, ...] = (0,) * 2 + (1,) * 6 + (2,) * 4 + (0,) * 7
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeAccess:
     """One register access inside one tree node, with global time."""
 

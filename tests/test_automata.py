@@ -112,6 +112,27 @@ def test_integer_move_tables(fa3):
             assert (fa3.by_id[y] if y >= 0 else None) == fa3.moves.get((s, e))
 
 
+def test_fa4_pred_table(fa3):
+    """Each back-pointer leads from a state of the DFA state's closure,
+    by its B-move and then its epsilon path, to the state it is keyed
+    by; every state of the next DFA state's closure has one."""
+    closures = [{fa3.by_id.index(s) for s in fa3.eps_closure(S)} for S in fa3.fa4_sets]
+    entries = 0
+    for q, closure in enumerate(closures):
+        assert fa3.fa4_end[q] in closure and not fa3.eps_moves[fa3.fa4_end[q]]
+        for col, nq in enumerate(fa3.fa4_dfa[q]):
+            back = fa3.fa4_pred[q][col]
+            entries += len(back)
+            for y, (x, eps) in back.items():
+                assert x in closure
+                z = fa3.b_moves[x][col]
+                for e in eps:
+                    z = dict(fa3.eps_moves[z])[e]
+                assert z == y
+            assert nq < 0 or closures[nq] <= back.keys()
+    assert entries == 78
+
+
 def test_label_assignment(check_report):
     labels = check_report.labels
     assert labels is not None

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wftas import core, harness, protocol
-from wftas.core import Access, CorruptTrace, Event, RegValue, Registers, Trace
+from wftas.core import Access, CorruptTrace, Event, RegValue, Trace
 
 
 def test_event_kinds():
@@ -22,14 +22,6 @@ def test_event_kinds():
         Event("sTas", 2)
     assert Event("tas1", 0).is_eps
     assert not Event("fTas1", 0).is_eps
-
-
-def test_registers_read_other():
-    r = core.new_registers()
-    assert r.snapshot() == (RegValue.RST, RegValue.RST)
-    r.write(0, RegValue.ME)
-    assert r.read(1) is RegValue.ME  # P1 reads P0's register
-    assert r.read(0) is RegValue.RST
 
 
 def _solo_trace():
@@ -182,6 +174,22 @@ def test_replay_detects_stale_read():
         Trace(tr_accesses).replay()
 
 
+@pytest.mark.parametrize("action, message", [
+    ("w", "P1 writing R0"),  # a write to the other process's register
+    ("r", "P1 reading R1"),  # a read of the process's own register
+])
+def test_replay_checks_register_ownership(action, message):
+    trace = _solo_trace()
+    # The solo trace leaves R0 holding rst, so only ownership can fail.
+    assert trace.replay() == (RegValue.RST, RegValue.RST)
+    bad = dataclasses.replace(
+        trace.accesses[-1], t=trace.accesses[-1].t + 1, pid=1,
+        reg=1 if action == "r" else 0, action=action, value=RegValue.RST,
+    )
+    with pytest.raises(CorruptTrace, match=message):
+        Trace(trace.accesses + [bad]).replay()
+
+
 def test_op_records_solo():
     trace = _solo_trace()
     recs = trace.op_records()
@@ -192,9 +200,3 @@ def test_op_records_solo():
     assert recs[0].accesses == 2
     assert recs[1].accesses == 1
 
-
-@given(st.integers(0, 1), st.sampled_from(list(RegValue)))
-def test_registers_roundtrip(pid, value):
-    r = core.new_registers()
-    r.write(pid, value)
-    assert r.read(1 - pid) is value

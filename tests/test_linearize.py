@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wftas import harness, linearize, protocol
-from wftas.core import CorruptTrace, Event, OpRecord, RegValue, Trace
+from wftas.automata import B_EVENTS, fa3_build
+from wftas.core import Access, CorruptTrace, Event, OpRecord, RegValue, Trace
 from wftas.harness import Workload
 from wftas.linearize import check_n_process, check_two_process, lint
 
@@ -114,6 +115,74 @@ def test_lint_check_order():
     prefix = [b for b in trace if b.t < a.t]
     with pytest.raises(CorruptTrace, match="observed"):
         lint(Trace(prefix + [forged]))
+
+
+def _word_trace(word):
+    """A register-consistent trace of one write per B-event, each with
+    the op and op_seq of its process's current operation."""
+    accesses = []
+    op_seq, open_tas = [-1, -1], [False, False]
+    for t, e in enumerate(word):
+        if not open_tas[e.pid]:
+            op_seq[e.pid] += 1
+        open_tas[e.pid] = e.kind == "sTas"
+        accesses.append(Access(
+            t=t, pid=e.pid, reg=e.pid, action="w", value=RegValue.ME,
+            coin=None, pre="me", post="me", events=(e,),
+            op_seq=op_seq[e.pid], op="reset" if e.kind == "rstOp" else "tas",
+        ))
+    return Trace(accesses)
+
+
+def _accepted_words(max_len):
+    """Every B-event word of at most max_len events that the FA4 DFA
+    accepts, with the DFA state it leads to, shortest first."""
+    dfa = fa3_build().fa4_dfa
+    words = [((), 0)]
+    for word, q in words:  # extended while it is walked
+        if len(word) < max_len:
+            words += [(word + (e,), dfa[q][col])
+                      for col, e in enumerate(B_EVENTS) if dfa[q][col] >= 0]
+    return words
+
+
+def _assert_witness(word):
+    trace = _word_trace(word)
+    records = trace.op_records()
+    v = check_two_process(trace)
+    assert v.ok
+    order = v.linearization.order
+    by_op = {(r.pid, r.op_seq): r for r in records}
+    # Exactly one SeqOp per operation, pending ones included.
+    assert sorted((o.pid, o.op_seq) for o in order) == sorted(by_op)
+    for o in order:
+        r = by_op[o.pid, o.op_seq]
+        assert o.kind == r.kind
+        assert r.start <= o.point and (r.finish is None or o.point <= r.finish)
+        assert r.finish is None or o.ret == r.ret
+    assert linearize._fa1_legal(order)
+    assert check_n_process(records, 2).ok
+    return order
+
+
+def test_witness_on_every_accepted_word():
+    """Every accepted word of up to 10 B-events gets a legal witness
+    inside the operation intervals, and every one-event extension that
+    FA4 rejects is rejected at its last access."""
+    # Both tas operations start before either finishes, and the second
+    # one wins: the run must fire tas0(1) before tas1(0).
+    late_winner = (Event("sTas", 0), Event("sTas", 1), Event("fTas1", 0), Event("fTas0", 1))
+    order = _assert_witness(late_winner)
+    assert [(o.pid, o.ret, o.point) for o in order] == [(1, 0, 1), (0, 1, 1)]
+    dfa = fa3_build().fa4_dfa
+    words = _accepted_words(10)
+    assert len(words) == 5993
+    for word, q in words:
+        _assert_witness(word)
+        for col, e in enumerate(B_EVENTS):
+            if dfa[q][col] < 0:
+                v = check_two_process(_word_trace(word + (e,)))
+                assert not v.ok and v.rejected_prefix == len(word) + 1
 
 
 def test_n_process_trivial_sequential():
