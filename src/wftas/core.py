@@ -296,15 +296,19 @@ class Trace:
             rec.accesses += 1
             if a.post == "choose":
                 rec.choose_visits += 1
-            kinds = {e.kind for e in a.events}
-            if kinds & {"fTas0", "fTas1", "rstOp"}:
-                rec.finish = a.t
-                if "fTas0" in kinds:
-                    rec.ret = 0
-                elif "fTas1" in kinds:
-                    rec.ret = 1
-                done.append(rec)
-                del open_ops[a.pid]
+            events = a.events
+            if not events:
+                continue
+            kinds = [e.kind for e in events]
+            if "fTas0" in kinds:
+                rec.ret = 0
+            elif "fTas1" in kinds:
+                rec.ret = 1
+            elif "rstOp" not in kinds:
+                continue
+            rec.finish = a.t
+            done.append(rec)
+            del open_ops[a.pid]
         # Pending (unfinished) operations, in pid order for determinism.
         for pid in sorted(open_ops):
             done.append(open_ops[pid])

@@ -8,18 +8,24 @@ same machinery: the maximal probability of the tracked process looping
 back through CHOOSE before finishing, and the maximal expected number of
 CHOOSE entries per operation.
 
-Everything is computed in exact rationals by policy iteration.  A fixed
-policy is evaluated by solving its linear system v = r + P·v with
-Gaussian elimination over Fractions; a zero pivot means the policy is
-improper (some configuration never reaches absorption).  Starting from
-the proper policy "always schedule the tracked process", a configuration
-switches to the other process only when that strictly raises its value,
-until no configuration switches.  The result is then certified
-independently: the policy is re-extracted greedily from the values
-(ties broken toward scheduling the tracked process), the values must be
-exactly the fixed point of the optimal Bellman operator, and the policy
-must be proper.  A proper policy's affine operator has a unique fixed
-point, so the values are exactly the optimal values.
+The policy is found in floats, then evaluated and certified in exact
+rationals.  A fixed policy is evaluated by solving its linear system
+v = r + P·v with one sparse Gaussian elimination, over floats or over
+Fractions; a zero pivot means the policy is improper (some configuration
+never reaches absorption).  Policy iteration starts from the proper
+policy "always schedule the tracked process": a configuration switches
+to the other process only when that raises its value, until no
+configuration switches.  The loop runs in floats first, counting only
+gains above 1e-9 relative, and its policy seeds the same loop over
+Fractions, which counts every strict gain (an improper float policy is
+replaced by the all-tracked start).  So the floats only choose where
+the exact loop starts, and the exact values normally need one
+evaluation.  The result is then certified independently: the policy is
+re-extracted greedily from the exact values (ties broken toward
+scheduling the tracked process), the values must be exactly the fixed
+point of the optimal Bellman operator, and the policy must be proper.
+A proper policy's affine operator has a unique fixed point, so the
+values are exactly the optimal values.
 """
 
 from __future__ import annotations
@@ -39,8 +45,13 @@ BranchFn = Callable[[int, Move], tuple[int, bool]]
 
 # Scheduling pid in configuration id, at 2 * id + pid: the expected reward,
 # the non-absorbing branches as (destination id, probability), and
-# whether some branch absorbs.
+# whether some branch absorbs.  The numbers are Fractions, or floats in
+# the float policy search.
 Action = tuple[Fraction, tuple[tuple[int, Fraction], ...], bool]
+
+# The float policy search switches a configuration only on a gain above
+# this, relative to its value (absolute below 1), for at most len(m) rounds.
+_FLOAT_GAIN = 1e-9
 
 _PROB = (None, Fraction(1), Fraction(1, 2))  # of each branch, by their number
 
@@ -55,7 +66,7 @@ class SolveResult:
 
     values: dict[Config, Fraction]
     policy: dict[Config, int]
-    iterations: int  # exact policy evaluations (policy-improvement rounds)
+    iterations: int  # exact policy evaluations (float search rounds excluded)
 
     @property
     def max_value(self) -> Fraction:
@@ -87,8 +98,9 @@ def _q_value(action: Action, v: list[Fraction]) -> Fraction:
 
 
 def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]:
-    """Exact values of a fixed policy: v = r + P·v by sparse Gaussian
-    elimination over Fractions, one unknown per configuration id."""
+    """Values of a fixed policy: v = r + P·v by sparse Gaussian
+    elimination, one unknown per configuration id, in the number type of
+    `acts` (exact over Fractions)."""
     n = len(m)
     # rows[i] holds the nonzero coefficients of (I - P) in row i, and
     # cols[j] the rows that have (or had) a nonzero in column j.
@@ -97,7 +109,7 @@ def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         reward, succ, _ = acts[2 * i + policy[i]]
-        row = {i: Fraction(1)}
+        row = {i: 1}
         for d, p in succ:
             row[d] = row.get(d, 0) - p
         row = {j: a for j, a in row.items() if a}
@@ -127,7 +139,7 @@ def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]
                 else:
                     del other[x]
             rhs[d] -= f * rhs[k]
-    values: list[Fraction] = [Fraction(0)] * n
+    values: list[Fraction] = [0] * n
     for k in reversed(range(n)):
         acc = rhs[k]
         for x, b in rows[k].items():
@@ -188,12 +200,44 @@ def evaluate_policy(
     return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, ids)), 1)
 
 
-def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
-    m = model()
-    acts = _actions(m, branch_fn_for(tracked))
-    # Scheduling only the tracked process is proper: a solo process
-    # always finishes its operation.
+def _float_policy(m: Model, acts: list[Action], tracked: int) -> list[int]:
+    """Policy iteration in floats from the all-tracked policy: only a
+    starting point for the exact loop, which re-checks every choice."""
+    facts = [
+        (float(reward), tuple((d, float(p)) for d, p in succ), exits)
+        for reward, succ, exits in acts
+    ]
     policy = [tracked] * len(m)
+    for _ in range(len(m)):
+        values = _evaluate(m, facts, policy)
+        stable = True
+        for i, pid in enumerate(policy):
+            v = values[i]
+            if _q_value(facts[2 * i + 1 - pid], values) - v > _FLOAT_GAIN * max(abs(v), 1.0):
+                policy[i] = 1 - pid
+                stable = False
+        if stable:
+            break
+    return policy
+
+
+def _exact_policy_iteration(
+    m: Model, acts: list[Action], start: list[int], tracked: int
+) -> SolveResult:
+    """Exact policy iteration from `start`, or from the all-tracked
+    policy when `start` is improper, then the certificate.
+
+    Improving a proper policy keeps it proper: in a closed set that
+    never absorbs, the tracked process takes no step (it would finish
+    with probability 1), so no reward is paid there and no switch into
+    it strictly gains."""
+    try:
+        _policy_properness(m, acts, start)
+        policy = list(start)
+    except NonConvergence:
+        # Scheduling only the tracked process is proper: a solo process
+        # always finishes its operation.
+        policy = [tracked] * len(m)
     rounds = 0
     while True:
         values = _evaluate(m, acts, policy)
@@ -205,6 +249,16 @@ def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveR
                 stable = False
         if stable:
             return _certify(m, acts, values, rounds, tracked)
+
+
+def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
+    m = model()
+    acts = _actions(m, branch_fn_for(tracked))
+    try:
+        start = _float_policy(m, acts, tracked)
+    except NonConvergence:
+        start = [tracked] * len(m)
+    return _exact_policy_iteration(m, acts, start, tracked)
 
 
 def _access_cost(tracked: int) -> BranchFn:

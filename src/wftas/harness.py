@@ -155,6 +155,8 @@ def run(
     eng = _Engine(random.Random(seed))
     remaining = list(workload.tas_ops)
     trace = Trace()
+    # The engine numbers the steps itself, so accesses skip Trace.append's check.
+    accesses = trace.accesses
     truncated = False
     while True:
         schedulable = []
@@ -170,13 +172,13 @@ def run(
         if eng.t >= max_steps:
             truncated = True
             break
-        pid = adversary(trace.accesses, eng.config, tuple(schedulable))
+        pid = adversary(accesses, eng.config, tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
         invoking = eng.mid_op[pid] is None and eng.steps[2 * eng.cid + pid][0] == "tas"
         if invoking:
             remaining[pid] -= 1
-        trace.append(eng.step_pid(pid))
+        accesses.append(eng.step_pid(pid))
     records = trace.op_records()
     return trace, records, RunStats.from_records(records, truncated)
 

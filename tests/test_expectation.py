@@ -1,7 +1,10 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wftas import checker, expectation
 from wftas.checker import Model
@@ -61,12 +64,15 @@ def test_expected_choose_visits():
     assert ev.max_value == 2
 
 
-@pytest.mark.parametrize("tracked", [0, 1])
-@pytest.mark.parametrize("solver, branch_fn_for", [
+SOLVERS = [
     (expectation.solve, expectation._access_cost),
     (expectation.loop_probabilities, expectation._choose_entry_reward),
     (expectation.expected_choose_visits, expectation._choose_visit_cost),
-])
+]
+
+
+@pytest.mark.parametrize("tracked", [0, 1])
+@pytest.mark.parametrize("solver, branch_fn_for", SOLVERS)
 def test_evaluate_policy_reproduces_solve(solver, branch_fn_for, tracked):
     r = solver(tracked)
     assert expectation.evaluate_policy(r.policy, branch_fn_for, tracked).values == r.values
@@ -105,3 +111,81 @@ def test_exact_value_beyond_2_pow_20():
     values = expectation._evaluate(m, expectation._actions(m, branch_fn), [0] * 22)
     assert values[0] == Fraction(1, 2**21)
     assert values[21] == 1
+
+
+@functools.cache
+def exact_only(branch_fn_for, tracked):
+    """Oracle: policy iteration in exact rationals alone, from the
+    all-tracked policy, then the certificate."""
+    m = checker.model()
+    acts = expectation._actions(m, branch_fn_for(tracked))
+    policy = [tracked] * len(m)
+    rounds = 0
+    while True:
+        values = expectation._evaluate(m, acts, policy)
+        rounds += 1
+        stable = True
+        for i, pid in enumerate(policy):
+            if expectation._q_value(acts[2 * i + 1 - pid], values) > values[i]:
+                policy[i] = 1 - pid
+                stable = False
+        if stable:
+            return expectation._certify(m, acts, values, rounds, tracked)
+
+
+@pytest.mark.parametrize("tracked", [0, 1])
+@pytest.mark.parametrize("solver, branch_fn_for", SOLVERS)
+def test_float_search_matches_exact_only_oracle(solver, branch_fn_for, tracked):
+    r = solver(tracked)
+    oracle = exact_only(branch_fn_for, tracked)
+    assert r.values == oracle.values
+    assert r.policy == oracle.policy
+    # The float policy needs no exact improvement round.
+    assert r.iterations == 1
+    assert oracle.iterations > 1
+
+
+def test_float_search_failure_falls_back_to_all_tracked(monkeypatch):
+    def improper(m, acts, tracked):
+        raise expectation.NonConvergence("float pivot vanished")
+
+    monkeypatch.setattr(expectation, "_float_policy", improper)
+    assert expectation.solve(0) == exact_only(expectation._access_cost, 0)
+
+
+@st.composite
+def start_policies(draw):
+    """A start for the exact loop: all-tracked, all-untracked, a
+    solver's policy or random bits, with some configurations flipped."""
+    n = len(checker.model())
+    base = draw(st.sampled_from(["tracked", "untracked", "optimal", "random"]))
+    solver, branch_fn_for = draw(st.sampled_from(SOLVERS))
+    tracked = draw(st.integers(0, 1))
+    if base == "random":
+        policy = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    elif base == "optimal":
+        policy = list(solver(tracked).policy.values())
+    else:
+        policy = [tracked if base == "tracked" else 1 - tracked] * n
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=12)):
+        policy[i] = 1 - policy[i]
+    return solver, branch_fn_for, tracked, policy
+
+
+@settings(max_examples=60, deadline=None)
+@given(start_policies())
+def test_exact_finish_is_independent_of_its_start(case):
+    # Whatever policy the float search hands over, the exact loop ends at
+    # the same certified result; an improper start is replaced by the
+    # all-tracked start, so the run is the exact-only oracle's.
+    solver, branch_fn_for, tracked, start = case
+    m = checker.model()
+    acts = expectation._actions(m, branch_fn_for(tracked))
+    r = expectation._exact_policy_iteration(m, acts, start, tracked)
+    ref = solver(tracked)
+    assert r.values == ref.values
+    assert r.policy == ref.policy
+    try:
+        expectation._policy_properness(m, acts, start)
+    except expectation.NonConvergence:
+        assert r == exact_only(branch_fn_for, tracked)
