@@ -114,10 +114,11 @@ def _steps() -> tuple[_Step, ...]:
 
 
 class _Engine:
-    """Mutable two-process system: configuration id, operations, coins."""
+    """Mutable two-process system: configuration id and operations.  Its
+    coins come from `coin()`, a float in [0, 1) per coin read."""
 
-    def __init__(self, rng: random.Random):
-        self.rng = rng
+    def __init__(self, coin: Callable[[], float]):
+        self.coin = coin
         self.model = model()
         self.steps = _steps()
         self.cid = 0  # (rst, rst)
@@ -135,7 +136,7 @@ class _Engine:
         if self.mid_op[pid] is None:
             self.op_seq[pid] += 1
             self.mid_op[pid] = op
-        self.cid, finishes, fields = _take(b, self.rng.random)
+        self.cid, finishes, fields = _take(b, self.coin)
         a = Access(self.t, pid, *fields, self.op_seq[pid], self.mid_op[pid])
         self.t += 1
         if finishes:
@@ -152,7 +153,7 @@ def run(
     """Simulate until the workload finishes or max_steps elapse."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    eng = _Engine(random.Random(seed))
+    eng = _Engine(random.Random(seed).random)
     remaining = list(workload.tas_ops)
     trace = Trace()
     # The engine numbers the steps itself, so accesses skip Trace.append's check.

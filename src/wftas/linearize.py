@@ -127,6 +127,12 @@ def check_two_process(trace: Trace) -> Verdict:
     return Verdict(ok=True, linearization=lin)
 
 
+# Verdicts of `check_n_process` by (n, budget, the fields of each record
+# that the search reads), taken at call time; it starts over when full.
+_VERDICTS: dict[tuple, Verdict] = {}
+_VERDICTS_MAX = 4096
+
+
 def check_n_process(
     records: Sequence[OpRecord],
     n: int,
@@ -139,7 +145,23 @@ def check_n_process(
     owner frees the object.  Completed operations must all be placed in
     some real-time-respecting total order; pending operations may be
     placed (a pending tas with either return value) or dropped.
+
+    The verdict is a function of the records' pid, kind, start, finish
+    and ret, so a history seen before is answered without a second
+    search.
     """
+    key = (n, budget, tuple((r.pid, r.kind, r.start, r.finish, r.ret) for r in records))
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        verdict = _search_n_process(records, n, budget)
+        if len(_VERDICTS) >= _VERDICTS_MAX:
+            _VERDICTS.clear()
+        _VERDICTS[key] = verdict
+    return verdict
+
+
+def _search_n_process(records: Sequence[OpRecord], n: int, budget: int) -> Verdict:
+    """The depth-first search behind `check_n_process`, uncached."""
     ops = list(records)
     if any(r.pid >= n or r.pid < 0 for r in ops):
         raise ValueError("record pid out of range")

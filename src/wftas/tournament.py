@@ -13,9 +13,10 @@ but the n-process histories it generates need not be linearizable.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import linearize, protocol
 from .core import Access, OpRecord, Trace
@@ -69,32 +70,40 @@ def _check_size(n: int) -> None:
         raise ValueError("n must be 2, 3 or 4")
 
 
+@functools.cache
+def _paths(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per process, the node ids from its leaf's parent to the root and
+    its role at each: role 0 arriving from a left child."""
+    n_leaves = 2 if n == 2 else 4
+    paths = []
+    for pid in range(n):
+        path, roles = [], []
+        v = n_leaves + pid
+        while v > 1:
+            roles.append(v % 2)
+            v //= 2
+            path.append(v)
+        paths.append((tuple(path), tuple(roles)))
+    return tuple(paths)
+
+
 class TournamentTree:
     """Scheduler-driven tournament of n processes (n in {2, 3, 4})."""
 
-    def __init__(self, n: int, seed: int = 0):
+    def __init__(self, n: int, coin: Callable[[], float]):
         _check_size(n)
         self.n = n
-        self.rng = random.Random(seed)
-        n_leaves = 2 if n == 2 else 4
         # One two-process protocol instance per node; chart states persist
-        # across operations, and all nodes draw coins from the tree's rng.
+        # across operations, and every node draws its coins from `coin`,
+        # in the order of the tree's accesses.
         self.nodes: dict[int, _Engine] = {
-            v: _Engine(self.rng) for v in range(1, n_leaves)
+            v: _Engine(coin) for v in range(1, 2 if n == 2 else 4)
         }
-        self.procs: dict[int, _Proc] = {}
+        self.procs: dict[int, _Proc] = {
+            pid: _Proc(pid, path, roles) for pid, (path, roles) in enumerate(_paths(n))
+        }
         self.t = 0
         self.accesses: list[NodeAccess] = []
-        for pid in range(n):
-            leaf = n_leaves + pid
-            path = []
-            roles = []
-            v = leaf
-            while v > 1:
-                roles.append(v % 2)  # left child -> role 0
-                v //= 2
-                path.append(v)
-            self.procs[pid] = _Proc(pid, tuple(path), tuple(roles))
 
     # -- operation control -------------------------------------------------
 
@@ -201,18 +210,23 @@ class ViolationReport:
     node_verdicts: dict[int, bool] = field(default_factory=dict)
 
 
-def _run_schedule(n: int, schedule: Sequence[int], seed: int) -> TournamentTree:
-    tree = TournamentTree(n, seed=seed)
-    done = set()
+def _run_schedule(n: int, schedule: Sequence[int], coins: Sequence[float]) -> TournamentTree:
+    """Run one n-tas per process under `schedule`, reading the coins in
+    order: an idle process starts its tas, a finished one is skipped,
+    and the run stops once every process has finished."""
+    tree = TournamentTree(n, iter(coins).__next__)
+    procs = tree.procs
+    running = n
     for pid in schedule:
-        if pid in done:
-            continue
-        if not tree.busy(pid):
+        p = procs[pid]
+        if p.op is None:
+            if p.records:
+                continue
             tree.invoke_tas(pid)
         tree.step(pid)
-        if not tree.busy(pid):
-            done.add(pid)
-            if len(done) == n:
+        if p.op is None:
+            running -= 1
+            if not running:
                 break
     return tree
 
@@ -226,7 +240,6 @@ def _schedules(rng: random.Random, n: int) -> Iterator[bytes]:
     `getrandbits(32 * m)` returns m successive words, the first least
     significant.  So each word's top byte shifted right by `8 - k`, with
     the rejected values deleted, is the same stream."""
-    _check_size(n)
     length = 40 * n  # enough steps for every process to finish one n-tas
     shift = 8 - n.bit_length()
     table = bytes(b >> shift for b in range(256))
@@ -252,13 +265,18 @@ def find_violation(
     Raises BudgetExceeded when `budget` schedules produce only
     linearizable histories (this is the expected outcome for n=2).
     """
+    _check_size(n)
     schedules = _schedules(random.Random(seed), n)
+    # Every tree reads the same coins.  An access draws at most one and a
+    # schedule has at most `40 * n` entries, so no tree runs out.
+    coin = random.Random(seed).random
+    coins = [coin() for _ in range(40 * n)]
     for attempt in range(budget):
         if n == 3 and attempt == 0:
             schedule = GUIDED_SCHEDULE_N3
         else:
             schedule = next(schedules)
-        tree = _run_schedule(n, schedule, seed=seed)
+        tree = _run_schedule(n, schedule, coins)
         history = [r for r in tree.history() if r.finished]
         verdict = linearize.check_n_process(history, n)
         if not verdict.ok:

@@ -228,6 +228,38 @@ def test_n_process_search_budget_guard():
         check_n_process(recs, 2, budget=1)
 
 
+@st.composite
+def _n_process_history(draw):
+    n = draw(st.sampled_from((2, 3, 4)), label="n")
+    records = []
+    for _ in range(draw(st.integers(0, 5), label="ops")):
+        kind = draw(st.sampled_from(("tas", "reset")))
+        start = draw(st.integers(0, 12))
+        finish = draw(st.none() | st.integers(start, 14))
+        ret = draw(st.sampled_from((0, 1))) if kind == "tas" and finish is not None else None
+        records.append(OpRecord(pid=draw(st.integers(0, n - 1)), kind=kind, op_seq=0,
+                                start=start, finish=finish, ret=ret))
+    return n, records
+
+
+@settings(max_examples=200, deadline=None)
+@given(_n_process_history(), st.data())
+def test_n_process_memo_follows_the_records(history, data):
+    """A memoized verdict equals the uncached search, on a first call, on
+    a repeat and after a record's finish or ret changes in place."""
+    n, records = history
+    expected = linearize._search_n_process(records, n, 2_000_000)
+    assert check_n_process(records, n) == expected
+    assert check_n_process(records, n) == expected
+    if records:
+        r = data.draw(st.sampled_from(records), label="changed")
+        if data.draw(st.booleans(), label="change finish"):
+            r.finish = data.draw(st.none() | st.integers(r.start, 14), label="finish")
+        else:
+            r.ret = data.draw(st.sampled_from((0, 1, None)), label="ret")
+        assert check_n_process(records, n) == linearize._search_n_process(records, n, 2_000_000)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_two_checker_agreement(seed, ops_per_proc):

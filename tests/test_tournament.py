@@ -10,7 +10,7 @@ from wftas.tournament import BudgetExceeded, NotOwner, TournamentTree
 
 
 def test_solo_win_n4():
-    tree = TournamentTree(4, seed=0)
+    tree = TournamentTree(4, random.Random(0).random)
     assert tree.n_tas(0) == 0
     rec = tree.procs[0].records[-1]
     assert rec.accesses == 4  # two uncontended node wins, 2 accesses each
@@ -20,7 +20,7 @@ def test_solo_win_n4():
 
 
 def test_n2_matches_plain_object():
-    tree = TournamentTree(2, seed=0)
+    tree = TournamentTree(2, random.Random(0).random)
     assert tree.n_tas(0) == 0
     assert tree.n_tas(1) == 1
     tree.n_reset(0)
@@ -28,13 +28,13 @@ def test_n2_matches_plain_object():
 
 
 def test_reset_requires_ownership():
-    tree = TournamentTree(3, seed=0)
+    tree = TournamentTree(3, random.Random(0).random)
     with pytest.raises(NotOwner):
         tree.invoke_reset(0)
 
 
 def test_sequential_reuse():
-    tree = TournamentTree(4, seed=1)
+    tree = TournamentTree(4, random.Random(1).random)
     for pid in (0, 1, 2, 3, 0, 2):
         assert tree.n_tas(pid) == 0
         tree.n_reset(pid)
@@ -43,7 +43,7 @@ def test_sequential_reuse():
 
 
 def test_loser_resets_won_nodes():
-    tree = TournamentTree(3, seed=0)
+    tree = TournamentTree(3, random.Random(0).random)
     assert tree.n_tas(2) == 0  # P2 wins solo
     assert tree.n_tas(0) == 1  # P0 wins its leaf node, loses the root
     left = tree.nodes[2]
@@ -101,6 +101,43 @@ def test_schedule_stream(monkeypatch, n, seed):
     assert recorded == expected
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_shared_coin_list(n, seed):
+    """Each of a search's first 200 schedules gives the same tree from
+    the search's one coin list as from a fresh `Random(seed)` per tree,
+    and no tree draws more than the list's `40 * n` coins."""
+    rng = random.Random(seed)
+    coins = [rng.random() for _ in range(40 * n)]
+    schedules = tournament._schedules(random.Random(seed), n)
+    first = [tournament.GUIDED_SCHEDULE_N3] if n == 3 else []
+    for schedule in first + [next(schedules) for _ in range(200 - len(first))]:
+        tree = tournament._run_schedule(n, schedule, coins)
+        fresh = random.Random(seed)
+        drawn = 0
+
+        def coin():
+            nonlocal drawn
+            drawn += 1
+            return fresh.random()
+
+        ref = TournamentTree(n, coin)
+        done = set()
+        for pid in schedule:
+            if pid in done:
+                continue
+            if not ref.busy(pid):
+                ref.invoke_tas(pid)
+            ref.step(pid)
+            if not ref.busy(pid):
+                done.add(pid)
+                if len(done) == n:
+                    break
+        assert tree.accesses == ref.accesses
+        assert tree.history() == ref.history()
+        assert drawn <= 40 * n
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_contention_bookkeeping(data):
@@ -109,7 +146,7 @@ def test_contention_bookkeeping(data):
     n = data.draw(st.sampled_from((2, 3, 4)), label="n")
     seed = data.draw(st.integers(0, 1000), label="seed")
     schedule = data.draw(st.lists(st.integers(0, n - 1), max_size=150), label="schedule")
-    tree = TournamentTree(n, seed=seed)
+    tree = TournamentTree(n, random.Random(seed).random)
     for pid in schedule:
         if not tree.busy(pid):
             records = tree.procs[pid].records
