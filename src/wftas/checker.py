@@ -23,7 +23,7 @@ from .automata import (
     fa3_build,
 )
 from .goldens import GoldenTable, STATE_ORDER, load_golden_table
-from .protocol import GROUP, Move, ProcState
+from .protocol import GROUP, IDLE_OP, Move, ProcState
 
 Config = tuple[ProcState, ProcState]
 
@@ -86,6 +86,37 @@ def _model(step_fn: StepFn) -> Model:
     return Model(tuple(index), index, branches)
 
 
+Step = tuple[str, bool, tuple[tuple[int, tuple], ...]]
+
+
+@functools.cache
+def step_table() -> tuple[Step, ...]:
+    """`model()`'s branches compiled once for making and checking
+    accesses.  Entry `[2 * id + pid]` holds the operation pid's access
+    there belongs to, whether the access starts it, and per branch the
+    destination id and the access's fields from `reg` to `events`.
+
+    A reset takes one access, so the operation is a function of the
+    configuration: the one pid's idle state starts (`IDLE_OP`), else its
+    tas.  An access finishes it exactly when it enters an idle state;
+    the compiler checks that against every branch's `Move.finishes`."""
+    m = model()
+    table = []
+    for i, c in enumerate(m.configs):
+        for pid in (0, 1):
+            rows = []
+            for d, coin, move in m.branches[2 * i + pid]:
+                if move.finishes != (move.post in IDLE_OP):
+                    raise AssertionError(
+                        f"{move.pre_name} -> {move.post_name}: finishes={move.finishes}"
+                    )
+                reg = pid if move.action == "w" else 1 - pid
+                rows.append((d, (reg, move.action, move.value, coin, move.pre_name,
+                                 move.post_name, move.events[pid])))
+            table.append((IDLE_OP.get(c[pid], "tas"), c[pid] in IDLE_OP, tuple(rows)))
+    return tuple(table)
+
+
 def forward_families(m: Model) -> dict[Config, set[frozenset[Fa3State]]]:
     """Canonical FA4 state sets per configuration, one per history class.
 
@@ -117,9 +148,26 @@ def forward_families(m: Model) -> dict[Config, set[frozenset[Fa3State]]]:
     }
 
 
-def _returned(move: Move) -> Optional[int]:
-    """The value returned by the operation this access finishes, if any."""
-    return protocol.returns_value(move.post) if move.finishes else None
+def _outcomes(m: Model, c: int, pid: int, actors: tuple[int, ...]) -> set[int]:
+    """Return values of pid's pending operation from configuration id
+    `c` over every schedule of `actors` and every coin outcome, cut
+    short once both are found."""
+    seen = {c}
+    stack = [c]
+    out: set[int] = set()
+    while stack and out != {0, 1}:
+        c = stack.pop()
+        for actor in actors:
+            for d, _, move in m.branches[2 * c + actor]:
+                ret = None
+                if actor == pid and move.finishes:
+                    ret = protocol.returns_value(move.post)
+                if ret is not None:
+                    out.add(ret)
+                elif d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+    return out
 
 
 def op_outcomes(m: Model, c: int, pid: int) -> frozenset[int]:
@@ -130,37 +178,13 @@ def op_outcomes(m: Model, c: int, pid: int) -> frozenset[int]:
     operation in progress eventually returns.  Meaningful only when pid
     is mid-operation (not in an idle chart state).
     """
-    seen = {c}
-    stack = [c]
-    out: set[int] = set()
-    while stack and out != {0, 1}:
-        c = stack.pop()
-        for actor in (0, 1):
-            for d, _, move in m.branches[2 * c + actor]:
-                ret = _returned(move) if actor == pid else None
-                if ret is not None:
-                    out.add(ret)
-                elif d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-    return frozenset(out)
+    return frozenset(_outcomes(m, c, pid, (0, 1)))
 
 
 def solo_returns_one(m: Model, c: int, pid: int) -> bool:
     """Can pid's pending operation, from configuration id `c`, return 1
     with the peer never scheduled?"""
-    seen = {c}
-    stack = [c]
-    while stack:
-        c = stack.pop()
-        for d, _, move in m.branches[2 * c + pid]:
-            ret = _returned(move)
-            if ret == 1:
-                return True
-            if ret is None and d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return False
+    return 1 in _outcomes(m, c, pid, (pid,))
 
 
 _IDLE_CLAIM = {

@@ -9,16 +9,15 @@ the generator.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import expectation
-from .checker import Branch, Config, model
+from .checker import Branch, Config, model, step_table
 from .core import Access, OpRecord, Trace
-from .protocol import IDLE_OP, ProcState
+from .protocol import ProcState
 
 # An adversary sees the full visible history (accesses so far, current
 # chart states) and the schedulable pids, and picks one of them.
@@ -87,32 +86,6 @@ def _take(b: tuple[_B, ...], coin: Callable[[], float]) -> _B:
     return b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
 
 
-# One entry of `_steps()[2 * id + pid]`: the operation pid invokes there
-# when idle (None if its state is not idle) and per branch the
-# destination id, whether the access finishes the operation and the
-# access's fields from `reg` to `events`.
-_Step = tuple[Optional[str], tuple[tuple[int, bool, tuple], ...]]
-
-
-@functools.cache
-def _steps() -> tuple[_Step, ...]:
-    """`model()`'s branches compiled for the engine, once."""
-    m = model()
-    return tuple(
-        (
-            IDLE_OP.get(c[pid]),
-            tuple(
-                (d, move.finishes, (pid if move.action == "w" else 1 - pid,
-                                    move.action, move.value, coin, move.pre_name,
-                                    move.post_name, move.events[pid]))
-                for d, coin, move in m.branches[2 * i + pid]
-            ),
-        )
-        for i, c in enumerate(m.configs)
-        for pid in (0, 1)
-    )
-
-
 class _Engine:
     """Mutable two-process system: configuration id and operations.  Its
     coins come from `coin()`, a float in [0, 1) per coin read."""
@@ -120,27 +93,27 @@ class _Engine:
     def __init__(self, coin: Callable[[], float]):
         self.coin = coin
         self.model = model()
-        self.steps = _steps()
+        self.steps = step_table()
         self.cid = 0  # (rst, rst)
         self.op_seq = [-1, -1]
-        self.mid_op: list[Optional[str]] = [None, None]
         self.t = 0
 
     @property
     def config(self) -> Config:
         return self.model.configs[self.cid]
 
+    def idle(self, pid: int) -> bool:
+        """Is pid between operations, so that its next access starts one?"""
+        return self.steps[2 * self.cid + pid][1]
+
     def step_pid(self, pid: int) -> Access:
         """Execute one access of `pid`, invoking its next op if idle."""
-        op, b = self.steps[2 * self.cid + pid]
-        if self.mid_op[pid] is None:
+        op, starts, b = self.steps[2 * self.cid + pid]
+        if starts:
             self.op_seq[pid] += 1
-            self.mid_op[pid] = op
-        self.cid, finishes, fields = _take(b, self.coin)
-        a = Access(self.t, pid, *fields, self.op_seq[pid], self.mid_op[pid])
+        self.cid, fields = _take(b, self.coin)
+        a = Access(self.t, pid, *fields, self.op_seq[pid], op)
         self.t += 1
-        if finishes:
-            self.mid_op[pid] = None
         return a
 
 
@@ -162,11 +135,9 @@ def run(
     while True:
         schedulable = []
         for pid in (0, 1):
-            if eng.mid_op[pid] is not None:
-                schedulable.append(pid)
-            elif eng.steps[2 * eng.cid + pid][0] == "reset":
-                schedulable.append(pid)  # a pending reset is mandatory
-            elif remaining[pid] > 0:
+            op, starts, _ = eng.steps[2 * eng.cid + pid]
+            # A tas in progress or a pending reset is mandatory.
+            if not starts or op == "reset" or remaining[pid] > 0:
                 schedulable.append(pid)
         if not schedulable:
             break
@@ -176,8 +147,8 @@ def run(
         pid = adversary(accesses, eng.config, tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        invoking = eng.mid_op[pid] is None and eng.steps[2 * eng.cid + pid][0] == "tas"
-        if invoking:
+        op, starts, _ = eng.steps[2 * eng.cid + pid]
+        if starts and op == "tas":
             remaining[pid] -= 1
         accesses.append(eng.step_pid(pid))
     records = trace.op_records()

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import protocol
 from .automata import B_EVENT_ID, fa3_build
-from .core import CorruptTrace, Event, OpRecord, Trace
+from .checker import step_table
+from .core import Access, CorruptTrace, Event, OpRecord, Trace
 
 
 class SearchBudgetExceeded(Exception):
@@ -216,58 +216,62 @@ def _search_n_process(records: Sequence[OpRecord], n: int, budget: int) -> Verdi
 
 
 def lint(trace: Trace) -> Verdict:
-    """Full trace lint, in three passes:
+    """Full trace lint: one walk of `checker.step_table()` from (rst, rst),
+    then check_two_process.
 
-    1. chart conformance: each process's first access starts from rst,
-       every later one from the state its previous access left, and
-       every access is one the chart enables from its pre state, with
-       the recorded value and coin, leading to the recorded post state;
-       its `op` is the one its process invoked from an idle state and
-       its `op_seq` counts the process's invocations from 0;
-    2. check_two_process: register replay, then FA4 acceptance and, on
-       acceptance, the witness;
-    3. on acceptance, event classification: each access carries the
-       B-events of its chart transition.
+    Each access must be one the table gives its process in the
+    configuration reached: from its process's state, with the op it
+    belongs to and its process's invocation count from 0 as op_seq, a
+    write to its own register or a read of the other register's
+    content, and the chart's value, coin, post state and B-events.
 
-    A failure of pass 1 or 3, or of the replay, raises CorruptTrace; an
-    FA4 rejection returns the rejecting verdict.
+    A difference in anything but the events raises CorruptTrace at once.
+    One in the events alone raises it only if FA4 then accepts the
+    trace; otherwise lint returns check_two_process's verdict.
     """
-    moves: list[protocol.Move] = []
-    # Each process's (state, name); both start in rst.
-    at = [(protocol.ProcState.RST, "rst")] * 2
-    # Each process's last invocation and its open operation, if any.
+    table = step_table()
+    c = 0  # (rst, rst)
     op_seq = [-1, -1]
-    open_op: list[Optional[str]] = [None, None]
+    misclassified: Optional[Access] = None
     for a in trace:
-        s, name = at[a.pid]
-        if a.pre != name:
-            raise CorruptTrace(f"step {a.t}: P{a.pid} steps from {a.pre} but is in {name}")
-        if open_op[a.pid] is None:
+        op, starts, b = table[2 * c + a.pid]
+        if starts:
             op_seq[a.pid] += 1
-            open_op[a.pid] = protocol.IDLE_OP[s]
-        if (a.op, a.op_seq) != (open_op[a.pid], op_seq[a.pid]):
-            raise CorruptTrace(
-                f"step {a.t}: P{a.pid} runs {open_op[a.pid]} #{op_seq[a.pid]}, "
-                f"trace says {a.op} #{a.op_seq}"
-            )
-        move = protocol.CHART.get((s, None if a.action == "w" else a.value, a.coin))
-        if move is None or move.value is not a.value:
-            raise CorruptTrace(
-                f"step {a.t}: {a.pre} has no access {a.action} "
-                f"{a.value.value} with coin {a.coin}"
-            )
-        if move.post_name != a.post:
-            raise CorruptTrace(
-                f"step {a.t}: {a.pre} {a.action} {a.value.value} goes to "
-                f"{move.post_name}, trace says {a.post}"
-            )
-        at[a.pid] = (move.post, move.post_name)
-        if move.finishes:
-            open_op[a.pid] = None
-        moves.append(move)
+        runs = (op, op_seq[a.pid])
+        got = (a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
+        for d, fields in b:
+            if fields == got and (a.op, a.op_seq) == runs:
+                break
+        else:
+            d = _events_only(a, runs, b)
+            if misclassified is None:
+                misclassified = a
+        c = d
     verdict = check_two_process(trace)
-    if verdict.ok:
-        for a, move in zip(trace, moves):
-            if a.events != move.events[a.pid]:
-                raise CorruptTrace(f"step {a.t}: wrong event classification")
+    if verdict.ok and misclassified is not None:
+        raise CorruptTrace(f"step {misclassified.t}: wrong event classification")
     return verdict
+
+
+def _events_only(a: Access, runs: tuple[str, int], b: tuple) -> int:
+    """The destination of the branch of `b` that `a`, running `runs`,
+    matches in all but its events; any other difference raises
+    CorruptTrace naming the first field that differs."""
+    d, (reg, action, value, coin, pre, post, _) = next(
+        (x for x in b if x[1][3] == a.coin), b[0]
+    )
+    where = f"step {a.t}: P{a.pid}"
+    if a.pre != pre:
+        raise CorruptTrace(f"{where} steps from {a.pre} but is in {pre}")
+    if (a.op, a.op_seq) != runs:
+        raise CorruptTrace(f"{where} runs {runs[0]} #{runs[1]}, trace says {a.op} #{a.op_seq}")
+    if action == "r" and (a.action, a.reg) == (action, reg) and a.value is not value:
+        raise CorruptTrace(f"{where} observed {a.value.value}, register holds {value.value}")
+    if (a.action, a.reg, a.value, a.coin) != (action, reg, value, coin):
+        raise CorruptTrace(
+            f"step {a.t}: {pre} has no access {a.action} R{a.reg} "
+            f"{a.value.value} with coin {a.coin}"
+        )
+    if a.post != post:
+        raise CorruptTrace(f"step {a.t}: {pre} goes to {post}, trace says {a.post}")
+    return d

@@ -50,10 +50,8 @@ GROUP: dict[ProcState, RegValue] = {
     S.FREE: RegValue.HE,
 }
 
-# Idle (doubly circled) states: no operation in progress.
-IDLE_STATES = frozenset({S.RST, S.TST0, S.TST1})
-
-# The operation an idle state starts when invoked.  TST0 means the process
+# The idle (doubly circled) states, where no operation is in progress,
+# and the operation each starts when invoked.  TST0 means the process
 # holds the 0 and its only next operation is the reset.
 IDLE_OP: dict[ProcState, str] = {S.RST: "tas", S.TST1: "tas", S.TST0: "reset"}
 

@@ -145,7 +145,7 @@ class TournamentTree:
         self.accesses.append(NodeAccess(self.t, pid, node_id, role, nd.step_pid(role)))
         self.t += 1
         p.current.accesses += 1
-        if nd.mid_op[role] is not None:
+        if not nd.idle(role):
             return  # the node-level operation is still in progress
         if p.descending:
             p.level -= 1  # released this node

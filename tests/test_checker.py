@@ -6,7 +6,7 @@ from wftas import checker, cli, expectation, protocol
 from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
 from wftas.checker import INITIAL_CONFIG, model
 from wftas.core import RegValue
-from wftas.protocol import GROUP, ProcState as S
+from wftas.protocol import GROUP, IDLE_OP, ProcState as S
 
 
 def test_initial_config():
@@ -172,6 +172,28 @@ def _mutant(state, value, post):
         return orig(s, observed, coin)
 
     return step
+
+
+def test_step_table_finishes_iff_idle(monkeypatch):
+    """Every branch of the chart finishes its operation exactly when it
+    enters an idle state, so the table's entries follow the model; the
+    table compiler refuses a chart where the two differ."""
+    m = model()
+    table = checker.step_table()
+    assert len(table) == len(m.branches)
+    for i, c in enumerate(m.configs):
+        for pid in (0, 1):
+            op, starts, b = table[2 * i + pid]
+            assert (op, starts) == (IDLE_OP.get(c[pid], "tas"), c[pid] in IDLE_OP)
+            assert [d for d, _ in b] == [d for d, _, _ in m.branches[2 * i + pid]]
+            for _, _, move in m.branches[2 * i + pid]:
+                assert move.finishes == (move.post in IDLE_OP)
+    # he reading he enters rst: an idle state, by an access that, outside
+    # the legal chart, finishes nothing.
+    mutated = model(_mutant(S.HE, RegValue.HE, S.RST))
+    monkeypatch.setattr(checker, "model", lambda: mutated)
+    with pytest.raises(AssertionError, match="he -> rst"):
+        checker.step_table.__wrapped__()
 
 
 def test_mutation_sensitivity():

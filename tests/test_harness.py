@@ -133,6 +133,7 @@ def test_engine_steps_like_the_model(seed, schedule):
         assert [type(getattr(a, f)) for f in Access.__slots__] == [
             type(getattr(expected, f)) for f in Access.__slots__
         ]
-        assert (eng.cid, eng.t, eng.op_seq, eng.mid_op) == (cid, t + 1, op_seq, mid_op)
+        assert (eng.cid, eng.t, eng.op_seq) == (cid, t + 1, op_seq)
+        assert [eng.idle(p) for p in (0, 1)] == [mid_op[p] is None for p in (0, 1)]
         trace.append(a)
     assert linearize.lint(trace).ok

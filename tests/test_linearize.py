@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,142 @@ def test_lint_check_order():
     prefix = [b for b in trace if b.t < a.t]
     with pytest.raises(CorruptTrace, match="observed"):
         lint(Trace(prefix + [forged]))
+
+
+def _lint_reference(trace):
+    """lint as three passes (chart conformance per process, then
+    check_two_process, then event classification), kept as the
+    reference for the one-walk lint."""
+    moves = []
+    at = [(protocol.ProcState.RST, "rst")] * 2
+    op_seq = [-1, -1]
+    open_op = [None, None]
+    for a in trace:
+        s, name = at[a.pid]
+        if a.pre != name:
+            raise CorruptTrace(f"step {a.t}: P{a.pid} steps from {a.pre} but is in {name}")
+        if open_op[a.pid] is None:
+            op_seq[a.pid] += 1
+            open_op[a.pid] = protocol.IDLE_OP[s]
+        if (a.op, a.op_seq) != (open_op[a.pid], op_seq[a.pid]):
+            raise CorruptTrace(f"step {a.t}: P{a.pid} runs {open_op[a.pid]}")
+        move = protocol.CHART.get((s, None if a.action == "w" else a.value, a.coin))
+        if move is None or move.value is not a.value:
+            raise CorruptTrace(f"step {a.t}: {a.pre} has no such access")
+        if move.post_name != a.post:
+            raise CorruptTrace(f"step {a.t}: goes to {move.post_name}")
+        at[a.pid] = (move.post, move.post_name)
+        if move.finishes:
+            open_op[a.pid] = None
+        moves.append(move)
+    verdict = check_two_process(trace)
+    if verdict.ok:
+        for a, move in zip(trace, moves):
+            if a.events != move.events[a.pid]:
+                raise CorruptTrace(f"step {a.t}: wrong event classification")
+    return verdict
+
+
+def _verdict_or_corrupt(lint_fn, trace):
+    try:
+        v = lint_fn(trace)
+    except CorruptTrace:
+        return "corrupt"
+    return (v.ok, v.rejected_prefix, v.linearization)
+
+
+@functools.lru_cache(maxsize=None)
+def _simulated_lines(seed):
+    trace, _ = _run(Workload((4, 4)), harness.random_adversary(seed), seed)
+    return tuple(a.to_json() for a in trace)
+
+
+_EVENT_LISTS = ([], ["sTas"], ["fTas0"], ["fTas1"], ["rstOp"], ["sTas", "fTas1"])
+# test_cli's fuzz menu, without the values the trace parser rejects,
+# plus every state and register value.
+_FIELD_EDITS = {
+    "t": (0, 1, -1, 2, 7),
+    "pid": (0, 1),
+    "op_seq": (0, 1, -1, 2, 7),
+    "op": ("tas", "reset"),
+    "reg": ("R0", "R1"),
+    "action": ("r", "w"),
+    "value": tuple(v.value for v in RegValue),
+    "coin": (None, True, False),
+    "pre": tuple(s.value for s in protocol.ProcState),
+    "post": tuple(s.value for s in protocol.ProcState),
+    "events": _EVENT_LISTS,
+}
+
+
+def _forge(lines, data):
+    """One forgery drawn by `data`, applied to the JSON objects `lines`."""
+    kind = data.draw(st.sampled_from((
+        "field", "events", "drop", "duplicate", "swap", "stale read", "other register",
+    )), label="forgery")
+    if kind in ("stale read", "other register"):
+        action = "r" if kind == "stale read" else "w"
+        i = data.draw(st.sampled_from([i for i, o in enumerate(lines) if o["action"] == action]))
+    else:
+        i = data.draw(st.integers(0, len(lines) - 2), label="at")
+    obj = lines[i]
+    if kind == "field":
+        key = data.draw(st.sampled_from(sorted(_FIELD_EDITS)), label="field")
+        obj[key] = data.draw(st.sampled_from(_FIELD_EDITS[key]), label="value")
+    elif kind == "events":
+        obj["events"] = data.draw(st.sampled_from(_EVENT_LISTS), label="events")
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, dict(obj))
+    elif kind == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], obj
+    elif kind == "other register":
+        obj["reg"] = f"R{1 - obj['pid']}"
+    else:
+        # A read of another value that the chart allows from its state,
+        # with that read's coin, post state and events.
+        pre = protocol.ProcState(obj["pre"])
+        value = data.draw(st.sampled_from([v for v in RegValue if v.value != obj["value"]]))
+        coin = data.draw(st.booleans()) if protocol.needs_coin(pre, value) else None
+        move = protocol.CHART[(pre, value, coin)]
+        obj.update(value=value.value, coin=coin, post=move.post_name,
+                   events=[e.kind for e in move.events[obj["pid"]]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 20), st.integers(1, 3), st.data())
+def test_lint_agrees_with_three_pass_reference(seed, n_forgeries, data):
+    """On a simulated trace with one to three forgeries, the one-walk
+    lint and the three-pass reference both call the trace corrupt, or
+    both return the same verdict and linearization."""
+    lines = [json.loads(line) for line in _simulated_lines(seed)]
+    for _ in range(n_forgeries):
+        _forge(lines, data)
+    try:
+        trace = Trace([Access.from_json(json.dumps(obj)) for obj in lines])
+    except CorruptTrace:
+        return  # the parser rejects it before either lint runs
+    assert _verdict_or_corrupt(lint, trace) == _verdict_or_corrupt(_lint_reference, trace)
+
+
+def test_lint_agrees_with_reference_on_every_events_forgery():
+    """Every single-access events forgery of one simulated trace, and of
+    the same trace with a forged return that FA4 rejects: the one-walk
+    lint and the three-pass reference agree on each."""
+    verdicts = set()
+    for base in (_run(Workload((5, 5)), harness.round_robin(), 1)[0],
+                 _corrupt_both_return_one()):
+        for i, a in enumerate(base):
+            for kinds in _EVENT_LISTS:
+                accesses = list(base)
+                accesses[i] = dataclasses.replace(
+                    a, events=tuple(Event(k, a.pid) for k in kinds))
+                trace = Trace(accesses)
+                v = _verdict_or_corrupt(lint, trace)
+                assert v == _verdict_or_corrupt(_lint_reference, trace), (i, kinds)
+                verdicts.add(v if v == "corrupt" else v[0])
+    assert verdicts == {"corrupt", True, False}
 
 
 def _word_trace(word):

@@ -8,7 +8,6 @@ from wftas.protocol import (
     CHART,
     GROUP,
     IDLE_OP,
-    IDLE_STATES,
     MissingCoin,
     MissingObservation,
     ProcState,
@@ -32,7 +31,7 @@ def test_eleven_states():
 
 
 def test_idle_states_and_ops():
-    assert IDLE_STATES == {S.RST, S.TST0, S.TST1}
+    assert set(IDLE_OP) == {S.RST, S.TST0, S.TST1}
     assert IDLE_OP == {S.RST: "tas", S.TST1: "tas", S.TST0: "reset"}
 
 
