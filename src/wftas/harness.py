@@ -92,29 +92,23 @@ class _Engine:
 
     def __init__(self, coin: Callable[[], float]):
         self.coin = coin
-        self.model = model()
         self.steps = step_table()
         self.cid = 0  # (rst, rst)
         self.op_seq = [-1, -1]
-        self.t = 0
 
     @property
     def config(self) -> Config:
-        return self.model.configs[self.cid]
+        return model().configs[self.cid]
 
-    def idle(self, pid: int) -> bool:
-        """Is pid between operations, so that its next access starts one?"""
-        return self.steps[2 * self.cid + pid][1]
-
-    def step_pid(self, pid: int) -> Access:
-        """Execute one access of `pid`, invoking its next op if idle."""
+    def step_pid(self, pid: int) -> tuple[tuple, int, str]:
+        """Execute one access of `pid`, invoking its next op if idle, and
+        return it raw: the step table's tuple of its fields from `reg` to
+        `events`, its op_seq and its op."""
         op, starts, b = self.steps[2 * self.cid + pid]
         if starts:
             self.op_seq[pid] += 1
         self.cid, fields = _take(b, self.coin)
-        a = Access(self.t, pid, *fields, self.op_seq[pid], op)
-        self.t += 1
-        return a
+        return fields, self.op_seq[pid], op
 
 
 def run(
@@ -127,30 +121,34 @@ def run(
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     eng = _Engine(random.Random(seed).random)
+    steps, configs = eng.steps, model().configs
     remaining = list(workload.tas_ops)
     trace = Trace()
-    # The engine numbers the steps itself, so accesses skip Trace.append's check.
+    # The loop numbers the steps itself, so accesses skip Trace.append's check.
     accesses = trace.accesses
+    t = 0
     truncated = False
     while True:
         schedulable = []
         for pid in (0, 1):
-            op, starts, _ = eng.steps[2 * eng.cid + pid]
+            op, starts, _ = steps[2 * eng.cid + pid]
             # A tas in progress or a pending reset is mandatory.
             if not starts or op == "reset" or remaining[pid] > 0:
                 schedulable.append(pid)
         if not schedulable:
             break
-        if eng.t >= max_steps:
+        if t >= max_steps:
             truncated = True
             break
-        pid = adversary(accesses, eng.config, tuple(schedulable))
+        pid = adversary(accesses, configs[eng.cid], tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        op, starts, _ = eng.steps[2 * eng.cid + pid]
+        op, starts, _ = steps[2 * eng.cid + pid]
         if starts and op == "tas":
             remaining[pid] -= 1
-        accesses.append(eng.step_pid(pid))
+        fields, op_seq, op = eng.step_pid(pid)
+        accesses.append(Access(t, pid, *fields, op_seq, op))
+        t += 1
     records = trace.op_records()
     return trace, records, RunStats.from_records(records, truncated)
 

@@ -234,10 +234,13 @@ def lint(trace: Trace) -> Verdict:
     op_seq = [-1, -1]
     misclassified: Optional[Access] = None
     for a in trace:
-        op, starts, b = table[2 * c + a.pid]
+        pid = a.pid
+        if pid not in (0, 1):
+            raise CorruptTrace(f"step {a.t}: bad pid {pid!r}")
+        op, starts, b = table[2 * c + pid]
         if starts:
-            op_seq[a.pid] += 1
-        runs = (op, op_seq[a.pid])
+            op_seq[pid] += 1
+        runs = (op, op_seq[pid])
         got = (a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
         for d, fields in b:
             if fields == got and (a.op, a.op_seq) == runs:

@@ -52,17 +52,16 @@ class NodeAccess:
 
 
 class _Proc:
-    def __init__(self, pid: int, path: tuple[int, ...], roles: tuple[int, ...]):
-        self.pid = pid
-        self.path = path  # node ids leaf-parent .. root
-        self.roles = roles
-        self.op: Optional[str] = None  # "tas" | "reset"
+    __slots__ = ("hops", "descending", "level", "records", "current")
+
+    def __init__(self, hops: tuple[tuple[int, int], ...]):
+        self.hops = hops  # (node id, role) from the leaf's parent to the root
         self.descending = False  # resetting the nodes it holds
-        # The process holds the nodes path[:level], and the 0 exactly
+        # The process holds the nodes of hops[:level], and the 0 exactly
         # when it is idle holding them all.
         self.level = 0
         self.records: list[OpRecord] = []
-        self.current: Optional[OpRecord] = None
+        self.current: Optional[OpRecord] = None  # the operation in progress
 
 
 def _check_size(n: int) -> None:
@@ -71,20 +70,19 @@ def _check_size(n: int) -> None:
 
 
 @functools.cache
-def _paths(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per process, the node ids from its leaf's parent to the root and
-    its role at each: role 0 arriving from a left child."""
+def _hops(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per process, from its leaf's parent to the root, each node id and
+    the process's role there: role 0 arriving from a left child."""
     n_leaves = 2 if n == 2 else 4
-    paths = []
+    hops = []
     for pid in range(n):
-        path, roles = [], []
+        path = []
         v = n_leaves + pid
         while v > 1:
-            roles.append(v % 2)
+            path.append((v // 2, v % 2))
             v //= 2
-            path.append(v)
-        paths.append((tuple(path), tuple(roles)))
-    return tuple(paths)
+        hops.append(tuple(path))
+    return tuple(hops)
 
 
 class TournamentTree:
@@ -100,23 +98,24 @@ class TournamentTree:
             v: _Engine(coin) for v in range(1, 2 if n == 2 else 4)
         }
         self.procs: dict[int, _Proc] = {
-            pid: _Proc(pid, path, roles) for pid, (path, roles) in enumerate(_paths(n))
+            pid: _Proc(hops) for pid, hops in enumerate(_hops(n))
         }
         self.t = 0
-        self.accesses: list[NodeAccess] = []
+        # One (t, pid, node, role, fields, op_seq, op) per access, `fields`
+        # being the step table's tuple; `accesses` builds the objects.
+        self._log: list[tuple] = []
 
     # -- operation control -------------------------------------------------
 
     def _invoke(self, pid: int, kind: str) -> None:
         p = self.procs[pid]
-        if p.op is not None:
+        if p.current is not None:
             raise ValueError(f"P{pid} is mid-operation")
-        holds_zero = p.level == len(p.path)
+        holds_zero = p.level == len(p.hops)
         if kind == "tas" and holds_zero:
             raise ValueError(f"P{pid} holds the 0 and must reset first")
         if kind == "reset" and not holds_zero:
             raise NotOwner(f"P{pid} does not hold the 0")
-        p.op = kind
         p.descending = kind == "reset"  # a reset releases root toward leaf
         p.current = OpRecord(pid=pid, kind=kind, op_seq=len(p.records), start=self.t)
 
@@ -127,7 +126,7 @@ class TournamentTree:
         self._invoke(pid, "reset")
 
     def busy(self, pid: int) -> bool:
-        return self.procs[pid].op is not None
+        return self.procs[pid].current is not None
 
     # -- one access --------------------------------------------------------
 
@@ -136,27 +135,29 @@ class TournamentTree:
         ascending, at the next node up; descending, resetting the
         root-most node still held."""
         p = self.procs[pid]
-        if p.op is None:
+        rec = p.current
+        if rec is None:
             raise ValueError(f"P{pid} has no operation in progress")
-        i = p.level - 1 if p.descending else p.level
-        node_id, role = p.path[i], p.roles[i]
+        node_id, role = p.hops[p.level - 1 if p.descending else p.level]
         nd = self.nodes[node_id]
-        nd.t = self.t
-        self.accesses.append(NodeAccess(self.t, pid, node_id, role, nd.step_pid(role)))
+        fields, op_seq, op = nd.step_pid(role)
+        self._log.append((self.t, pid, node_id, role, fields, op_seq, op))
         self.t += 1
-        p.current.accesses += 1
-        if not nd.idle(role):
+        rec.accesses += 1
+        if not nd.steps[2 * nd.cid + role][1]:
             return  # the node-level operation is still in progress
         if p.descending:
             p.level -= 1  # released this node
+            if not p.level:
+                self._finish(p, 1 if rec.kind == "tas" else None)
         elif protocol.returns_value(nd.config[role]) == 0:
             p.level += 1  # won this node
+            if p.level == len(p.hops):
+                self._finish(p, 0)
         else:
             p.descending = True  # lost here: release the nodes won below
-        if not p.descending and p.level == len(p.path):
-            self._finish(p, 0)
-        elif p.descending and p.level == 0:
-            self._finish(p, 1 if p.op == "tas" else None)
+            if not p.level:
+                self._finish(p, 1)
 
     def _finish(self, p: _Proc, ret: Optional[int]) -> None:
         rec = p.current
@@ -164,7 +165,6 @@ class TournamentTree:
         rec.ret = ret
         p.records.append(rec)
         p.current = None
-        p.op = None
         p.descending = False
 
     # -- whole operations (solo convenience) -------------------------------
@@ -182,6 +182,14 @@ class TournamentTree:
 
     # -- histories and projections -----------------------------------------
 
+    @property
+    def accesses(self) -> list[NodeAccess]:
+        """Every access so far, in order, built from the log."""
+        return [
+            NodeAccess(t, pid, node, role, Access(t, role, *fields, op_seq, op))
+            for t, pid, node, role, fields, op_seq, op in self._log
+        ]
+
     def history(self) -> list[OpRecord]:
         recs: list[OpRecord] = []
         for p in self.procs.values():
@@ -193,11 +201,11 @@ class TournamentTree:
 
     def node_trace(self, node_id: int) -> Trace:
         """The two-process trace of one node (pids are the roles)."""
-        tr = Trace()
-        for na in self.accesses:
-            if na.node == node_id:
-                tr.append(na.access)
-        return tr
+        return Trace(
+            Access(t, role, *fields, op_seq, op)
+            for t, _, node, role, fields, op_seq, op in self._log
+            if node == node_id
+        )
 
 
 @dataclass
@@ -219,12 +227,12 @@ def _run_schedule(n: int, schedule: Sequence[int], coins: Sequence[float]) -> To
     running = n
     for pid in schedule:
         p = procs[pid]
-        if p.op is None:
+        if p.current is None:
             if p.records:
                 continue
             tree.invoke_tas(pid)
         tree.step(pid)
-        if p.op is None:
+        if p.current is None:
             running -= 1
             if not running:
                 break

@@ -101,8 +101,8 @@ def test_loop_experiment_small():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.lists(st.integers(0, 1), max_size=300))
 def test_engine_steps_like_the_model(seed, schedule):
-    """Each access the engine builds is the one an idle-op lookup and a
-    branch of `model()` give, with the coins of the same generator."""
+    """Each raw step the engine returns is the access an idle-op lookup
+    and a branch of `model()` give, with the coins of the same generator."""
     m = model()
     eng = harness._Engine(random.Random(seed).random)
     rng = random.Random(seed)
@@ -128,12 +128,14 @@ def test_engine_steps_like_the_model(seed, schedule):
         )
         if move.finishes:
             mid_op[pid] = None
-        a = eng.step_pid(pid)
+        fields, seq, op = eng.step_pid(pid)
+        a = Access(t, pid, *fields, seq, op)
         assert a == expected
         assert [type(getattr(a, f)) for f in Access.__slots__] == [
             type(getattr(expected, f)) for f in Access.__slots__
         ]
-        assert (eng.cid, eng.t, eng.op_seq) == (cid, t + 1, op_seq)
-        assert [eng.idle(p) for p in (0, 1)] == [mid_op[p] is None for p in (0, 1)]
+        assert (eng.cid, eng.op_seq) == (cid, op_seq)
+        idle = [eng.steps[2 * eng.cid + p][1] for p in (0, 1)]
+        assert idle == [mid_op[p] is None for p in (0, 1)]
         trace.append(a)
     assert linearize.lint(trace).ok

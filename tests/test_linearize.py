@@ -92,6 +92,17 @@ def test_lint_requires_start_from_rst():
         lint(Trace(accesses))
 
 
+@pytest.mark.parametrize("i", (0, 7))
+@pytest.mark.parametrize("pid", (2, -1))
+def test_lint_rejects_bad_pid(i, pid):
+    """A pid other than 0 or 1 is named before it indexes the step table."""
+    trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
+    accesses = list(trace.accesses)
+    accesses[i] = dataclasses.replace(accesses[i], pid=pid)
+    with pytest.raises(CorruptTrace, match=rf"^step {i}: bad pid {pid}$"):
+        lint(Trace(accesses))
+
+
 @pytest.mark.parametrize("field, value", [("op", "reset"), ("op_seq", 99)])
 def test_lint_checks_op_and_op_seq(field, value):
     trace, _ = _run(Workload((3, 3)), harness.round_robin(), 1)

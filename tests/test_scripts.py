@@ -40,6 +40,13 @@ PINNED = {
         "2acc19719bb61b4d1e12be86b390ff7c002d21a675cc3a31d3687b03132ba794",
 }
 
+# SHA-256 of the `--trace` file of a seeded tournament search: every
+# node access, rebuilt from the tree's log, in the file's line format.
+PINNED_TRACES = {
+    "wftas tournament --n 4 --seed 2":
+        "b6471a681ba0b1c2eb4fe51ead876a2252e0299e4e8b25b58eebf32a4e9a6767",
+}
+
 
 def run(argv, text=True):
     env = dict(os.environ)
@@ -72,6 +79,14 @@ def test_seeded_output_pinned(cmd):
     out = run(argv, text=False)
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == PINNED[cmd]
+
+
+@pytest.mark.parametrize("cmd", list(PINNED_TRACES))
+def test_trace_file_pinned(cmd, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    out = run(["-c", CLI, *cmd.split()[1:], "--trace", str(path)], text=False)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[cmd]
 
 
 def test_tournament_demo():

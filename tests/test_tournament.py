@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wftas import linearize, tournament
+from wftas import linearize, protocol, tournament
+from wftas.checker import model, step_table
+from wftas.core import Access, OpRecord, Trace
+from wftas.harness import _take
 from wftas.protocol import GROUP
-from wftas.tournament import BudgetExceeded, NotOwner, TournamentTree
+from wftas.tournament import BudgetExceeded, NodeAccess, NotOwner, TournamentTree
 
 
 def test_solo_win_n4():
@@ -169,3 +172,196 @@ def test_contention_bookkeeping(data):
         tr = tree.node_trace(v)
         if len(tr):
             assert linearize.lint(tr).ok
+
+
+class _OracleEngine:
+    """A node as the tree once ran it: `step_pid` builds the Access."""
+
+    def __init__(self, coin):
+        self.coin = coin
+        self.model = model()
+        self.steps = step_table()
+        self.cid = 0
+        self.op_seq = [-1, -1]
+        self.t = 0
+
+    @property
+    def config(self):
+        return self.model.configs[self.cid]
+
+    def idle(self, pid):
+        return self.steps[2 * self.cid + pid][1]
+
+    def step_pid(self, pid):
+        op, starts, b = self.steps[2 * self.cid + pid]
+        if starts:
+            self.op_seq[pid] += 1
+        self.cid, fields = _take(b, self.coin)
+        a = Access(self.t, pid, *fields, self.op_seq[pid], op)
+        self.t += 1
+        return a
+
+
+class _OracleProc:
+    def __init__(self, pid, path, roles):
+        self.pid = pid
+        self.path = path
+        self.roles = roles
+        self.op = None
+        self.descending = False
+        self.level = 0
+        self.records = []
+        self.current = None
+
+
+class _OracleTree:
+    """The tournament tree that builds a NodeAccess and an Access per
+    access as it steps: the reference for the logged tree."""
+
+    def __init__(self, n, coin):
+        self.n = n
+        self.nodes = {v: _OracleEngine(coin) for v in range(1, 2 if n == 2 else 4)}
+        n_leaves = 2 if n == 2 else 4
+        self.procs = {}
+        for pid in range(n):
+            path, roles = [], []
+            v = n_leaves + pid
+            while v > 1:
+                roles.append(v % 2)
+                v //= 2
+                path.append(v)
+            self.procs[pid] = _OracleProc(pid, tuple(path), tuple(roles))
+        self.t = 0
+        self.accesses = []
+
+    def _invoke(self, pid, kind):
+        p = self.procs[pid]
+        if p.op is not None:
+            raise ValueError(f"P{pid} is mid-operation")
+        holds_zero = p.level == len(p.path)
+        if kind == "tas" and holds_zero:
+            raise ValueError(f"P{pid} holds the 0 and must reset first")
+        if kind == "reset" and not holds_zero:
+            raise NotOwner(f"P{pid} does not hold the 0")
+        p.op = kind
+        p.descending = kind == "reset"
+        p.current = OpRecord(pid=pid, kind=kind, op_seq=len(p.records), start=self.t)
+
+    def invoke_tas(self, pid):
+        self._invoke(pid, "tas")
+
+    def invoke_reset(self, pid):
+        self._invoke(pid, "reset")
+
+    def busy(self, pid):
+        return self.procs[pid].op is not None
+
+    def step(self, pid):
+        p = self.procs[pid]
+        if p.op is None:
+            raise ValueError(f"P{pid} has no operation in progress")
+        i = p.level - 1 if p.descending else p.level
+        node_id, role = p.path[i], p.roles[i]
+        nd = self.nodes[node_id]
+        nd.t = self.t
+        self.accesses.append(NodeAccess(self.t, pid, node_id, role, nd.step_pid(role)))
+        self.t += 1
+        p.current.accesses += 1
+        if not nd.idle(role):
+            return
+        if p.descending:
+            p.level -= 1
+        elif protocol.returns_value(nd.config[role]) == 0:
+            p.level += 1
+        else:
+            p.descending = True
+        if not p.descending and p.level == len(p.path):
+            self._finish(p, 0)
+        elif p.descending and p.level == 0:
+            self._finish(p, 1 if p.op == "tas" else None)
+
+    def _finish(self, p, ret):
+        rec = p.current
+        rec.finish = self.t - 1
+        rec.ret = ret
+        p.records.append(rec)
+        p.current = None
+        p.op = None
+        p.descending = False
+
+    def history(self):
+        recs = []
+        for p in self.procs.values():
+            recs.extend(p.records)
+            if p.current is not None:
+                recs.append(p.current)
+        recs.sort(key=lambda r: (r.start, r.pid))
+        return recs
+
+    def node_trace(self, node_id):
+        tr = Trace()
+        for na in self.accesses:
+            if na.node == node_id:
+                tr.append(na.access)
+        return tr
+
+
+def _assert_same_tree(tree, oracle):
+    assert tree.accesses == oracle.accesses
+    assert tree.history() == oracle.history()
+    assert list(tree.nodes) == list(oracle.nodes)
+    for v in tree.nodes:
+        assert tree.node_trace(v).accesses == oracle.node_trace(v).accesses
+        assert tree.nodes[v].config == oracle.nodes[v].config
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_logged_tree_matches_oracle(data):
+    """Under drawn schedules with resets, the tree that logs raw steps
+    reads back the accesses, history, node traces and node
+    configurations of the tree that built them as it stepped."""
+    n = data.draw(st.sampled_from((2, 3, 4)), label="n")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    schedule = data.draw(st.lists(st.integers(0, n - 1), max_size=150), label="schedule")
+    tree = TournamentTree(n, random.Random(seed).random)
+    oracle = _OracleTree(n, random.Random(seed).random)
+    for pid in schedule:
+        if not tree.busy(pid):
+            records = tree.procs[pid].records
+            if records and records[-1].kind == "tas" and records[-1].ret == 0:
+                tree.invoke_reset(pid)
+                oracle.invoke_reset(pid)
+            else:
+                tree.invoke_tas(pid)
+                oracle.invoke_tas(pid)
+        tree.step(pid)
+        oracle.step(pid)
+        assert tree.t == oracle.t
+    _assert_same_tree(tree, oracle)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_search_trees_match_oracle(n, seed):
+    """The first 200 schedules of `find_violation` give the oracle's
+    trees, run on the search's coin list."""
+    rng = random.Random(seed)
+    coins = [rng.random() for _ in range(40 * n)]
+    schedules = tournament._schedules(random.Random(seed), n)
+    first = [tournament.GUIDED_SCHEDULE_N3] if n == 3 else []
+    for schedule in first + [next(schedules) for _ in range(200 - len(first))]:
+        tree = tournament._run_schedule(n, schedule, coins)
+        oracle = _OracleTree(n, iter(coins).__next__)
+        done = set()
+        for pid in schedule:
+            if pid in done:
+                continue
+            if not oracle.busy(pid):
+                oracle.invoke_tas(pid)
+            oracle.step(pid)
+            if not oracle.busy(pid):
+                done.add(pid)
+                if len(done) == n:
+                    break
+        _assert_same_tree(tree, oracle)
