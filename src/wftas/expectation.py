@@ -8,30 +8,28 @@ same machinery: the maximal probability of the tracked process looping
 back through CHOOSE before finishing, and the maximal expected number of
 CHOOSE entries per operation.
 
-The policy is found in floats, then evaluated and certified in exact
-rationals.  A fixed policy is evaluated by solving its linear system
-v = r + P·v with one sparse Gaussian elimination, over floats or over
-Fractions; a zero pivot means the policy is improper (some configuration
-never reaches absorption).  Policy iteration starts from the proper
-policy "always schedule the tracked process": a configuration switches
-to the other process only when that raises its value, until no
-configuration switches.  The loop runs in floats first, counting only
-gains above 1e-9 relative, and its policy seeds the same loop over
-Fractions, which counts every strict gain (an improper float policy is
-replaced by the all-tracked start).  So the floats only choose where
-the exact loop starts, and the exact values normally need one
-evaluation.  The result is then certified independently: the policy is
-re-extracted greedily from the exact values (ties broken toward
-scheduling the tracked process), the values must be exactly the fixed
-point of the optimal Bellman operator, and the policy must be proper.
-A proper policy's affine operator has a unique fixed point, so the
-values are exactly the optimal values.
+Every branch has probability 1 or 1/2, so twice each policy equation,
+2·v = 2·r + 2P·v, has integer coefficients, and the solver works in
+Python ints throughout.  A fixed policy is evaluated by one fraction-free
+sparse elimination, each updated row divided by its gcd, which returns
+the values as numerators over one common denominator; a zero pivot means
+the policy is improper (some configuration never reaches absorption).
+Policy iteration starts from the proper policy "always schedule the
+tracked process": a configuration switches to the other process only
+when that strictly raises its value, until no configuration switches.
+The result is then certified independently: the policy is re-extracted
+greedily from the exact values (ties broken toward scheduling the
+tracked process), the values must be exactly the fixed point of the
+optimal Bellman operator, and the policy must be proper.  A proper
+policy's affine operator has a unique fixed point, so the values are
+exactly the optimal values.  Fractions are built once, for the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable
 
 from .checker import Config, Model, _cfg_name, model
@@ -43,17 +41,10 @@ edge_map = model
 # (acting pid, move) -> (reward on taking this branch, branch is absorbing)
 BranchFn = Callable[[int, Move], tuple[int, bool]]
 
-# Scheduling pid in configuration id, at 2 * id + pid: the expected reward,
-# the non-absorbing branches as (destination id, probability), and
-# whether some branch absorbs.  The numbers are Fractions, or floats in
-# the float policy search.
-Action = tuple[Fraction, tuple[tuple[int, Fraction], ...], bool]
-
-# The float policy search switches a configuration only on a gain above
-# this, relative to its value (absolute below 1), for at most len(m) rounds.
-_FLOAT_GAIN = 1e-9
-
-_PROB = (None, Fraction(1), Fraction(1, 2))  # of each branch, by their number
+# Scheduling pid in configuration id, at 2 * id + pid, doubled: twice the
+# expected reward, the non-absorbing branches as (destination id, twice
+# the branch's probability: 1 or 2), and whether some branch absorbs.
+Action = tuple[int, tuple[tuple[int, int], ...], bool]
 
 
 class NonConvergence(Exception):
@@ -66,7 +57,7 @@ class SolveResult:
 
     values: dict[Config, Fraction]
     policy: dict[Config, int]
-    iterations: int  # exact policy evaluations (float search rounds excluded)
+    iterations: int  # exact policy evaluations
 
     @property
     def max_value(self) -> Fraction:
@@ -76,42 +67,46 @@ class SolveResult:
 def _actions(m: Model, branch_fn: BranchFn) -> list[Action]:
     out: list[Action] = []
     for k, branches in enumerate(m.branches):
-        p = _PROB[len(branches)]
-        reward = Fraction(0)
+        if len(branches) not in (1, 2):
+            config = _cfg_name(m.configs[k // 2])
+            raise ValueError(f"{config}: P{k % 2} has {len(branches)} branches, not 1 or 2")
+        w = 2 // len(branches)
+        reward = 0
         succ = []
         exits = False
         for d, _, move in branches:
             r, absorbing = branch_fn(k % 2, move)
-            reward += p * r
+            reward += w * r
             if absorbing:
                 exits = True
             else:
-                succ.append((d, p))
+                succ.append((d, w))
         out.append((reward, tuple(succ), exits))
     return out
 
 
-def _q_value(action: Action, v: list[Fraction]) -> Fraction:
-    """Expected value of an action, under the value estimate v."""
+def _q2(action: Action, nums: list[int], den: int) -> int:
+    """Twice the expected value of an action, times `den`, under the
+    values nums[i] / den."""
     reward, succ, _ = action
-    return reward + sum(p * v[d] for d, p in succ)
+    return reward * den + sum(w * nums[d] for d, w in succ)
 
 
-def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]:
-    """Values of a fixed policy: v = r + P·v by sparse Gaussian
-    elimination, one unknown per configuration id, in the number type of
-    `acts` (exact over Fractions)."""
+def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> tuple[list[int], int]:
+    """Values of a fixed policy, as numerators over one positive common
+    denominator: 2·v - 2P·v = 2·r by fraction-free sparse elimination
+    over ints, one unknown per configuration id."""
     n = len(m)
-    # rows[i] holds the nonzero coefficients of (I - P) in row i, and
+    # rows[i] holds the nonzero coefficients of 2(I - P) in row i, and
     # cols[j] the rows that have (or had) a nonzero in column j.
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
     cols: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         reward, succ, _ = acts[2 * i + policy[i]]
-        row = {i: 1}
-        for d, p in succ:
-            row[d] = row.get(d, 0) - p
+        row = {i: 2}
+        for d, w in succ:
+            row[d] = row.get(d, 0) - w
         row = {j: a for j, a in row.items() if a}
         for j in row:
             cols[j].add(i)
@@ -128,7 +123,10 @@ def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]
             other = rows[d]
             if d <= k or k not in other:
                 continue
-            f = other.pop(k) / pivot
+            # other := pivot * other - f * row, which clears column k.
+            f = other.pop(k)
+            for x in other:
+                other[x] *= pivot
             for x, b in row.items():
                 if x == k:
                     continue
@@ -138,30 +136,51 @@ def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> list[Fraction]
                     cols[x].add(d)
                 else:
                     del other[x]
-            rhs[d] -= f * rhs[k]
-    values: list[Fraction] = [0] * n
+            r = rhs[d] = pivot * rhs[d] - f * rhs[k]
+            g = gcd(r, *other.values())
+            if g > 1:
+                for x in other:
+                    other[x] //= g
+                rhs[d] = r // g
+    # Back substitution, keeping every value found so far over den.
+    nums = [0] * n
+    den = 1
     for k in reversed(range(n)):
-        acc = rhs[k]
-        for x, b in rows[k].items():
-            if x != k:
-                acc -= b * values[x]
-        values[k] = acc / rows[k][k]
-    return values
+        row = rows[k]
+        t = rhs[k] * den - sum(b * nums[x] for x, b in row.items() if x != k)
+        p = row[k]
+        if p < 0:
+            p, t = -p, -t
+        g = gcd(t, p)
+        p //= g
+        if p > 1:
+            den *= p
+            for x in range(k + 1, n):
+                nums[x] *= p
+        nums[k] = t // g
+    return nums, den
+
+
+def _result(
+    m: Model, nums: list[int], den: int, policy: list[int], iterations: int
+) -> SolveResult:
+    values = [Fraction(x, den) for x in nums]
+    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, policy)), iterations)
 
 
 def _certify(
-    m: Model, acts: list[Action], values: list[Fraction], iterations: int, tracked: int
+    m: Model, acts: list[Action], nums: list[int], den: int, iterations: int, tracked: int
 ) -> SolveResult:
     # Greedy policy; ties go to the tracked process so that the policy
     # keeps making progress toward absorption (a solo process always
     # finishes its operation).
     policy: list[int] = []
-    for i, v in enumerate(values):
-        q_tracked = _q_value(acts[2 * i + tracked], values)
-        q_other = _q_value(acts[2 * i + 1 - tracked], values)
+    for i, num in enumerate(nums):
+        q_tracked = _q2(acts[2 * i + tracked], nums, den)
+        q_other = _q2(acts[2 * i + 1 - tracked], nums, den)
         policy.append(tracked if q_tracked >= q_other else 1 - tracked)
         # Optimal Bellman fixed point, exactly.
-        if v != max(q_tracked, q_other):
+        if 2 * num != max(q_tracked, q_other):
             raise NonConvergence(
                 f"values are not a Bellman fixed point at {_cfg_name(m.configs[i])}"
             )
@@ -169,7 +188,7 @@ def _certify(
     # from every configuration, hence absorption is almost sure and the
     # policy's affine operator has a unique fixed point.
     _policy_properness(m, acts, policy)
-    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, policy)), iterations)
+    return _result(m, nums, den, policy, iterations)
 
 
 def _policy_properness(m: Model, acts: list[Action], policy: list[int]) -> None:
@@ -196,69 +215,33 @@ def evaluate_policy(
     acts = _actions(m, branch_fn_for(tracked))
     ids = [policy[c] for c in m.configs]
     _policy_properness(m, acts, ids)
-    values = _evaluate(m, acts, ids)
-    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, ids)), 1)
+    nums, den = _evaluate(m, acts, ids)
+    return _result(m, nums, den, ids, 1)
 
 
-def _float_policy(m: Model, acts: list[Action], tracked: int) -> list[int]:
-    """Policy iteration in floats from the all-tracked policy: only a
-    starting point for the exact loop, which re-checks every choice."""
-    facts = [
-        (float(reward), tuple((d, float(p)) for d, p in succ), exits)
-        for reward, succ, exits in acts
-    ]
-    policy = [tracked] * len(m)
-    for _ in range(len(m)):
-        values = _evaluate(m, facts, policy)
-        stable = True
-        for i, pid in enumerate(policy):
-            v = values[i]
-            if _q_value(facts[2 * i + 1 - pid], values) - v > _FLOAT_GAIN * max(abs(v), 1.0):
-                policy[i] = 1 - pid
-                stable = False
-        if stable:
-            break
-    return policy
-
-
-def _exact_policy_iteration(
-    m: Model, acts: list[Action], start: list[int], tracked: int
-) -> SolveResult:
-    """Exact policy iteration from `start`, or from the all-tracked
-    policy when `start` is improper, then the certificate.
+def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
+    """Exact policy iteration from the all-tracked policy, which is
+    proper (a solo process always finishes its operation), then the
+    certificate.
 
     Improving a proper policy keeps it proper: in a closed set that
     never absorbs, the tracked process takes no step (it would finish
     with probability 1), so no reward is paid there and no switch into
     it strictly gains."""
-    try:
-        _policy_properness(m, acts, start)
-        policy = list(start)
-    except NonConvergence:
-        # Scheduling only the tracked process is proper: a solo process
-        # always finishes its operation.
-        policy = [tracked] * len(m)
+    m = model()
+    acts = _actions(m, branch_fn_for(tracked))
+    policy = [tracked] * len(m)
     rounds = 0
     while True:
-        values = _evaluate(m, acts, policy)
+        nums, den = _evaluate(m, acts, policy)
         rounds += 1
         stable = True
         for i, pid in enumerate(policy):
-            if _q_value(acts[2 * i + 1 - pid], values) > values[i]:
+            if _q2(acts[2 * i + 1 - pid], nums, den) > 2 * nums[i]:
                 policy[i] = 1 - pid
                 stable = False
         if stable:
-            return _certify(m, acts, values, rounds, tracked)
-
-
-def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
-    m = model()
-    acts = _actions(m, branch_fn_for(tracked))
-    try:
-        start = _float_policy(m, acts, tracked)
-    except NonConvergence:
-        start = [tracked] * len(m)
-    return _exact_policy_iteration(m, acts, start, tracked)
+            return _certify(m, acts, nums, den, rounds, tracked)
 
 
 def _access_cost(tracked: int) -> BranchFn:
@@ -322,11 +305,14 @@ def one_step_consistency(result: SolveResult) -> list[str]:
     m = model()
     acts = _actions(m, _access_cost(0))
     values = [result.values[c] for c in m.configs]
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
     for i, c in enumerate(m.configs):
-        q = _q_value(acts[2 * i], values)
-        if q > values[i]:
+        q2 = _q2(acts[2 * i], nums, den)
+        q = Fraction(q2, 2 * den)
+        if q2 > 2 * nums[i]:
             problems.append(f"{_cfg_name(c)}: tracked step pays {q} > value {values[i]}")
-        if result.policy[c] == 0 and q != values[i]:
+        if result.policy[c] == 0 and q2 != 2 * nums[i]:
             problems.append(
                 f"{_cfg_name(c)}: optimal tracked step pays {q} != value {values[i]}"
             )

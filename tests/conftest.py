@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from wftas import automata, checker, expectation, goldens
+
+# `--hypothesis-profile=explore --hypothesis-seed=N` draws new examples
+# for each N, where Hypothesis's `ci` profile, which it loads by itself
+# under CI, derandomizes every run; failures print their reproduction blob.
+settings.register_profile("explore", derandomize=False, database=None, print_blob=True)
 
 
 @pytest.fixture(scope="session")

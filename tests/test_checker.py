@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from wftas import checker, cli, expectation, protocol
@@ -23,10 +21,11 @@ def test_edges_probabilities():
     for branches in m.branches:
         # One branch, or the two outcomes of a coin read.
         assert len(branches) in (1, 2)
-    # With no absorbing branch, every action's successors carry mass 1.
+    # Weights are doubled probabilities.  With no absorbing branch, every
+    # action's successors carry weight 2.
     for _, succ, exits in expectation._actions(m, lambda pid, move: (0, False)):
         assert not exits
-        assert sum(p for _, p in succ) == 1
+        assert sum(w for _, w in succ) == 2
     # Under each solver's branch function, the absorbing branches carry
     # exactly the rest.
     for cost in (
@@ -39,11 +38,11 @@ def test_edges_probabilities():
             for k, (_, succ, exits) in enumerate(expectation._actions(m, fn)):
                 branches = m.branches[k]
                 absorbed = sum(
-                    Fraction(1, len(branches))
+                    2 // len(branches)
                     for _, _, move in branches
                     if fn(k % 2, move)[1]
                 )
-                assert sum(p for _, p in succ) + absorbed == 1
+                assert sum(w for _, w in succ) + absorbed == 2
                 assert exits == (absorbed > 0)
 
 

@@ -92,7 +92,8 @@ def test_untracked_only_policy_is_improper():
 def test_exact_value_beyond_2_pow_20():
     # c0 -> c1 -> ... -> c21, each step surviving with probability 1/2;
     # only c21 pays, 1.  The value at c0 is 2**-21, whose denominator a
-    # snap to denominators <= 2**20 cannot represent.
+    # snap to denominators <= 2**20 cannot represent.  P1 has one branch,
+    # which stops; the policy never schedules it.
     configs = list(itertools.product(S, repeat=2))[:22]
 
     def move(finishes):
@@ -101,62 +102,148 @@ def test_exact_value_beyond_2_pow_20():
     survive, stop, pay = move(False), move(True), move(True)
     branches = []
     for i in range(21):
-        branches += [((i + 1, True, survive), (i, False, stop)), ()]
-    branches += [((21, None, pay),), ()]
+        branches += [((i + 1, True, survive), (i, False, stop)), ((i, None, stop),)]
+    branches += [((21, None, pay),), ((21, None, stop),)]
     m = Model(tuple(configs), {c: i for i, c in enumerate(configs)}, tuple(branches))
 
     def branch_fn(pid, mv):
         return (1 if mv is pay else 0, mv.finishes)
 
-    values = expectation._evaluate(m, expectation._actions(m, branch_fn), [0] * 22)
-    assert values[0] == Fraction(1, 2**21)
-    assert values[21] == 1
+    nums, den = expectation._evaluate(m, expectation._actions(m, branch_fn), [0] * 22)
+    assert Fraction(nums[0], den) == Fraction(1, 2**21)
+    assert Fraction(nums[21], den) == 1
+
+
+def test_actions_reject_other_branch_counts():
+    # Doubled weights 2 // len(branches) are exact only for one branch or
+    # a coin read's two.
+    configs = list(itertools.product(S, repeat=2))[:1]
+    mv = Move("r", RegValue.RST, S.RST, "rst", "rst", ((), ()), True)
+    for n in (0, 3):
+        m = Model(tuple(configs), {configs[0]: 0}, (((0, None, mv),), ((0, None, mv),) * n))
+        with pytest.raises(ValueError, match=f"P1 has {n} branches"):
+            expectation._actions(m, lambda pid, move: (1, move.finishes))
+
+
+# The reference: the same policy iteration and certificate in Fractions,
+# with one Gaussian elimination per policy.
+
+_PROB = (None, Fraction(1), Fraction(1, 2))  # of each branch, by their number
+
+
+def ref_actions(m, branch_fn):
+    out = []
+    for k, branches in enumerate(m.branches):
+        p = _PROB[len(branches)]
+        reward = Fraction(0)
+        succ = []
+        exits = False
+        for d, _, move in branches:
+            r, absorbing = branch_fn(k % 2, move)
+            reward += p * r
+            if absorbing:
+                exits = True
+            else:
+                succ.append((d, p))
+        out.append((reward, tuple(succ), exits))
+    return out
+
+
+def ref_q_value(action, v):
+    reward, succ, _ = action
+    return reward + sum(p * v[d] for d, p in succ)
+
+
+def ref_evaluate(m, acts, policy):
+    """v = r + P·v by sparse Gaussian elimination over Fractions."""
+    n = len(m)
+    rows, rhs = [], []
+    cols = [set() for _ in range(n)]
+    for i in range(n):
+        reward, succ, _ = acts[2 * i + policy[i]]
+        row = {i: Fraction(1)}
+        for d, p in succ:
+            row[d] = row.get(d, 0) - p
+        row = {j: a for j, a in row.items() if a}
+        for j in row:
+            cols[j].add(i)
+        rows.append(row)
+        rhs.append(reward)
+    for k in range(n):
+        row = rows[k]
+        pivot = row.get(k)
+        if pivot is None:
+            raise expectation.NonConvergence(f"policy is improper at {m.configs[k]}")
+        for d in cols[k]:
+            other = rows[d]
+            if d <= k or k not in other:
+                continue
+            f = other.pop(k) / pivot
+            for x, b in row.items():
+                if x == k:
+                    continue
+                y = other.get(x, 0) - f * b
+                if y:
+                    other[x] = y
+                    cols[x].add(d)
+                else:
+                    del other[x]
+            rhs[d] -= f * rhs[k]
+    values = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        acc = rhs[k]
+        for x, b in rows[k].items():
+            if x != k:
+                acc -= b * values[x]
+        values[k] = acc / rows[k][k]
+    return values
+
+
+def ref_certify(m, acts, values, iterations, tracked):
+    policy = []
+    for i, v in enumerate(values):
+        q_tracked = ref_q_value(acts[2 * i + tracked], values)
+        q_other = ref_q_value(acts[2 * i + 1 - tracked], values)
+        policy.append(tracked if q_tracked >= q_other else 1 - tracked)
+        if v != max(q_tracked, q_other):
+            raise expectation.NonConvergence(f"not a Bellman fixed point at {m.configs[i]}")
+    expectation._policy_properness(m, acts, policy)
+    return expectation.SolveResult(
+        dict(zip(m.configs, values)), dict(zip(m.configs, policy)), iterations
+    )
 
 
 @functools.cache
 def exact_only(branch_fn_for, tracked):
-    """Oracle: policy iteration in exact rationals alone, from the
-    all-tracked policy, then the certificate."""
+    """Oracle: policy iteration in Fractions from the all-tracked
+    policy, then the certificate."""
     m = checker.model()
-    acts = expectation._actions(m, branch_fn_for(tracked))
+    acts = ref_actions(m, branch_fn_for(tracked))
     policy = [tracked] * len(m)
     rounds = 0
     while True:
-        values = expectation._evaluate(m, acts, policy)
+        values = ref_evaluate(m, acts, policy)
         rounds += 1
         stable = True
         for i, pid in enumerate(policy):
-            if expectation._q_value(acts[2 * i + 1 - pid], values) > values[i]:
+            if ref_q_value(acts[2 * i + 1 - pid], values) > values[i]:
                 policy[i] = 1 - pid
                 stable = False
         if stable:
-            return expectation._certify(m, acts, values, rounds, tracked)
+            return ref_certify(m, acts, values, rounds, tracked)
 
 
 @pytest.mark.parametrize("tracked", [0, 1])
 @pytest.mark.parametrize("solver, branch_fn_for", SOLVERS)
-def test_float_search_matches_exact_only_oracle(solver, branch_fn_for, tracked):
-    r = solver(tracked)
-    oracle = exact_only(branch_fn_for, tracked)
-    assert r.values == oracle.values
-    assert r.policy == oracle.policy
-    # The float policy needs no exact improvement round.
-    assert r.iterations == 1
-    assert oracle.iterations > 1
-
-
-def test_float_search_failure_falls_back_to_all_tracked(monkeypatch):
-    def improper(m, acts, tracked):
-        raise expectation.NonConvergence("float pivot vanished")
-
-    monkeypatch.setattr(expectation, "_float_policy", improper)
-    assert expectation.solve(0) == exact_only(expectation._access_cost, 0)
+def test_solver_matches_exact_only_oracle(solver, branch_fn_for, tracked):
+    # Values, policy and the number of exact policy evaluations.
+    assert solver(tracked) == exact_only(branch_fn_for, tracked)
 
 
 @st.composite
 def start_policies(draw):
-    """A start for the exact loop: all-tracked, all-untracked, a
-    solver's policy or random bits, with some configurations flipped."""
+    """A policy: all-tracked, all-untracked, a solver's policy or random
+    bits, with some configurations flipped."""
     n = len(checker.model())
     base = draw(st.sampled_from(["tracked", "untracked", "optimal", "random"]))
     solver, branch_fn_for = draw(st.sampled_from(SOLVERS))
@@ -174,18 +261,21 @@ def start_policies(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(start_policies())
-def test_exact_finish_is_independent_of_its_start(case):
-    # Whatever policy the float search hands over, the exact loop ends at
-    # the same certified result; an improper start is replaced by the
-    # all-tracked start, so the run is the exact-only oracle's.
-    solver, branch_fn_for, tracked, start = case
+def test_integer_evaluation_matches_fraction_reference(case):
+    # A proper policy gets the reference's values; an improper one makes
+    # both eliminations raise.
+    _, branch_fn_for, tracked, policy = case
     m = checker.model()
     acts = expectation._actions(m, branch_fn_for(tracked))
-    r = expectation._exact_policy_iteration(m, acts, start, tracked)
-    ref = solver(tracked)
-    assert r.values == ref.values
-    assert r.policy == ref.policy
+    ref_acts = ref_actions(m, branch_fn_for(tracked))
     try:
-        expectation._policy_properness(m, acts, start)
+        expectation._policy_properness(m, acts, policy)
     except expectation.NonConvergence:
-        assert r == exact_only(branch_fn_for, tracked)
+        with pytest.raises(expectation.NonConvergence):
+            expectation._evaluate(m, acts, policy)
+        with pytest.raises(expectation.NonConvergence):
+            ref_evaluate(m, ref_acts, policy)
+        return
+    nums, den = expectation._evaluate(m, acts, policy)
+    assert den > 0
+    assert [Fraction(x, den) for x in nums] == ref_evaluate(m, ref_acts, policy)

@@ -196,14 +196,25 @@ _FIELD_EDITS = {
 }
 
 
+def _other_reads(obj):
+    """The chart's reads from the state `obj` names, of another value
+    than it records: (value, coin, move) each."""
+    pre = protocol.ProcState(obj["pre"])
+    return [(value, coin, move) for (s, value, coin), move in protocol.CHART.items()
+            if s is pre and value is not None and value.value != obj["value"]]
+
+
 def _forge(lines, data):
     """One forgery drawn by `data`, applied to the JSON objects `lines`."""
+    # An earlier forgery may leave no read whose state reads another value.
+    stale = [i for i, o in enumerate(lines) if o["action"] == "r" and _other_reads(o)]
     kind = data.draw(st.sampled_from((
-        "field", "events", "drop", "duplicate", "swap", "stale read", "other register",
-    )), label="forgery")
-    if kind in ("stale read", "other register"):
-        action = "r" if kind == "stale read" else "w"
-        i = data.draw(st.sampled_from([i for i, o in enumerate(lines) if o["action"] == action]))
+        "field", "events", "drop", "duplicate", "swap", "other register",
+    ) + (("stale read",) if stale else ())), label="forgery")
+    if kind == "stale read":
+        i = data.draw(st.sampled_from(stale))
+    elif kind == "other register":
+        i = data.draw(st.sampled_from([i for i, o in enumerate(lines) if o["action"] == "w"]))
     else:
         i = data.draw(st.integers(0, len(lines) - 2), label="at")
     obj = lines[i]
@@ -223,10 +234,7 @@ def _forge(lines, data):
     else:
         # A read of another value that the chart allows from its state,
         # with that read's coin, post state and events.
-        pre = protocol.ProcState(obj["pre"])
-        value = data.draw(st.sampled_from([v for v in RegValue if v.value != obj["value"]]))
-        coin = data.draw(st.booleans()) if protocol.needs_coin(pre, value) else None
-        move = protocol.CHART[(pre, value, coin)]
+        value, coin, move = data.draw(st.sampled_from(_other_reads(obj)))
         obj.update(value=value.value, coin=coin, post=move.post_name,
                    events=[e.kind for e in move.events[obj["pid"]]])
 
