@@ -27,6 +27,8 @@ class Owner(Enum):
     P0 = "p0"
     P1 = "p1"
 
+    __hash__ = object.__hash__  # identity, as for RegValue
+
     def __repr__(self) -> str:
         return f"Owner.{self.name}"
 
@@ -37,6 +39,8 @@ class Fa2State(Enum):
     T0 = "t0"  # after the tas0 occurrence
     T1 = "t1"  # after the tas1 occurrence
     I0 = "i0"  # idle, holding the 0
+
+    __hash__ = object.__hash__  # identity, as for RegValue
 
     def __repr__(self) -> str:
         return f"Fa2State.{self.name}"

@@ -194,11 +194,11 @@ _IDLE_CLAIM = {
 }
 
 
-def _claim_compatible(x: Fa3State, c: int, m: Model) -> bool:
-    """Is the occurrence bookkeeping of x consistent with the futures of
-    configuration id `c`?
+def _allowed_claims(m: Model, c: int, pid: int) -> frozenset[Fa2State]:
+    """The FA2 components of pid that are consistent with the futures of
+    configuration id `c`.
 
-    Idle processes must be recorded idle with the matching last return
+    An idle process must be recorded idle with the matching last return
     value.  For a process mid-operation: the undecided component S
     requires both return values to still be possible; a booked tas0
     (component T0) requires return value 0 to be possible; a booked tas1
@@ -206,25 +206,18 @@ def _claim_compatible(x: Fa3State, c: int, m: Model) -> bool:
     peer is never scheduled again, since only then is the occurrence
     forced to predate the remaining future.
     """
-    for pid, p in enumerate((x.p0, x.p1)):
-        s = m.configs[c][pid]
-        idle = _IDLE_CLAIM.get(s)
-        if idle is not None:
-            if p is not idle:
-                return False
-            continue
-        if p in (Fa2State.I0, Fa2State.I1):
-            return False
-        if p is Fa2State.S:
-            if op_outcomes(m, c, pid) != {0, 1}:
-                return False
-        elif p is Fa2State.T0:
-            if 0 not in op_outcomes(m, c, pid):
-                return False
-        elif p is Fa2State.T1:
-            if not solo_returns_one(m, c, pid):
-                return False
-    return True
+    idle = _IDLE_CLAIM.get(m.configs[c][pid])
+    if idle is not None:
+        return frozenset((idle,))
+    out = op_outcomes(m, c, pid)
+    allowed = set()
+    if out == {0, 1}:
+        allowed.add(Fa2State.S)
+    if 0 in out:
+        allowed.add(Fa2State.T0)
+    if solo_returns_one(m, c, pid):
+        allowed.add(Fa2State.T1)
+    return frozenset(allowed)
 
 
 def representative_sets(
@@ -237,7 +230,7 @@ def representative_sets(
       * FA4 can be in it after *every* access sequence reaching the
         configuration (the meet over history classes), and
       * its occurrence bookkeeping is consistent with the possible
-        futures of the configuration (see `_claim_compatible`),
+        futures of the configuration (see `_allowed_claims`),
 
     closed under canonicalization (epsilon-closure minus states with only
     epsilon-moves).  The result is history-independent by construction
@@ -249,7 +242,8 @@ def representative_sets(
     for c, sets in forward_families(m).items():
         meet = frozenset.intersection(*sets)
         i = m.index[c]
-        rep[c] = fa3.canonical(x for x in meet if _claim_compatible(x, i, m))
+        allowed0, allowed1 = _allowed_claims(m, i, 0), _allowed_claims(m, i, 1)
+        rep[c] = fa3.canonical(x for x in meet if x.p0 in allowed0 and x.p1 in allowed1)
     return rep
 
 

@@ -7,6 +7,7 @@ every access happens at its own step.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -19,6 +20,10 @@ class RegValue(Enum):
     HE = "he"
     CHOOSE = "choose"
     RST = "rst"
+
+    # Members are singletons that compare by identity, so they may hash
+    # by it too: Enum's own hash hashes the name on every lookup.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"RegValue.{self.name}"
@@ -57,8 +62,10 @@ class Event:
         return f"{self.kind}({self.pid})"
 
 
-# One shared Event per B-event (kind, pid), for trace parsing.
-_SHARED_EVENTS = {(k, pid): Event(k, pid) for k in B_EVENT_KINDS for pid in (0, 1)}
+# One shared Event per B-event (kind, pid): the chart's accesses and the
+# parsed ones carry these instances, so comparing events tuples mostly
+# compares identities.
+SHARED_EVENTS = {(k, pid): Event(k, pid) for k in B_EVENT_KINDS for pid in (0, 1)}
 
 
 @dataclass(slots=True)
@@ -176,6 +183,30 @@ def _encode_tail(a: Access, key: tuple) -> str:
     return tail
 
 
+def _end(events: Iterable[Event]) -> tuple[bool, Optional[int]]:
+    """Whether an access with these events finishes its operation, and
+    the value the operation returns."""
+    kinds = [e.kind for e in events]
+    if "fTas0" in kinds:
+        return True, 0
+    if "fTas1" in kinds:
+        return True, 1
+    return "rstOp" in kinds, None
+
+
+# `_end` of every tuple of one or two shared B-events of one process,
+# which covers every access the chart makes.
+_ENDS = {
+    events: _end(events)
+    for pid in (0, 1)
+    for n in (1, 2)
+    for events in (
+        tuple(SHARED_EVENTS[k, pid] for k in kinds)
+        for kinds in itertools.product(B_EVENT_KINDS, repeat=n)
+    )
+}
+
+
 def _decode_strict(line: str) -> Access:
     """`json.loads` the line and check every field; any failure is a
     CorruptTrace."""
@@ -204,7 +235,7 @@ def _decode_strict(line: str) -> Access:
             pre=obj["pre"],
             post=obj["post"],
             # Only B-events are keys: an epsilon event is a KeyError.
-            events=tuple(_SHARED_EVENTS[k, pid] for k in events),
+            events=tuple(SHARED_EVENTS[k, pid] for k in events),
             op_seq=op_seq,
             op=obj["op"],
         )
@@ -281,50 +312,66 @@ class Trace:
 
     def op_records(self) -> list[OpRecord]:
         """Reconstruct per-operation records from the recorded accesses."""
-        open_ops: dict[int, OpRecord] = {}
+        # The open operation of each pid; a trace built in Python may
+        # carry other pids, which get a slot when they first act.
+        open_ops: dict[int, Optional[OpRecord]] = {0: None, 1: None}
         done: list[OpRecord] = []
         for a in self.accesses:
-            rec = open_ops.get(a.pid)
-            if rec is not None and rec.op_seq != a.op_seq:
+            pid = a.pid
+            rec = open_ops.get(pid)
+            if rec is None:
+                rec = open_ops[pid] = OpRecord(pid=pid, kind=a.op, op_seq=a.op_seq, start=a.t)
+            elif rec.op_seq != a.op_seq:
                 raise CorruptTrace(
-                    f"step {a.t}: P{a.pid} access for op {a.op_seq} "
+                    f"step {a.t}: P{pid} access for op {a.op_seq} "
                     f"while op {rec.op_seq} is open"
                 )
-            if rec is None:
-                rec = OpRecord(pid=a.pid, kind=a.op, op_seq=a.op_seq, start=a.t)
-                open_ops[a.pid] = rec
             rec.accesses += 1
             if a.post == "choose":
                 rec.choose_visits += 1
             events = a.events
             if not events:
                 continue
-            kinds = [e.kind for e in events]
-            if "fTas0" in kinds:
-                rec.ret = 0
-            elif "fTas1" in kinds:
-                rec.ret = 1
-            elif "rstOp" not in kinds:
-                continue
-            rec.finish = a.t
-            done.append(rec)
-            del open_ops[a.pid]
+            finishes, ret = _ENDS.get(events) or _end(events)
+            if finishes:
+                rec.ret = ret
+                rec.finish = a.t
+                done.append(rec)
+                open_ops[pid] = None
         # Pending (unfinished) operations, in pid order for determinism.
-        for pid in sorted(open_ops):
-            done.append(open_ops[pid])
+        done.extend(rec for _, rec in sorted(open_ops.items()) if rec is not None)
         done.sort(key=lambda r: r.start)
         return done
 
     def dump_jsonl(self, fh) -> None:
+        write = fh.write
         for a in self.accesses:
-            fh.write(a.to_json() + "\n")
+            write(a.to_json() + "\n")
 
     @staticmethod
     def load_jsonl(fh) -> "Trace":
+        """The trace of the lines of `fh`, blank ones skipped: each line
+        is read as `Access.from_json` reads it and added as `append`
+        adds it, so the first bad line raises CorruptTrace."""
         tr = Trace()
+        accesses = tr.accesses
+        append, match, tails, from_json = accesses.append, _HEAD.match, _TAILS_IN, Access.from_json
+        last_t = 0
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            tr.append(Access.from_json(line))
+            # `from_json`'s fast path: a canonical head and a stored tail.
+            m = match(line)
+            fields = None if m is None else tails.get(m.group(2, 5))
+            if fields is None:
+                a = from_json(line)
+                t = a.t
+            else:
+                t = int(m[1])
+                a = Access(t, *fields, int(m[3]), m[4])
+            if accesses and t <= last_t:
+                raise CorruptTrace("step indices must strictly increase")
+            append(a)
+            last_t = t
         return tr

@@ -121,33 +121,35 @@ def run(
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     eng = _Engine(random.Random(seed).random)
-    steps, configs = eng.steps, model().configs
+    step_pid, configs = eng.step_pid, model().configs
+    # A tas in progress or a pending reset is mandatory; an idle pid's
+    # tas is schedulable while its budget lasts, and spends it.
+    forced = [not starts or op == "reset" for op, starts, _ in eng.steps]
     remaining = list(workload.tas_ops)
     trace = Trace()
     # The loop numbers the steps itself, so accesses skip Trace.append's check.
     accesses = trace.accesses
+    append = accesses.append
     t = 0
     truncated = False
     while True:
-        schedulable = []
-        for pid in (0, 1):
-            op, starts, _ = steps[2 * eng.cid + pid]
-            # A tas in progress or a pending reset is mandatory.
-            if not starts or op == "reset" or remaining[pid] > 0:
-                schedulable.append(pid)
-        if not schedulable:
+        base = 2 * eng.cid
+        if forced[base] or remaining[0] > 0:
+            schedulable = (0, 1) if forced[base + 1] or remaining[1] > 0 else (0,)
+        elif forced[base + 1] or remaining[1] > 0:
+            schedulable = (1,)
+        else:
             break
         if t >= max_steps:
             truncated = True
             break
-        pid = adversary(accesses, configs[eng.cid], tuple(schedulable))
+        pid = adversary(accesses, configs[eng.cid], schedulable)
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        op, starts, _ = steps[2 * eng.cid + pid]
-        if starts and op == "tas":
+        if not forced[base + pid]:
             remaining[pid] -= 1
-        fields, op_seq, op = eng.step_pid(pid)
-        accesses.append(Access(t, pid, *fields, op_seq, op))
+        fields, op_seq, op = step_pid(pid)
+        append(Access(t, pid, *fields, op_seq, op))
         t += 1
     records = trace.op_records()
     return trace, records, RunStats.from_records(records, truncated)

@@ -240,13 +240,16 @@ def lint(trace: Trace) -> Verdict:
         op, starts, b = table[2 * c + pid]
         if starts:
             op_seq[pid] += 1
-        runs = (op, op_seq[pid])
-        got = (a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
+        n = op_seq[pid]
+        # No branch matches an access of another op or op_seq.
+        got = None
+        if a.op == op and a.op_seq == n:
+            got = (a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
         for d, fields in b:
-            if fields == got and (a.op, a.op_seq) == runs:
+            if fields == got:
                 break
         else:
-            d = _events_only(a, runs, b)
+            d = _events_only(a, (op, n), b)
             if misclassified is None:
                 misclassified = a
         c = d

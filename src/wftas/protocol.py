@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .core import Event, RegValue
+from .core import SHARED_EVENTS, Event, RegValue
 
 
 class ProcState(Enum):
@@ -28,6 +28,8 @@ class ProcState(Enum):
     NOTHE = "nothe"
     TST1 = "tst1"
     FREE = "free"
+
+    __hash__ = object.__hash__  # identity, as for RegValue
 
     def __repr__(self) -> str:
         return f"ProcState.{self.name}"
@@ -146,9 +148,10 @@ _B_CLASS: dict[tuple[ProcState, ProcState], tuple[str, ...]] = {
 
 
 def classify(pre: ProcState, post: ProcState, pid: int) -> tuple[Event, ...]:
-    """B-events carried by the access realizing the (pre, post) transition;
-    none for a transition `_B_CLASS` does not list."""
-    return tuple(Event(kind, pid) for kind in _B_CLASS.get((pre, post), ()))
+    """B-events carried by the access realizing the (pre, post) transition,
+    as `core.SHARED_EVENTS` instances; none for a transition `_B_CLASS`
+    does not list."""
+    return tuple(SHARED_EVENTS[kind, pid] for kind in _B_CLASS.get((pre, post), ()))
 
 
 def returns_value(post: ProcState) -> Optional[int]:

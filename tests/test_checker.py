@@ -195,6 +195,27 @@ def test_step_table_finishes_iff_idle(monkeypatch):
         checker.step_table.__wrapped__()
 
 
+@pytest.mark.parametrize("step_fn", [
+    protocol.step,
+    _mutant(S.CHOOSE, RegValue.RST, S.TOME),  # the benchmark's mutant
+], ids=["chart", "choose-reads-rst-tome"])
+def test_claim_futures_computed_once_per_config_and_pid(monkeypatch, step_fn):
+    """One `representative_sets` call asks `op_outcomes` and
+    `solo_returns_one` about each (configuration, pid) at most once."""
+    calls = {"op_outcomes": [], "solo_returns_one": []}
+    for name, log in calls.items():
+
+        def counted(m, c, pid, orig=getattr(checker, name), log=log):
+            log.append((c, pid))
+            return orig(m, c, pid)
+
+        monkeypatch.setattr(checker, name, counted)
+    rep = checker.representative_sets(step_fn)
+    for log in calls.values():
+        assert log and len(log) == len(set(log))
+    assert all(rep.values())
+
+
 def test_mutation_sensitivity():
     rep = checker.verify_against_table(step_fn=_mutant(S.HE, RegValue.HE, S.TST1))
     assert not rep.ok

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -373,3 +374,33 @@ def test_dump_fa3(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert len(payload["states"]) == 20
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    # Building the parser adds its subcommands once.
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli(capsys, "tournament", "--n", "3", "--budget", "10")[0] == 0
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == ["wftas"]
+
+
+def test_patched_command_runs_after_first_call(capsys, monkeypatch):
+    # A tracer or a test replaces `cmd_*` on the module after the shared
+    # parser exists; `main` must run the replacement.
+    assert run_cli(capsys, "simulate", "--ops", "1")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.ops) or 7)
+    assert run_cli(capsys, "simulate", "--ops", "5") == (7, "")
+    assert seen == [5]

@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wftas import core, harness, protocol
@@ -200,3 +200,138 @@ def test_op_records_solo():
     assert recs[0].accesses == 2
     assert recs[1].accesses == 1
 
+
+# Plain versions of `Trace.load_jsonl` and `Trace.op_records`, kept as
+# references for the inlined parser and the two-slot record builder.
+def _load_jsonl_reference(fh):
+    tr = Trace()
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        tr.append(Access.from_json(line))
+    return tr
+
+
+def _op_records_reference(trace):
+    open_ops = {}
+    done = []
+    for a in trace.accesses:
+        rec = open_ops.get(a.pid)
+        if rec is not None and rec.op_seq != a.op_seq:
+            raise CorruptTrace(
+                f"step {a.t}: P{a.pid} access for op {a.op_seq} "
+                f"while op {rec.op_seq} is open"
+            )
+        if rec is None:
+            rec = core.OpRecord(pid=a.pid, kind=a.op, op_seq=a.op_seq, start=a.t)
+            open_ops[a.pid] = rec
+        rec.accesses += 1
+        if a.post == "choose":
+            rec.choose_visits += 1
+        events = a.events
+        if not events:
+            continue
+        kinds = [e.kind for e in events]
+        if "fTas0" in kinds:
+            rec.ret = 0
+        elif "fTas1" in kinds:
+            rec.ret = 1
+        elif "rstOp" not in kinds:
+            continue
+        rec.finish = a.t
+        done.append(rec)
+        del open_ops[a.pid]
+    for pid in sorted(open_ops):
+        done.append(open_ops[pid])
+    done.sort(key=lambda r: r.start)
+    return done
+
+
+def _result(fn, *args):
+    """fn's result, or the message of the CorruptTrace it raised."""
+    try:
+        return fn(*args)
+    except CorruptTrace as exc:
+        return f"CorruptTrace: {exc}"
+
+
+@functools.cache
+def _adversary_trace(adversary: str, seed: int, max_steps: int) -> Trace:
+    trace, _, _ = harness.run(
+        harness.Workload((12, 12)), harness.builtin_adversaries(seed)[adversary],
+        seed=seed, max_steps=max_steps,
+    )
+    return trace
+
+
+# A trace of each adversary, one of them cut short by max_steps (it ends
+# inside an operation).
+_TRACES = st.tuples(
+    st.sampled_from(["round-robin", "random", "optimal"]),
+    st.integers(0, 3),
+    st.sampled_from([harness.DEFAULT_MAX_STEPS, 37]),
+).map(lambda key: _adversary_trace(*key))
+
+
+def _starts_no_op(obj) -> bool:
+    return not {"sTas", "rstOp"} & set(obj["events"])
+
+
+def _forge_lines(lines: list[str], data) -> list[str]:
+    """One forgery of the lines of a trace, drawn by `data`."""
+    kind = data.draw(st.sampled_from(
+        ["none", "blank", "padded", "t back then garbled", "op_seq switch"]
+    ), label="forgery")
+    lines = list(lines)
+    i = data.draw(st.integers(1, len(lines) - 2), label="at")
+    if kind == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", " ", "\t", " \r"])))
+    elif kind == "padded":
+        lines[i] = data.draw(st.sampled_from([" ", "\t", "  \r"])) + lines[i] + " \t"
+    elif kind == "t back then garbled":
+        prev = json.loads(lines[i - 1])["t"]
+        obj = json.loads(lines[i])
+        obj["t"] = data.draw(st.sampled_from([prev, prev - 1, 0]))
+        lines[i] = json.dumps(obj)
+        lines[i + 1] = lines[i + 1][: len(lines[i + 1]) // 2]
+    elif kind == "op_seq switch":
+        # An access that starts no operation gets another op_seq.
+        objs = [json.loads(line) for line in lines]
+        mid = [j for j, obj in enumerate(objs) if _starts_no_op(obj)]
+        j = data.draw(st.sampled_from(mid), label="mid")
+        objs[j]["op_seq"] += data.draw(st.sampled_from([1, -1, 5]))
+        lines[j] = json.dumps(objs[j])
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TRACES, st.data())
+def test_load_and_op_records_match_reference(trace, data):
+    """The inlined parser and the two-slot record builder give what the
+    plain ones give, or raise CorruptTrace with the same message."""
+    lines = _forge_lines([a.to_json() for a in trace], data)
+    text = "".join(line + "\n" for line in lines)
+    loaded = _result(Trace.load_jsonl, io.StringIO(text))
+    expected = _result(_load_jsonl_reference, io.StringIO(text))
+    if isinstance(expected, str):
+        assert loaded == expected
+        return
+    assert loaded.accesses == expected.accesses
+    assert _result(loaded.op_records) == _result(_op_records_reference, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TRACES, st.data())
+def test_op_records_other_pids_match_reference(trace, data):
+    """An access built in Python with a pid other than 0 and 1 opens its
+    own record, as in the reference; taking it from its pid's operation may
+    leave that one open, so the next access of that pid is corrupt."""
+    accesses = list(trace.accesses)
+    i = data.draw(st.integers(0, len(accesses) - 1), label="at")
+    pid = data.draw(st.sampled_from([2, -1]), label="pid")
+    accesses[i] = dataclasses.replace(accesses[i], pid=pid)
+    forged = Trace(accesses)
+    records = _result(forged.op_records)
+    assert records == _result(_op_records_reference, forged)
+    assert isinstance(records, str) or any(r.pid == pid for r in records)

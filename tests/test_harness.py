@@ -139,3 +139,68 @@ def test_engine_steps_like_the_model(seed, schedule):
         assert idle == [mid_op[p] is None for p in (0, 1)]
         trace.append(a)
     assert linearize.lint(trace).ok
+
+
+def _run_reference(workload, adversary, seed, max_steps):
+    """A plain version of `harness.run`'s loop, which reads the
+    schedulable pids from the step table entry by entry."""
+    eng = harness._Engine(random.Random(seed).random)
+    steps, configs = eng.steps, model().configs
+    remaining = list(workload.tas_ops)
+    trace = Trace()
+    accesses = trace.accesses
+    t = 0
+    truncated = False
+    while True:
+        schedulable = []
+        for pid in (0, 1):
+            op, starts, _ = steps[2 * eng.cid + pid]
+            if not starts or op == "reset" or remaining[pid] > 0:
+                schedulable.append(pid)
+        if not schedulable:
+            break
+        if t >= max_steps:
+            truncated = True
+            break
+        pid = adversary(accesses, configs[eng.cid], tuple(schedulable))
+        if pid not in schedulable:
+            raise ValueError(f"adversary scheduled unschedulable P{pid}")
+        op, starts, _ = steps[2 * eng.cid + pid]
+        if starts and op == "tas":
+            remaining[pid] -= 1
+        fields, op_seq, op = eng.step_pid(pid)
+        accesses.append(Access(t, pid, *fields, op_seq, op))
+        t += 1
+    records = trace.op_records()
+    return trace, records, harness.RunStats.from_records(records, truncated)
+
+
+def _logged(adversary, log):
+    """`adversary`, logging what it is shown at each decision."""
+    def choose(accesses, config, schedulable):
+        log.append((len(accesses), config, schedulable))
+        return adversary(accesses, config, schedulable)
+    return choose
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["round-robin", "random", "optimal"]),
+    st.integers(0, 2**16),
+    st.tuples(st.integers(0, 25), st.integers(0, 25)),
+    st.sampled_from([harness.DEFAULT_MAX_STEPS, 1, 9, 60]),
+)
+def test_run_matches_reference_loop(adversary, seed, ops, max_steps):
+    """The run loop on per-entry "forced" flags makes the same trace,
+    records and statistics as the entry-by-entry loop, truncated runs
+    included, and shows its adversary the same decisions."""
+    logs = [], []
+    got = harness.run(Workload(ops),
+                      _logged(harness.builtin_adversaries(seed)[adversary], logs[0]),
+                      seed, max_steps)
+    want = _run_reference(Workload(ops),
+                          _logged(harness.builtin_adversaries(seed)[adversary], logs[1]),
+                          seed, max_steps)
+    assert got[0].accesses == want[0].accesses
+    assert got[1:] == want[1:]
+    assert logs[0] == logs[1]
