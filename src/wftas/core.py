@@ -7,7 +7,6 @@ every access happens at its own step.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -183,28 +182,9 @@ def _encode_tail(a: Access, key: tuple) -> str:
     return tail
 
 
-def _end(events: Iterable[Event]) -> tuple[bool, Optional[int]]:
-    """Whether an access with these events finishes its operation, and
-    the value the operation returns."""
-    kinds = [e.kind for e in events]
-    if "fTas0" in kinds:
-        return True, 0
-    if "fTas1" in kinds:
-        return True, 1
-    return "rstOp" in kinds, None
-
-
-# `_end` of every tuple of one or two shared B-events of one process,
-# which covers every access the chart makes.
-_ENDS = {
-    events: _end(events)
-    for pid in (0, 1)
-    for n in (1, 2)
-    for events in (
-        tuple(SHARED_EVENTS[k, pid] for k in kinds)
-        for kinds in itertools.product(B_EVENT_KINDS, repeat=n)
-    )
-}
+# The return value of the operation that an access's last B-event
+# finishes: every chart access carries its finishing event last.
+_FINISH = {"fTas0": 0, "fTas1": 1, "rstOp": None}
 
 
 def _decode_strict(line: str) -> Access:
@@ -330,11 +310,8 @@ class Trace:
             if a.post == "choose":
                 rec.choose_visits += 1
             events = a.events
-            if not events:
-                continue
-            finishes, ret = _ENDS.get(events) or _end(events)
-            if finishes:
-                rec.ret = ret
+            if events and events[-1].kind in _FINISH:
+                rec.ret = _FINISH[events[-1].kind]
                 rec.finish = a.t
                 done.append(rec)
                 open_ops[pid] = None

@@ -1,4 +1,4 @@
-"""The 11-state chart of one process: transitions and event classification.
+"""The 11-state chart of one process: transitions and their B-events.
 
 States fall into 4 groups named after the value the process's own register
 holds while in them.  Inter-group transitions are writes of the new group
@@ -6,6 +6,12 @@ value; intra-group transitions are reads of the other register.  The single
 randomized branch is the read of CHOOSE performed from the CHOOSE state,
 which resolves a fair coin: true heads for ME (via TOME), false for HE
 (via TOHE).
+
+An operation starts when its process leaves an idle state and finishes
+when it enters one, and a reset is one access.  `compile_chart` derives
+every access's B-events from that alone, for the chart and for any mutant
+of it, and refuses the two transitions it cannot label: a test-and-set
+that enters RST (no return value) and a reset that enters a non-idle state.
 """
 
 from __future__ import annotations
@@ -135,25 +141,6 @@ def step(
     return S.FREE if observed is RegValue.RST else S.TST1
 
 
-_B_CLASS: dict[tuple[ProcState, ProcState], tuple[str, ...]] = {
-    (S.RST, S.ME): ("sTas",),
-    (S.TST1, S.FREE): ("sTas",),
-    # The one-access test-and-set: the single read both starts and
-    # finishes the operation returning 1.
-    (S.TST1, S.TST1): ("sTas", "fTas1"),
-    (S.ME, S.TST0): ("fTas0",),
-    (S.HE, S.TST1): ("fTas1",),
-    (S.TST0, S.RST): ("rstOp",),
-}
-
-
-def classify(pre: ProcState, post: ProcState, pid: int) -> tuple[Event, ...]:
-    """B-events carried by the access realizing the (pre, post) transition,
-    as `core.SHARED_EVENTS` instances; none for a transition `_B_CLASS`
-    does not list."""
-    return tuple(SHARED_EVENTS[kind, pid] for kind in _B_CLASS.get((pre, post), ()))
-
-
 def returns_value(post: ProcState) -> Optional[int]:
     """Return value delivered on entering `post`, if any.
 
@@ -167,9 +154,29 @@ def returns_value(post: ProcState) -> Optional[int]:
     return None
 
 
-def finishes_op(pre: ProcState, post: ProcState) -> bool:
-    """Whether the (pre, post) access finishes the current operation."""
-    return bool(set(_B_CLASS.get((pre, post), ())) & {"fTas0", "fTas1", "rstOp"})
+def _event_kinds(pre: ProcState, post: ProcState) -> tuple[str, ...]:
+    """The B-events of the access from `pre` to `post`, derived from the
+    idle states: leaving one starts its operation (`sTas`, or `rstOp` for
+    the one-access reset), and a test-and-set entering one finishes with
+    `fTas{returns_value(post)}`.  A transition that rule cannot label is
+    a ProtocolError."""
+    if IDLE_OP.get(pre) == "reset":
+        if post in IDLE_OP:
+            return ("rstOp",)
+        raise ProtocolError(
+            f"{pre.value} -> {post.value}: a reset takes one access, "
+            f"so it must enter an idle state"
+        )
+    start = ("sTas",) if pre in IDLE_OP else ()
+    if post not in IDLE_OP:
+        return start
+    ret = returns_value(post)
+    if ret is None:
+        raise ProtocolError(
+            f"{pre.value} -> {post.value}: a test-and-set cannot finish "
+            f"in {post.value}, which returns no value"
+        )
+    return (*start, f"fTas{ret}")
 
 
 class Move(NamedTuple):
@@ -182,7 +189,7 @@ class Move(NamedTuple):
     pre_name: str
     post_name: str
     events: tuple[tuple[Event, ...], tuple[Event, ...]]  # when P0 / P1 acts
-    finishes: bool
+    finishes: bool  # the access enters an idle state
 
 
 Chart = dict[tuple[ProcState, Optional[RegValue], Optional[bool]], Move]
@@ -191,9 +198,11 @@ Chart = dict[tuple[ProcState, Optional[RegValue], Optional[bool]], Move]
 def compile_chart(step_fn: Callable[..., ProcState] = step) -> Chart:
     """Every access of the chart `step_fn` defines, keyed like `step`'s
     arguments: (state, observed value or None for a write, coin or None).
-    A read has a coinless entry exactly when it resolves no coin.  A
-    transition outside the chart (a mutated `step_fn`) carries no
-    B-events and finishes no operation."""
+    A read has a coinless entry exactly when it resolves no coin.  Each
+    entry carries the B-events `_event_kinds` derives and finishes its
+    operation exactly when it enters an idle state, for `step` and any
+    mutant `step_fn` alike; a transition `_event_kinds` refuses raises
+    ProtocolError."""
     chart = {}
     for s in ProcState:
         kind = enabled_access(s)
@@ -207,14 +216,15 @@ def compile_chart(step_fn: Callable[..., ProcState] = step) -> Chart:
             ]
         for observed, coin, value in keys:
             post = step_fn(s, observed, coin)
+            kinds = _event_kinds(s, post)
             chart[(s, observed, coin)] = Move(
                 kind[0],
                 value,
                 post,
                 s.value,
                 post.value,
-                (classify(s, post, 0), classify(s, post, 1)),
-                finishes_op(s, post),
+                tuple(tuple(SHARED_EVENTS[k, pid] for k in kinds) for pid in (0, 1)),
+                post in IDLE_OP,
             )
     return chart
 

@@ -4,7 +4,7 @@ from wftas import checker, cli, expectation, protocol
 from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
 from wftas.checker import INITIAL_CONFIG, model
 from wftas.core import RegValue
-from wftas.protocol import GROUP, IDLE_OP, ProcState as S
+from wftas.protocol import GROUP, IDLE_OP, ProcState as S, ProtocolError
 
 
 def test_initial_config():
@@ -173,10 +173,11 @@ def _mutant(state, value, post):
     return step
 
 
-def test_step_table_finishes_iff_idle(monkeypatch):
+def test_step_table_finishes_iff_idle():
     """Every branch of the chart finishes its operation exactly when it
-    enters an idle state, so the table's entries follow the model; the
-    table compiler refuses a chart where the two differ."""
+    enters an idle state, so the table's entries follow the model; a
+    chart with an access that enters an idle state and cannot finish
+    there does not compile."""
     m = model()
     table = checker.step_table()
     assert len(table) == len(m.branches)
@@ -187,12 +188,68 @@ def test_step_table_finishes_iff_idle(monkeypatch):
             assert [d for d, _ in b] == [d for d, _, _ in m.branches[2 * i + pid]]
             for _, _, move in m.branches[2 * i + pid]:
                 assert move.finishes == (move.post in IDLE_OP)
-    # he reading he enters rst: an idle state, by an access that, outside
-    # the legal chart, finishes nothing.
-    mutated = model(_mutant(S.HE, RegValue.HE, S.RST))
-    monkeypatch.setattr(checker, "model", lambda: mutated)
-    with pytest.raises(AssertionError, match="he -> rst"):
-        checker.step_table.__wrapped__()
+    # he reading he enters rst: an idle state, in the middle of a tas
+    # that then has no return value.
+    with pytest.raises(ProtocolError, match="^he -> rst: "):
+        model(_mutant(S.HE, RegValue.HE, S.RST))
+
+
+def _rule(pre, post):
+    """The B-event kinds of the access from `pre` to `post`, restated
+    from the idle states, or None where they give none: leaving
+    rst/tst1 starts a tas and leaving tst0 is the whole reset, which
+    must enter an idle state; a tas entering tst0 or tst1 returns 0 or
+    1, and one entering rst returns nothing."""
+    if pre is S.TST0:
+        return ("rstOp",) if post in IDLE_OP else None
+    if post is S.RST:
+        return None
+    start = ("sTas",) if pre in IDLE_OP else ()
+    return start + {S.TST0: ("fTas0",), S.TST1: ("fTas1",)}.get(post, ())
+
+
+def _entry_mutants():
+    """Every single-entry mutant of the chart: each of its 24 entries
+    redirected to each of the other 10 states."""
+    for key, move in protocol.CHART.items():
+        for post in S:
+            if post is not move.post:
+
+                def step(s, observed=None, coin=None, key=key, post=post):
+                    if (s, observed, coin) == key:
+                        return post
+                    return protocol.step(s, observed, coin)
+
+                yield key, post, step
+
+
+def test_single_entry_mutant_census():
+    """Each single-entry mutant either compiles with every access
+    labelled by the rule, or is refused with a ProtocolError naming the
+    mutated transition; each one that compiles gets a model and its
+    history families, and some of those reach the empty FA4 set."""
+    compiled = empty = 0
+    refused = {"tas": 0, "reset": 0}
+    for key, post, step_fn in _entry_mutants():
+        expected = _rule(key[0], post)
+        try:
+            chart = protocol.compile_chart(step_fn)
+        except ProtocolError as exc:
+            assert expected is None
+            assert str(exc).startswith(f"{key[0].value} -> {post.value}: ")
+            refused[IDLE_OP.get(key[0], "tas")] += 1
+            continue
+        assert expected is not None
+        for (s, _, _), move in chart.items():
+            kinds = _rule(s, move.post)
+            assert move.events == tuple(
+                tuple(protocol.SHARED_EVENTS[k, pid] for k in kinds) for pid in (0, 1)
+            )
+            assert move.finishes == (move.post in IDLE_OP)
+        compiled += 1
+        fam = checker.forward_families(model(step_fn))
+        empty += any(frozenset() in sets for sets in fam.values())
+    assert (compiled, refused, empty) == (209, {"tas": 23, "reset": 8}, 68)
 
 
 @pytest.mark.parametrize("step_fn", [

@@ -14,10 +14,8 @@ from wftas.protocol import (
     ProtocolError,
     SpuriousCoin,
     branches,
-    classify,
     compile_chart,
     enabled_access,
-    finishes_op,
     needs_coin,
     returns_value,
     step,
@@ -88,42 +86,61 @@ def test_coin_contract():
         step(S.ME)
 
 
+# The six transitions that carry B-events, with their kinds, as the
+# chart's figure labels them; every other transition carries none.  An
+# access finishes its operation when it carries fTas0, fTas1 or rstOp.
+_LABELLED = {
+    (S.RST, S.ME): ("sTas",),
+    (S.TST1, S.FREE): ("sTas",),
+    (S.TST1, S.TST1): ("sTas", "fTas1"),  # the one-access tas
+    (S.ME, S.TST0): ("fTas0",),
+    (S.HE, S.TST1): ("fTas1",),
+    (S.TST0, S.RST): ("rstOp",),
+}
+
+
+def _kinds(move, pid):
+    return [e.kind for e in move.events[pid]]
+
+
 def test_classify_events():
-    assert [e.kind for e in classify(S.RST, S.ME, 0)] == ["sTas"]
-    assert [e.kind for e in classify(S.ME, S.TST0, 0)] == ["fTas0"]
-    assert [e.kind for e in classify(S.HE, S.TST1, 1)] == ["fTas1"]
-    assert [e.kind for e in classify(S.TST1, S.TST1, 0)] == ["sTas", "fTas1"]
-    assert [e.kind for e in classify(S.TST0, S.RST, 0)] == ["rstOp"]
-    assert classify(S.ME, S.NOTME, 0) == ()
+    assert _kinds(CHART[(S.RST, None, None)], 0) == ["sTas"]
+    assert _kinds(CHART[(S.ME, RegValue.RST, None)], 0) == ["fTas0"]
+    assert _kinds(CHART[(S.HE, RegValue.ME, None)], 1) == ["fTas1"]
+    assert _kinds(CHART[(S.TST1, RegValue.ME, None)], 0) == ["sTas", "fTas1"]
+    assert _kinds(CHART[(S.TST0, None, None)], 0) == ["rstOp"]
+    assert CHART[(S.ME, RegValue.ME, None)].events == ((), ())
+    assert all(e.pid == pid for m in CHART.values() for pid in (0, 1) for e in m.events[pid])
 
 
 def test_returns_and_finishes():
     assert returns_value(S.TST0) == 0
     assert returns_value(S.TST1) == 1
     assert returns_value(S.ME) is None
-    assert finishes_op(S.ME, S.TST0)
-    assert finishes_op(S.HE, S.TST1)
-    assert finishes_op(S.TST1, S.TST1)  # one-access losing tas
-    assert not finishes_op(S.TST1, S.FREE)
-    assert finishes_op(S.TST0, S.RST)  # reset completes in one access
+    assert CHART[(S.ME, RegValue.RST, None)].finishes
+    assert CHART[(S.HE, RegValue.ME, None)].finishes
+    assert CHART[(S.TST1, RegValue.ME, None)].finishes  # one-access losing tas
+    assert not CHART[(S.TST1, RegValue.RST, None)].finishes
+    assert CHART[(S.TST0, None, None)].finishes  # reset completes in one access
 
 
 @given(st.sampled_from(list(ProcState)), st.sampled_from(list(RegValue)),
        st.booleans())
 def test_step_total_on_reads(s, observed, coin):
-    """Every read state accepts every observable value."""
+    """Every read state accepts every observable value, and the chart
+    labels the transition as the figure does."""
     if enabled_access(s)[0] != "r":
         return
     c = coin if needs_coin(s, observed) else None
     post = step(s, observed, c)
     assert isinstance(post, ProcState)
-    # classify accepts every legal transition
-    classify(s, post, 0)
+    m = CHART[(s, observed, c)]
+    assert (m.post, _kinds(m, 0)) == (post, list(_LABELLED.get((s, post), ())))
 
 
 def test_chart_table_matches_step():
     """CHART has an entry exactly where `step` is defined, and each entry
-    is what step, classify and finishes_op say of that access."""
+    is what step and the figure's labels say of that access."""
     entries = 0
     for s in ProcState:
         kind = enabled_access(s)
@@ -140,8 +157,9 @@ def test_chart_table_matches_step():
                 assert m.action == kind[0]
                 assert m.value is (kind[1] if kind[0] == "w" else observed)
                 assert (m.post, m.pre_name, m.post_name) == (post, s.value, post.value)
-                assert m.events == (classify(s, post, 0), classify(s, post, 1))
-                assert m.finishes == finishes_op(s, post)
+                kinds = _LABELLED.get((s, post), ())
+                assert (tuple(_kinds(m, 0)), tuple(_kinds(m, 1))) == (kinds, kinds)
+                assert m.finishes == bool({"fTas0", "fTas1", "rstOp"} & set(kinds))
     assert len(CHART) == entries == 24
 
 
@@ -155,8 +173,8 @@ def test_branches():
 
 
 def test_compile_chart_illegal_transition():
-    """A step function leaving the legal chart gets entries without
-    B-events that finish no operation."""
+    """A step function leaving the legal chart gets the events the idle
+    states imply: tst1 -> tst0 starts a tas and finishes it with 0."""
     def mutated(s, observed=None, coin=None):
         return S.TST0 if s is S.TST1 else step(s, observed, coin)
 
@@ -164,5 +182,22 @@ def test_compile_chart_illegal_transition():
     assert chart[(S.TST1, RegValue.RST, None)].post is S.TST0
     for v in RegValue:
         m = chart[(S.TST1, v, None)]
-        assert (m.events, m.finishes) == (((), ()), False)
+        assert [_kinds(m, 0), _kinds(m, 1)] == [["sTas", "fTas0"]] * 2
+        assert m.finishes
     assert chart[(S.HE, RegValue.ME, None)] == CHART[(S.HE, RegValue.ME, None)]
+
+
+@pytest.mark.parametrize("state, post, message", [
+    (S.HE, S.RST, "he -> rst: a test-and-set cannot finish in rst"),
+    (S.RST, S.RST, "rst -> rst: a test-and-set cannot finish in rst"),
+    (S.TST1, S.RST, "tst1 -> rst: a test-and-set cannot finish in rst"),
+    (S.TST0, S.ME, "tst0 -> me: a reset takes one access"),
+])
+def test_compile_chart_refuses_unlabelled_transitions(state, post, message):
+    """A tas that enters rst returns no value, and a reset that enters a
+    non-idle state would take more than one access: neither compiles."""
+    def mutated(s, observed=None, coin=None):
+        return post if s is state else step(s, observed, coin)
+
+    with pytest.raises(ProtocolError, match=f"^{message}"):
+        compile_chart(mutated)
