@@ -55,14 +55,25 @@ class Model:
 
 def model(step_fn: StepFn = protocol.step) -> Model:
     """The model of `step_fn`, compiled from `protocol.compile_chart`
-    on first use and shared by every caller, who must not modify it."""
-    return _model(step_fn)
+    on first use and shared by every caller, who must not modify it.
+    The chart's model is kept for the life of the process, and only the
+    few most recently used models of other step functions (mutants)."""
+    if step_fn is protocol.step:
+        return _model()
+    return _mutant_model(step_fn)
 
 
-# Cached on the step function alone, so that `model()` and
-# `model(protocol.step)` share one entry.
 @functools.cache
-def _model(step_fn: StepFn) -> Model:
+def _model() -> Model:
+    return _compile_model(protocol.step)
+
+
+@functools.lru_cache(maxsize=4)
+def _mutant_model(step_fn: StepFn) -> Model:
+    return _compile_model(step_fn)
+
+
+def _compile_model(step_fn: StepFn) -> Model:
     chart = protocol.compile_chart(step_fn)
 
     def successors(config: Config, pid: int):

@@ -10,23 +10,47 @@ CHOOSE entries per operation.
 
 Every branch has probability 1 or 1/2, so twice each policy equation,
 2·v = 2·r + 2P·v, has integer coefficients, and the solver works in
-Python ints throughout.  A fixed policy is evaluated by one fraction-free
-sparse elimination, each updated row divided by its gcd, which returns
-the values as numerators over one common denominator; a zero pivot means
-the policy is improper (some configuration never reaches absorption).
-Policy iteration starts from the proper policy "always schedule the
-tracked process": a configuration switches to the other process only
-when that strictly raises its value, until no configuration switches.
-The result is then certified independently: the policy is re-extracted
-greedily from the exact values (ties broken toward scheduling the
-tracked process), the values must be exactly the fixed point of the
-optimal Bellman operator, and the policy must be proper.  A proper
-policy's affine operator has a unique fixed point, so the values are
-exactly the optimal values.  Fractions are built once, for the result.
+Python ints throughout.
+
+The solver works one strongly connected component at a time
+(topological value iteration, Dai & Goldsmith 2007, run as exact policy
+iteration).  The graph has an edge for every non-absorbing branch of
+either pid's action, and Tarjan's algorithm lists its components sinks
+first, so every such branch leads into its own component or an earlier
+one.  A component's rows are solved with the values of the earlier
+components held fixed on the right-hand side, by one fraction-free
+sparse elimination, each updated row divided by its gcd; its values,
+numerators over one denominator, join the common denominator of the
+values found so far through lcm.  A zero pivot means the policy is
+improper (some configuration never reaches absorption).
+
+Policy iteration runs inside each component, from the policy "always
+schedule the tracked process": a configuration switches to the other
+process only when that strictly raises its value, until no
+configuration of the component switches.  The start is proper, since a
+solo tracked process always finishes its operation, so it leaves the
+component or absorbs; and a strict improvement keeps a proper policy
+proper: in a closed set that never absorbs, the tracked process takes
+no step (it would finish with probability 1), so no reward is paid
+there and no switch into it strictly gains.
+
+The result is then certified independently, on the whole model: the
+policy is re-extracted greedily from the exact values (ties broken
+toward scheduling the tracked process), the values must be exactly the
+fixed point of the optimal Bellman operator, and the policy must be
+proper.  A proper policy's affine operator has a unique fixed point, so
+the values are exactly the optimal values.  Fractions are built once,
+for the result.
+
+Each objective is solved once per process and tracked pid: `solve`,
+`loop_probabilities` and `expected_choose_visits` return one shared
+`SolveResult` per tracked pid, which callers must not modify (as with
+`model()`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -57,7 +81,10 @@ class SolveResult:
 
     values: dict[Config, Fraction]
     policy: dict[Config, int]
-    iterations: int  # exact policy evaluations
+    # Exact policy evaluations of the component that needed the most
+    # (policy iteration runs one component at a time); 1 for
+    # `evaluate_policy`.
+    iterations: int
 
     @property
     def max_value(self) -> Fraction:
@@ -92,33 +119,91 @@ def _q2(action: Action, nums: list[int], den: int) -> int:
     return reward * den + sum(w * nums[d] for d, w in succ)
 
 
-def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> tuple[list[int], int]:
-    """Values of a fixed policy, as numerators over one positive common
-    denominator: 2·v - 2P·v = 2·r by fraction-free sparse elimination
-    over ints, one unknown per configuration id."""
+def _components(m: Model, acts: list[Action]) -> list[list[int]]:
+    """Strongly connected components of the graph of every non-absorbing
+    branch of either pid's action, sinks first: each such branch leads
+    into its own component or an earlier one.  Tarjan's algorithm, run
+    without recursion from the ids in increasing order, so the order
+    depends on no hash; each component's ids are sorted."""
     n = len(m)
-    # rows[i] holds the nonzero coefficients of 2(I - P) in row i, and
-    # cols[j] the rows that have (or had) a nonzero in column j.
+    succ = [[d for pid in (0, 1) for d, _ in acts[2 * i + pid][1]] for i in range(n)]
+    order = [-1] * n  # discovery index, -1 until visited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    seen = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]  # (id, next successor to look at)
+        while work:
+            v, k = work[-1]
+            if k < len(succ[v]):
+                work[-1] = (v, k + 1)
+                w = succ[v][k]
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == order[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+    return comps
+
+
+# The equation of one configuration of a component under one action:
+# twice the action's reward plus its branches into earlier components,
+# times the common denominator of their values, and its branches inside
+# the component as (index in the component, twice the probability).
+Equation = tuple[int, list[tuple[int, int]]]
+
+
+def _evaluate(m: Model, comp: list[int], eqs: list[Equation]) -> tuple[list[int], int]:
+    """The values of the configurations `comp`, one equation each in
+    `eqs`, times the denominator the equations were scaled by: 2·u -
+    2P·u = rhs by fraction-free sparse elimination over ints, returned
+    as numerators over one positive denominator."""
+    n = len(comp)
+    # rows[j] holds the nonzero coefficients of 2(I - P) in row j, and
+    # cols[x] the rows that have (or had) a nonzero in column x.
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     cols: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        reward, succ, _ = acts[2 * i + policy[i]]
-        row = {i: 2}
-        for d, w in succ:
-            row[d] = row.get(d, 0) - w
-        row = {j: a for j, a in row.items() if a}
-        for j in row:
-            cols[j].add(i)
+    for j, (outer, inner) in enumerate(eqs):
+        row = {j: 2}
+        for x, w in inner:
+            row[x] = row.get(x, 0) - w
+        row = {x: a for x, a in row.items() if a}
+        for x in row:
+            cols[x].add(j)
         rows.append(row)
-        rhs.append(reward)
+        rhs.append(outer)
     for k in range(n):
         row = rows[k]
         pivot = row.get(k)
         if pivot is None:
             # I - P is singular: the policy never leaves some closed set
             # of configurations.
-            raise NonConvergence(f"policy is improper at {_cfg_name(m.configs[k])}")
+            raise NonConvergence(f"policy is improper at {_cfg_name(m.configs[comp[k]])}")
         for d in cols[k]:
             other = rows[d]
             if d <= k or k not in other:
@@ -159,6 +244,66 @@ def _evaluate(m: Model, acts: list[Action], policy: list[int]) -> tuple[list[int
                 nums[x] *= p
         nums[k] = t // g
     return nums, den
+
+
+def _component_values(
+    m: Model, acts: list[Action], policy: list[int], improve: bool
+) -> tuple[list[int], int, int]:
+    """Values of `policy` as numerators over one positive common
+    denominator, solved component by component, sinks first, and the
+    most exact evaluations any one component needed.
+
+    With `improve`, each component runs policy iteration from the
+    entries of `policy`, which it updates in place: a configuration
+    switches pid only when that strictly raises its value."""
+    nums = [0] * len(m)
+    den = 1
+    most = 0
+    for comp in _components(m, acts):
+        local = {i: j for j, i in enumerate(comp)}
+        # eqs[2 * j + pid]: scheduling pid in comp[j].
+        eqs: list[Equation] = []
+        for i in comp:
+            for pid in (0, 1):
+                reward, succ, _ = acts[2 * i + pid]
+                outer = reward * den
+                inner = []
+                for d, w in succ:
+                    j = local.get(d)
+                    if j is None:
+                        outer += w * nums[d]
+                    else:
+                        inner.append((j, w))
+                eqs.append((outer, inner))
+        evaluations = 0
+        while True:
+            t, p = _evaluate(m, comp, [eqs[2 * j + policy[i]] for j, i in enumerate(comp)])
+            evaluations += 1
+            if not improve:
+                break
+            # Twice an action's value, times p * den, against 2 * t[j].
+            stable = True
+            for j, i in enumerate(comp):
+                outer, inner = eqs[2 * j + 1 - policy[i]]
+                if p * outer + sum(w * t[x] for x, w in inner) > 2 * t[j]:
+                    policy[i] = 1 - policy[i]
+                    stable = False
+            if stable:
+                break
+        most = max(most, evaluations)
+        # The value of comp[j] is t[j] / (p * den); join the common
+        # denominator.
+        g = gcd(p * den, *t)
+        cden = p * den // g
+        joint = lcm(den, cden)
+        if joint != den:
+            f = joint // den
+            nums = [x * f for x in nums]
+            den = joint
+        f = joint // cden
+        for j, i in enumerate(comp):
+            nums[i] = t[j] // g * f
+    return nums, den, most
 
 
 def _result(
@@ -210,38 +355,35 @@ def evaluate_policy(
     tracked: int = 0,
 ) -> SolveResult:
     """Certified exact value of a *fixed* scheduling policy: the
-    properness check, then one exact evaluation."""
+    properness check, then one exact evaluation per component.
+
+    Raises ValueError, naming the configuration, when `policy` has no
+    entry for a reachable configuration or an entry other than 0 or 1."""
     m = model()
     acts = _actions(m, branch_fn_for(tracked))
-    ids = [policy[c] for c in m.configs]
+    ids: list[int] = []
+    for c in m.configs:
+        pid = policy.get(c)
+        if pid is None:
+            raise ValueError(f"policy has no entry for {_cfg_name(c)}")
+        if not (isinstance(pid, int) and pid in (0, 1)):
+            raise ValueError(f"policy schedules {pid!r} at {_cfg_name(c)}, not 0 or 1")
+        ids.append(pid)
     _policy_properness(m, acts, ids)
-    nums, den = _evaluate(m, acts, ids)
+    nums, den, _ = _component_values(m, acts, ids, improve=False)
     return _result(m, nums, den, ids, 1)
 
 
+# Three objectives, each with tracked 0 or 1: at most six entries.
+@functools.cache
 def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
-    """Exact policy iteration from the all-tracked policy, which is
-    proper (a solo process always finishes its operation), then the
-    certificate.
-
-    Improving a proper policy keeps it proper: in a closed set that
-    never absorbs, the tracked process takes no step (it would finish
-    with probability 1), so no reward is paid there and no switch into
-    it strictly gains."""
+    """Exact policy iteration, one component at a time from the
+    all-tracked policy, then the certificate on the whole model."""
     m = model()
     acts = _actions(m, branch_fn_for(tracked))
     policy = [tracked] * len(m)
-    rounds = 0
-    while True:
-        nums, den = _evaluate(m, acts, policy)
-        rounds += 1
-        stable = True
-        for i, pid in enumerate(policy):
-            if _q2(acts[2 * i + 1 - pid], nums, den) > 2 * nums[i]:
-                policy[i] = 1 - pid
-                stable = False
-        if stable:
-            return _certify(m, acts, nums, den, rounds, tracked)
+    nums, den, most = _component_values(m, acts, policy, improve=True)
+    return _certify(m, acts, nums, den, most, tracked)
 
 
 def _access_cost(tracked: int) -> BranchFn:

@@ -228,6 +228,7 @@ def test_single_entry_mutant_census():
     labelled by the rule, or is refused with a ProtocolError naming the
     mutated transition; each one that compiles gets a model and its
     history families, and some of those reach the empty FA4 set."""
+    chart_model = model()
     compiled = empty = 0
     refused = {"tas": 0, "reset": 0}
     for key, post, step_fn in _entry_mutants():
@@ -250,6 +251,10 @@ def test_single_entry_mutant_census():
         fam = checker.forward_families(model(step_fn))
         empty += any(frozenset() in sets for sets in fam.values())
     assert (compiled, refused, empty) == (209, {"tas": 23, "reset": 8}, 68)
+    # The chart's model outlives the census; only a few mutant models stay.
+    assert model() is chart_model and model() is model()
+    assert checker._model.cache_info().currsize == 1
+    assert checker._mutant_model.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("step_fn", [

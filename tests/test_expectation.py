@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,7 +87,55 @@ def test_untracked_only_policy_is_improper():
     # The elimination alone also reports it, as a zero pivot.
     acts = expectation._actions(m, expectation._access_cost(0))
     with pytest.raises(expectation.NonConvergence):
-        expectation._evaluate(m, acts, [1] * len(m))
+        expectation._component_values(m, acts, [1] * len(m), improve=False)
+
+
+def test_evaluate_policy_rejects_entries_other_than_a_pid(solve0):
+    m = checker.model()
+    c = m.configs[5]
+    bad = dict(solve0.policy)
+    bad[c] = 2
+    with pytest.raises(ValueError, match=rf"schedules 2 at {re.escape(checker._cfg_name(c))}"):
+        expectation.evaluate_policy(bad, expectation._access_cost, 0)
+
+
+def test_evaluate_policy_rejects_missing_configuration(solve0):
+    c = checker.model().configs[7]
+    partial = {k: pid for k, pid in solve0.policy.items() if k != c}
+    with pytest.raises(ValueError, match=rf"no entry for {re.escape(checker._cfg_name(c))}"):
+        expectation.evaluate_policy(partial, expectation._access_cost, 0)
+
+
+def test_solve_results_are_shared():
+    assert expectation.solve(0) is expectation.solve(0)
+    assert expectation.loop_probabilities(1) is expectation.loop_probabilities(1)
+    assert expectation.solve(0) is not expectation.solve(1)
+
+
+def assert_sinks_first(comps, acts):
+    """Every non-absorbing branch of either pid leads into its own
+    component or an earlier one, and the components partition the ids."""
+    where = {i: k for k, comp in enumerate(comps) for i in comp}
+    assert sorted(where) == list(range(len(acts) // 2))
+    assert sum(map(len, comps)) == len(where)
+    for i, k in where.items():
+        for pid in (0, 1):
+            for d, _ in acts[2 * i + pid][1]:
+                assert where[d] <= k
+
+
+@pytest.mark.parametrize("branch_fn_for, count, largest", [
+    (expectation._access_cost, 52, 33),
+    (expectation._choose_entry_reward, 82, 3),
+    (expectation._choose_visit_cost, 52, 33),
+])
+def test_components_listed_sinks_first(branch_fn_for, count, largest):
+    m = checker.model()
+    for tracked in (0, 1):
+        acts = expectation._actions(m, branch_fn_for(tracked))
+        comps = expectation._components(m, acts)
+        assert_sinks_first(comps, acts)
+        assert (len(comps), max(map(len, comps))) == (count, largest)
 
 
 def test_exact_value_beyond_2_pow_20():
@@ -109,7 +158,11 @@ def test_exact_value_beyond_2_pow_20():
     def branch_fn(pid, mv):
         return (1 if mv is pay else 0, mv.finishes)
 
-    nums, den = expectation._evaluate(m, expectation._actions(m, branch_fn), [0] * 22)
+    acts = expectation._actions(m, branch_fn)
+    comps = expectation._components(m, acts)
+    assert_sinks_first(comps, acts)
+    assert comps == [[i] for i in reversed(range(22))]
+    nums, den, _ = expectation._component_values(m, acts, [0] * 22, improve=False)
     assert Fraction(nums[0], den) == Fraction(1, 2**21)
     assert Fraction(nums[21], den) == 1
 
@@ -233,11 +286,24 @@ def exact_only(branch_fn_for, tracked):
             return ref_certify(m, acts, values, rounds, tracked)
 
 
+# The most exact evaluations one component needs, per solver; the
+# oracle's whole-model policy iteration takes 8, 9 and 9 rounds.
+COMPONENT_EVALUATIONS = {
+    expectation.solve: 7,
+    expectation.loop_probabilities: 3,
+    expectation.expected_choose_visits: 7,
+}
+
+
 @pytest.mark.parametrize("tracked", [0, 1])
 @pytest.mark.parametrize("solver, branch_fn_for", SOLVERS)
 def test_solver_matches_exact_only_oracle(solver, branch_fn_for, tracked):
-    # Values, policy and the number of exact policy evaluations.
-    assert solver(tracked) == exact_only(branch_fn_for, tracked)
+    # Values and policy, and the number of exact evaluations.
+    r = solver(tracked)
+    oracle = exact_only(branch_fn_for, tracked)
+    assert r.values == oracle.values
+    assert r.policy == oracle.policy
+    assert r.iterations == COMPONENT_EVALUATIONS[solver]
 
 
 @st.composite
@@ -272,10 +338,10 @@ def test_integer_evaluation_matches_fraction_reference(case):
         expectation._policy_properness(m, acts, policy)
     except expectation.NonConvergence:
         with pytest.raises(expectation.NonConvergence):
-            expectation._evaluate(m, acts, policy)
+            expectation._component_values(m, acts, policy, improve=False)
         with pytest.raises(expectation.NonConvergence):
             ref_evaluate(m, ref_acts, policy)
         return
-    nums, den = expectation._evaluate(m, acts, policy)
+    nums, den, _ = expectation._component_values(m, acts, policy, improve=False)
     assert den > 0
     assert [Fraction(x, den) for x in nums] == ref_evaluate(m, ref_acts, policy)
