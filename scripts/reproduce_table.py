@@ -2,14 +2,18 @@
 """Recompute the verification table from scratch and print it in the
 golden format: per reachable configuration the sorted representative-set
 letters and the worst-case expected number of remaining accesses of the
-row process; '*' marks unreachable configurations.
+row process; '*' marks unreachable configurations.  The table is the one
+`wftas check --json` computes; `--diff` adds the problems its phases
+report and the expected values that differ from the shipped table.
 """
 
 import argparse
+import contextlib
+import io
+import json
 
-from wftas import checker, expectation
+from wftas import cli
 from wftas.goldens import STATE_ORDER, load_golden_table
-from wftas.protocol import ProcState
 
 
 def main() -> int:
@@ -20,28 +24,29 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    table = load_golden_table()
-    report = checker.verify_against_table(table)
-    rep = report.rep_sets
-    result = expectation.solve(0)
-    values = result.values
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["check", "--json"])
+    lines = out.getvalue().splitlines()
+    start = lines.index("{")
+    cells = json.loads("\n".join(lines[start:]))["cells"]
 
     width = 8
     print("".ljust(width) + "".join(s.ljust(width) for s in STATE_ORDER))
     for r in STATE_ORDER:
         row = [r.ljust(width)]
         for c in STATE_ORDER:
-            cfg = (ProcState(r), ProcState(c))
-            if cfg in rep:
-                cell = f"{report.labels.letters_for(rep[cfg])}{values[cfg]}"
-            else:
-                cell = "*"
-            row.append(cell.ljust(width))
+            cell = cells.get(f"{r},{c}")
+            text = "*" if cell is None else f"{cell['letters'] or '?'}{cell['expected_accesses']}"
+            row.append(text.ljust(width))
         print("".join(row).rstrip())
 
     if args.diff:
-        problems = list(report.mismatches)
-        problems += expectation.verify_values(result, table)
+        problems = [line[4:] for line in lines[:start] if line.startswith("  - ")]
+        for (r, c), gold in load_golden_table().reachable_cells().items():
+            got = cells.get(f"{r},{c}", {}).get("expected_accesses")
+            if got is not None and got != str(gold.expected):
+                problems.append(f"cell {(r, c)}: computed {got} != table {gold.expected}")
         if problems:
             print(f"\n{len(problems)} differences:")
             for p in problems:

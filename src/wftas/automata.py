@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .core import Event
+from .search import explore, path
 
 
 class Owner(Enum):
@@ -123,28 +124,19 @@ class Fa3:
 
     def __init__(self) -> None:
         init = FA3_INITIAL
-        states: list[Fa3State] = []
-        seen = {init}
-        frontier = [init]
         moves: dict[tuple[Fa3State, Event], Fa3State] = {}
-        while frontier:
-            s = frontier.pop()
-            states.append(s)
-            for e in ALL_EVENTS:
-                t = fa3_enabled(s, e)
-                if t is None:
-                    continue
-                moves[(s, e)] = t
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
+
+        def enabled(s: Fa3State) -> list[tuple[Event, Fa3State]]:
+            out = [(e, t) for e in ALL_EVENTS if (t := fa3_enabled(s, e)) is not None]
+            moves.update(((s, e), t) for e, t in out)
+            return out
+
         self.initial = init
-        self.states = frozenset(states)
+        self.states = frozenset(explore([init], enabled))
         self.moves = moves
-        self._eps_succ: dict[Fa3State, tuple[Fa3State, ...]] = {
-            s: tuple(
-                moves[(s, e)] for e in EPS_EVENTS if (s, e) in moves
-            )
+        # Epsilon-moves in EPS_EVENTS order, as (event, state).
+        self._eps_succ: dict[Fa3State, tuple[tuple[Event, Fa3State], ...]] = {
+            s: tuple((e, moves[(s, e)]) for e in EPS_EVENTS if (s, e) in moves)
             for s in self.states
         }
         self._eps_only = frozenset(
@@ -161,8 +153,7 @@ class Fa3:
         self.initial_id = ids[init]
         # Epsilon-successors in EPS_EVENTS order, as (event, state id).
         self.eps_moves = tuple(
-            tuple((e, ids[moves[(s, e)]]) for e in EPS_EVENTS if (s, e) in moves)
-            for s in self.by_id
+            tuple((e, ids[t]) for e, t in self._eps_succ[s]) for s in self.by_id
         )
         # The B-move of each state under each B_EVENTS column.
         self.b_moves = tuple(
@@ -173,20 +164,16 @@ class Fa3:
         # non-empty canonical sets reachable from fa4_initial(), numbered
         # in breadth-first order (0 is the initial set); -1 is the empty
         # set, which rejects.
-        sets = [self.fa4_initial()]
-        set_ids = {sets[0]: 0}
-        dfa: list[tuple[int, ...]] = []
-        while len(dfa) < len(sets):
-            row = []
-            for e in B_EVENTS:
-                after = self.fa4_step(sets[len(dfa)], e)
-                if after and after not in set_ids:
-                    set_ids[after] = len(sets)
-                    sets.append(after)
-                row.append(set_ids[after] if after else -1)
-            dfa.append(tuple(row))
-        self.fa4_sets = tuple(sets)
-        self.fa4_dfa = tuple(dfa)
+        after: dict[frozenset[Fa3State], list[frozenset[Fa3State]]] = {}
+
+        def step(S: frozenset[Fa3State]) -> list[tuple[Event, frozenset[Fa3State]]]:
+            after[S] = [self.fa4_step(S, e) for e in B_EVENTS]
+            return [(e, T) for e, T in zip(B_EVENTS, after[S]) if T]
+
+        sets = tuple(explore([self.fa4_initial()], step))
+        set_ids = {S: q for q, S in enumerate(sets)}
+        self.fa4_sets = sets
+        self.fa4_dfa = tuple(tuple(set_ids.get(T, -1) for T in after[S]) for S in sets)
         # Witness back-pointers.  fa4_pred[q][col] maps each state id y
         # in the epsilon-closure of the col-image of C = closure(
         # fa4_sets[q]) to (x, eps): x in C has a col-move, and eps is the
@@ -201,12 +188,11 @@ class Fa3:
                 back: dict[int, tuple[int, tuple[Event, ...]]] = {}
                 for x in c:
                     z = self.b_moves[x][col]
-                    frontier = [(z, ())] if z >= 0 else []
-                    while frontier:
-                        y, path = frontier.pop(0)
-                        if y not in back or len(path) < len(back[y][1]):
-                            back[y] = (x, path)
-                        frontier += [(w, path + (e,)) for e, w in self.eps_moves[y]]
+                    tree = explore([z] if z >= 0 else [], self.eps_moves.__getitem__)
+                    for y in tree:
+                        eps = path(tree, y)
+                        if y not in back or len(eps) < len(back[y][1]):
+                            back[y] = (x, eps)
                 cells.append(back)
             pred.append(tuple(cells))
         self.fa4_pred = tuple(pred)
@@ -215,15 +201,7 @@ class Fa3:
     # -- FA4 machinery -------------------------------------------------
 
     def eps_closure(self, S: Iterable[Fa3State]) -> frozenset[Fa3State]:
-        out = set(S)
-        frontier = list(out)
-        while frontier:
-            s = frontier.pop()
-            for t in self._eps_succ[s]:
-                if t not in out:
-                    out.add(t)
-                    frontier.append(t)
-        return frozenset(out)
+        return frozenset(explore(S, self._eps_succ.__getitem__))
 
     def eps_only_states(self) -> frozenset[Fa3State]:
         return self._eps_only

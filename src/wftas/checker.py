@@ -24,6 +24,7 @@ from .automata import (
 )
 from .goldens import GoldenTable, STATE_ORDER, load_golden_table
 from .protocol import GROUP, IDLE_OP, Move, ProcState
+from .search import explore
 
 Config = tuple[ProcState, ProcState]
 
@@ -38,12 +39,12 @@ Branch = tuple[int, Optional[bool], Move]
 @dataclass(frozen=True, eq=False)
 class Model:
     """The reachable configuration graph of one step function on ids:
-    `configs[i]` is configuration i ((rst, rst) is 0), `index` maps back,
-    and `branches[2 * i + pid]` are the outcomes of scheduling pid in it,
-    each of probability 1 / their number (a coin read has two, heads
-    first; the access's B-events are `move.events[pid]`).  Idle
-    processes are deemed invoked: RST/TST1 start a test-and-set, TST0
-    its reset."""
+    `configs[i]` is configuration i, numbered breadth-first from
+    (rst, rst) = 0, `index` maps back, and `branches[2 * i + pid]` are
+    the outcomes of scheduling pid in it, each of probability 1 / their
+    number (a coin read has two, heads first; the access's B-events are
+    `move.events[pid]`).  Idle processes are deemed invoked: RST/TST1
+    start a test-and-set, TST0 its reset."""
 
     configs: tuple[Config, ...]
     index: dict[Config, int]
@@ -81,14 +82,10 @@ def _compile_model(step_fn: StepFn) -> Model:
         for coin, move in protocol.branches(chart, config[pid], GROUP[other]):
             yield ((move.post, other) if pid == 0 else (other, move.post)), coin, move
 
-    index: dict[Config, int] = {}
-    frontier = [INITIAL_CONFIG]
-    while frontier:
-        config = frontier.pop()
-        if config not in index:
-            index[config] = len(index)
-            for pid in (0, 1):
-                frontier.extend(dst for dst, _, _ in successors(config, pid))
+    reached = explore(
+        [INITIAL_CONFIG], lambda c: ((pid, d) for pid in (0, 1) for d, _, _ in successors(c, pid))
+    )
+    index = {c: i for i, c in enumerate(reached)}
     branches = tuple(
         tuple((index[dst], coin, move) for dst, coin, move in successors(c, pid))
         for c in index
@@ -136,44 +133,45 @@ def forward_families(m: Model) -> dict[Config, set[frozenset[Fa3State]]]:
     """
     fa3 = fa3_build()
     dfa = fa3.fa4_dfa
-    fam: dict[int, set[int]] = {0: {0}}
-    frontier = [(0, 0)]
-    while frontier:
-        c, q = frontier.pop()
+
+    def successors(state):
+        c, q = state
         for pid in (0, 1):
             for d, _, move in m.branches[2 * c + pid]:
                 r = q
                 for ev in move.events[pid]:
                     if r >= 0:
                         r = dfa[r][B_EVENT_ID[ev.kind, pid]]
-                if r not in fam.setdefault(d, set()):
-                    fam[d].add(r)
-                    frontier.append((d, r))
+                yield pid, (d, r)
+
+    fam: dict[int, set[int]] = {}
+    for c, q in explore([(0, 0)], successors):
+        fam.setdefault(c, set()).add(q)
     return {
         m.configs[c]: {fa3.fa4_sets[q] if q >= 0 else frozenset() for q in qs}
         for c, qs in fam.items()
     }
 
 
-def _outcomes(m: Model, c: int, pid: int, actors: tuple[int, ...]) -> set[int]:
-    """Return values of pid's pending operation from configuration id
-    `c` over every schedule of `actors` and every coin outcome, cut
-    short once both are found."""
-    seen = {c}
-    stack = [c]
-    out: set[int] = set()
-    while stack and out != {0, 1}:
-        c = stack.pop()
+def _outcomes(m: Model, pid: int, actors: tuple[int, ...]) -> list[set[int]]:
+    """Per configuration id, the return values of pid's pending
+    operation over every schedule of `actors` and every coin outcome:
+    per value, one backward search from the configurations where an
+    access of pid finishes with it, along every other branch."""
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(len(m))]
+    finish: tuple[list[int], list[int]] = ([], [])
+    for c in range(len(m)):
         for actor in actors:
             for d, _, move in m.branches[2 * c + actor]:
-                ret = None
-                if actor == pid and move.finishes:
-                    ret = protocol.returns_value(move.post)
-                if ret is not None:
-                    out.add(ret)
-                elif d not in seen:
-                    seen.add(d)
-                    stack.append(d)
+                ret = protocol.returns_value(move.post) if actor == pid and move.finishes else None
+                if ret is None:
+                    preds[d].append((actor, c))
+                else:
+                    finish[ret].append(c)
+    out: list[set[int]] = [set() for _ in range(len(m))]
+    for ret in (0, 1):
+        for c in explore(finish[ret], preds.__getitem__):
+            out[c].add(ret)
     return out
 
 
@@ -185,13 +183,13 @@ def op_outcomes(m: Model, c: int, pid: int) -> frozenset[int]:
     operation in progress eventually returns.  Meaningful only when pid
     is mid-operation (not in an idle chart state).
     """
-    return frozenset(_outcomes(m, c, pid, (0, 1)))
+    return frozenset(_outcomes(m, pid, (0, 1))[c])
 
 
 def solo_returns_one(m: Model, c: int, pid: int) -> bool:
     """Can pid's pending operation, from configuration id `c`, return 1
     with the peer never scheduled?"""
-    return 1 in _outcomes(m, c, pid, (pid,))
+    return 1 in _outcomes(m, pid, (pid,))[c]
 
 
 _IDLE_CLAIM = {
@@ -201,9 +199,11 @@ _IDLE_CLAIM = {
 }
 
 
-def _allowed_claims(m: Model, c: int, pid: int) -> frozenset[Fa2State]:
-    """The FA2 components of pid that are consistent with the futures of
-    configuration id `c`.
+def _allowed_claims(state: ProcState, out: set[int], solo: set[int]) -> frozenset[Fa2State]:
+    """The FA2 components of a process in chart state `state` that are
+    consistent with its futures: `out` holds the values its pending
+    operation can return, `solo` those it can return with the peer
+    never scheduled (see `_outcomes`).
 
     An idle process must be recorded idle with the matching last return
     value.  For a process mid-operation: the undecided component S
@@ -213,16 +213,15 @@ def _allowed_claims(m: Model, c: int, pid: int) -> frozenset[Fa2State]:
     peer is never scheduled again, since only then is the occurrence
     forced to predate the remaining future.
     """
-    idle = _IDLE_CLAIM.get(m.configs[c][pid])
+    idle = _IDLE_CLAIM.get(state)
     if idle is not None:
         return frozenset((idle,))
-    out = op_outcomes(m, c, pid)
     allowed = set()
     if out == {0, 1}:
         allowed.add(Fa2State.S)
     if 0 in out:
         allowed.add(Fa2State.T0)
-    if solo_returns_one(m, c, pid):
+    if 1 in solo:
         allowed.add(Fa2State.T1)
     return frozenset(allowed)
 
@@ -245,11 +244,14 @@ def representative_sets(
     """
     fa3 = fa3_build()
     m = model(step_fn)
+    futures = [(_outcomes(m, pid, (0, 1)), _outcomes(m, pid, (pid,))) for pid in (0, 1)]
     rep: dict[Config, frozenset[Fa3State]] = {}
     for c, sets in forward_families(m).items():
         meet = frozenset.intersection(*sets)
         i = m.index[c]
-        allowed0, allowed1 = _allowed_claims(m, i, 0), _allowed_claims(m, i, 1)
+        allowed0, allowed1 = (
+            _allowed_claims(c[pid], out[i], solo[i]) for pid, (out, solo) in enumerate(futures)
+        )
         rep[c] = fa3.canonical(x for x in meet if x.p0 in allowed0 and x.p1 in allowed1)
     return rep
 

@@ -15,14 +15,14 @@ Python ints throughout.
 The solver works one strongly connected component at a time
 (topological value iteration, Dai & Goldsmith 2007, run as exact policy
 iteration).  The graph has an edge for every non-absorbing branch of
-either pid's action, and Tarjan's algorithm lists its components sinks
-first, so every such branch leads into its own component or an earlier
-one.  A component's rows are solved with the values of the earlier
-components held fixed on the right-hand side, by one fraction-free
-sparse elimination, each updated row divided by its gcd; its values,
-numerators over one denominator, join the common denominator of the
-values found so far through lcm.  A zero pivot means the policy is
-improper (some configuration never reaches absorption).
+either pid's action, and `search.components` (Tarjan's algorithm) lists
+its components sinks first, so every such branch leads into its own
+component or an earlier one.  A component's rows are solved with the
+values of the earlier components held fixed on the right-hand side, by
+one fraction-free sparse elimination, each updated row divided by its
+gcd; its values, numerators over one denominator, join the common
+denominator of the values found so far through lcm.  A zero pivot means
+the policy is improper (some configuration never reaches absorption).
 
 Policy iteration runs inside each component, from the policy "always
 schedule the tracked process": a configuration switches to the other
@@ -58,6 +58,7 @@ from typing import Callable
 
 from .checker import Config, Model, _cfg_name, model
 from .protocol import Move, ProcState
+from .search import components, explore
 
 # perfbench's tracer times the model accessor under this name.
 edge_map = model
@@ -117,57 +118,6 @@ def _q2(action: Action, nums: list[int], den: int) -> int:
     values nums[i] / den."""
     reward, succ, _ = action
     return reward * den + sum(w * nums[d] for d, w in succ)
-
-
-def _components(m: Model, acts: list[Action]) -> list[list[int]]:
-    """Strongly connected components of the graph of every non-absorbing
-    branch of either pid's action, sinks first: each such branch leads
-    into its own component or an earlier one.  Tarjan's algorithm, run
-    without recursion from the ids in increasing order, so the order
-    depends on no hash; each component's ids are sorted."""
-    n = len(m)
-    succ = [[d for pid in (0, 1) for d, _ in acts[2 * i + pid][1]] for i in range(n)]
-    order = [-1] * n  # discovery index, -1 until visited
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    seen = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = seen
-        seen += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]  # (id, next successor to look at)
-        while work:
-            v, k = work[-1]
-            if k < len(succ[v]):
-                work[-1] = (v, k + 1)
-                w = succ[v][k]
-                if order[w] < 0:
-                    order[w] = low[w] = seen
-                    seen += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
 
 
 # The equation of one configuration of a component under one action:
@@ -259,7 +209,8 @@ def _component_values(
     nums = [0] * len(m)
     den = 1
     most = 0
-    for comp in _components(m, acts):
+    succ = [[d for pid in (0, 1) for d, _ in acts[2 * i + pid][1]] for i in range(len(m))]
+    for comp in components(succ):
         local = {i: j for j, i in enumerate(comp)}
         # eqs[2 * j + pid]: scheduling pid in comp[j].
         eqs: list[Equation] = []
@@ -337,16 +288,16 @@ def _certify(
 
 
 def _policy_properness(m: Model, acts: list[Action], policy: list[int]) -> None:
-    # Live: the scheduled access can absorb, or lead to a live configuration.
-    live = [acts[2 * i + pid][2] for i, pid in enumerate(policy)]
-    grew = True
-    while grew:
-        grew = False
-        for i, pid in enumerate(policy):
-            if not live[i] and any(live[d] for d, _ in acts[2 * i + pid][1]):
-                live[i] = grew = True
-    if not all(live):
-        raise NonConvergence(f"policy is improper from {_cfg_name(m.configs[live.index(False)])}")
+    # Live: the scheduled access can absorb, or lead to a live
+    # configuration; a backward search from those that absorb.
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(len(m))]
+    for i, pid in enumerate(policy):
+        for d, _ in acts[2 * i + pid][1]:
+            preds[d].append((pid, i))
+    live = explore((i for i, pid in enumerate(policy) if acts[2 * i + pid][2]), preds.__getitem__)
+    if len(live) < len(m):
+        dead = next(i for i in range(len(m)) if i not in live)
+        raise NonConvergence(f"policy is improper from {_cfg_name(m.configs[dead])}")
 
 
 def evaluate_policy(
@@ -437,28 +388,6 @@ def expected_choose_visits(tracked: int = 0) -> SolveResult:
     """Maximal expected number of CHOOSE entries before the tracked
     process finishes its current operation."""
     return _solve_mdp(_choose_visit_cost, tracked)
-
-
-def one_step_consistency(result: SolveResult) -> list[str]:
-    """The decrement argument, for `result` = solve(0): scheduling P0
-    never pays more than the current value predicts, with equality when
-    the optimal adversary schedules it."""
-    problems: list[str] = []
-    m = model()
-    acts = _actions(m, _access_cost(0))
-    values = [result.values[c] for c in m.configs]
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    for i, c in enumerate(m.configs):
-        q2 = _q2(acts[2 * i], nums, den)
-        q = Fraction(q2, 2 * den)
-        if q2 > 2 * nums[i]:
-            problems.append(f"{_cfg_name(c)}: tracked step pays {q} > value {values[i]}")
-        if result.policy[c] == 0 and q2 != 2 * nums[i]:
-            problems.append(
-                f"{_cfg_name(c)}: optimal tracked step pays {q} != value {values[i]}"
-            )
-    return problems
 
 
 def loop_probability_check() -> list[str]:

@@ -45,7 +45,6 @@ class Verdict:
     linearization: Optional[Linearization] = None
     # Number of accesses in the shortest rejected trace prefix.
     rejected_prefix: Optional[int] = None
-    witness: Optional[tuple] = None  # n-process witness order
 
 
 def project_b(trace: Trace) -> list[tuple[int, Event]]:
@@ -178,41 +177,38 @@ def _search_n_process(records: Sequence[OpRecord], n: int, budget: int) -> Verdi
                 return False
         return True
 
-    def dfs(placed: frozenset, owner: Optional[int], order: tuple) -> Optional[tuple]:
+    # Its own depth-first search, not `search.explore`: it stops at the
+    # first complete placement and counts its nodes against `budget`.
+    def dfs(placed: frozenset, owner: Optional[int]) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(f"exceeded {budget} search nodes")
         if all(i in placed for i in completed):
-            return order
+            return True
         if (placed, owner) in memo:
-            return None
+            return False
         for i, r in enumerate(ops):
             if i in placed or not eligible(i, placed):
                 continue
             if r.kind == "reset":
-                if owner == r.pid:
-                    res = dfs(placed | {i}, None, order + ((i, None),))
-                    if res is not None:
-                        return res
+                if owner == r.pid and dfs(placed | {i}, None):
+                    return True
                 continue
             rets = (r.ret,) if r.ret is not None else (0, 1)
             for ret in rets:
                 if ret == 0 and owner is None:
-                    res = dfs(placed | {i}, r.pid, order + ((i, 0),))
+                    after = r.pid
                 elif ret == 1 and owner is not None and owner != r.pid:
-                    res = dfs(placed | {i}, owner, order + ((i, 1),))
+                    after = owner
                 else:
                     continue
-                if res is not None:
-                    return res
+                if dfs(placed | {i}, after):
+                    return True
         memo.add((placed, owner))
-        return None
+        return False
 
-    witness = dfs(frozenset(), None, ())
-    if witness is None:
-        return Verdict(ok=False)
-    return Verdict(ok=True, witness=witness)
+    return Verdict(ok=dfs(frozenset(), None))
 
 
 def lint(trace: Trace) -> Verdict:

@@ -2,7 +2,8 @@
 
 States fall into 4 groups named after the value the process's own register
 holds while in them.  Inter-group transitions are writes of the new group
-value; intra-group transitions are reads of the other register.  The single
+value; intra-group transitions are reads of the other register, and
+`compile_chart` refuses a read that changes group.  The single
 randomized branch is the read of CHOOSE performed from the CHOOSE state,
 which resolves a fair coin: true heads for ME (via TOME), false for HE
 (via TOHE).
@@ -63,15 +64,15 @@ GROUP: dict[ProcState, RegValue] = {
 # holds the 0 and its only next operation is the reset.
 IDLE_OP: dict[ProcState, str] = {S.RST: "tas", S.TST1: "tas", S.TST0: "reset"}
 
-# Write transitions: state -> (written value, successor).
-_WRITES: dict[ProcState, tuple[RegValue, ProcState]] = {
-    S.RST: (RegValue.ME, S.ME),
-    S.TST0: (RegValue.RST, S.RST),
-    S.FREE: (RegValue.ME, S.ME),
-    S.NOTME: (RegValue.CHOOSE, S.CHOOSE),
-    S.NOTHE: (RegValue.CHOOSE, S.CHOOSE),
-    S.TOME: (RegValue.ME, S.ME),
-    S.TOHE: (RegValue.HE, S.HE),
+# Write transitions: state -> successor, whose group value is written.
+_WRITES: dict[ProcState, ProcState] = {
+    S.RST: S.ME,
+    S.TST0: S.RST,
+    S.FREE: S.ME,
+    S.NOTME: S.CHOOSE,
+    S.NOTHE: S.CHOOSE,
+    S.TOME: S.ME,
+    S.TOHE: S.HE,
 }
 
 class ProtocolError(Exception):
@@ -98,8 +99,7 @@ def enabled_access(s: ProcState):
     invoked.
     """
     if s in _WRITES:
-        value, _ = _WRITES[s]
-        return ("w", value)
+        return ("w", GROUP[_WRITES[s]])
     return ("r",)
 
 
@@ -118,7 +118,7 @@ def step(
             raise ProtocolError(f"{s.value}: write step takes no observation")
         if coin is not None:
             raise SpuriousCoin(f"{s.value}: write step takes no coin")
-        return _WRITES[s][1]
+        return _WRITES[s]
     if observed is None:
         raise MissingObservation(f"{s.value}: read step needs an observation")
     if needs_coin(s, observed):
@@ -202,23 +202,31 @@ def compile_chart(step_fn: Callable[..., ProcState] = step) -> Chart:
     entry carries the B-events `_event_kinds` derives and finishes its
     operation exactly when it enters an idle state, for `step` and any
     mutant `step_fn` alike; a transition `_event_kinds` refuses raises
-    ProtocolError."""
+    ProtocolError.  So does a read that enters another group: a register
+    cannot be read and written in one access.  A write records the group
+    value of the state it enters."""
     chart = {}
     for s in ProcState:
-        kind = enabled_access(s)
-        if kind[0] == "w":
-            keys = [(None, None, kind[1])]
+        if enabled_access(s)[0] == "w":
+            keys = [(None, None)]
         else:
             keys = [
-                (v, coin, v)
+                (v, coin)
                 for v in RegValue
                 for coin in ((False, True) if needs_coin(s, v) else (None,))
             ]
-        for observed, coin, value in keys:
+        for observed, coin in keys:
             post = step_fn(s, observed, coin)
             kinds = _event_kinds(s, post)
+            if observed is None:
+                action, value = "w", GROUP[post]
+            elif GROUP[post] is GROUP[s]:
+                action, value = "r", observed
+            else:
+                raise ProtocolError(
+                    f"{s.value} -> {post.value}: a read cannot leave group {GROUP[s].value}")
             chart[(s, observed, coin)] = Move(
-                kind[0],
+                action,
                 value,
                 post,
                 s.value,

@@ -160,6 +160,22 @@ def test_solo_returns_one():
     assert not checker.solo_returns_one(m, m.index[(S.ME, S.RST)], 0)
 
 
+def _forward_outcomes(m, c, pid, actors):
+    """The return values of pid's pending operation from configuration
+    id `c`, by a forward search over every schedule of `actors`."""
+    seen, stack, out = {c}, [c], set()
+    while stack:
+        c = stack.pop()
+        for actor in actors:
+            for d, _, move in m.branches[2 * c + actor]:
+                if actor == pid and move.finishes:
+                    out.add(protocol.returns_value(move.post))
+                elif d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+    return out
+
+
 def _mutant(state, value, post):
     """The protocol step with the read of `value` from `state` redirected
     to `post`."""
@@ -208,6 +224,13 @@ def _rule(pre, post):
     return start + {S.TST0: ("fTas0",), S.TST1: ("fTas1",)}.get(post, ())
 
 
+def _register_legal(key, post):
+    """Registers can run the access: a write (no observed value), or a
+    read that stays in its group, since it leaves the own register as
+    it is."""
+    return key[1] is None or GROUP[post] is GROUP[key[0]]
+
+
 def _entry_mutants():
     """Every single-entry mutant of the chart: each of its 24 entries
     redirected to each of the other 10 states."""
@@ -224,33 +247,36 @@ def _entry_mutants():
 
 
 def test_single_entry_mutant_census():
-    """Each single-entry mutant either compiles with every access
-    labelled by the rule, or is refused with a ProtocolError naming the
-    mutated transition; each one that compiles gets a model and its
-    history families, and some of those reach the empty FA4 set."""
+    """Each single-entry mutant either compiles, register-legal with
+    every access labelled by the rule, or is refused with a
+    ProtocolError naming the mutated transition; each one that compiles
+    gets a model and its history families, and some of those reach the
+    empty FA4 set."""
     chart_model = model()
     compiled = empty = 0
-    refused = {"tas": 0, "reset": 0}
+    refused = {"register": 0, "tas": 0, "reset": 0}
     for key, post, step_fn in _entry_mutants():
+        legal = _register_legal(key, post)
         expected = _rule(key[0], post)
         try:
             chart = protocol.compile_chart(step_fn)
         except ProtocolError as exc:
-            assert expected is None
+            assert not legal or expected is None
             assert str(exc).startswith(f"{key[0].value} -> {post.value}: ")
-            refused[IDLE_OP.get(key[0], "tas")] += 1
+            refused["register" if not legal else IDLE_OP.get(key[0], "tas")] += 1
             continue
-        assert expected is not None
-        for (s, _, _), move in chart.items():
+        assert legal and expected is not None
+        for (s, observed, _), move in chart.items():
             kinds = _rule(s, move.post)
             assert move.events == tuple(
                 tuple(protocol.SHARED_EVENTS[k, pid] for k in kinds) for pid in (0, 1)
             )
             assert move.finishes == (move.post in IDLE_OP)
+            assert move.value is (GROUP[move.post] if observed is None else observed)
         compiled += 1
         fam = checker.forward_families(model(step_fn))
         empty += any(frozenset() in sets for sets in fam.values())
-    assert (compiled, refused, empty) == (209, {"tas": 23, "reset": 8}, 68)
+    assert (compiled, refused, empty) == (98, {"register": 128, "tas": 6, "reset": 8}, 38)
     # The chart's model outlives the census; only a few mutant models stay.
     assert model() is chart_model and model() is model()
     assert checker._model.cache_info().currsize == 1
@@ -262,20 +288,38 @@ def test_single_entry_mutant_census():
     _mutant(S.CHOOSE, RegValue.RST, S.TOME),  # the benchmark's mutant
 ], ids=["chart", "choose-reads-rst-tome"])
 def test_claim_futures_computed_once_per_config_and_pid(monkeypatch, step_fn):
-    """One `representative_sets` call asks `op_outcomes` and
-    `solo_returns_one` about each (configuration, pid) at most once."""
-    calls = {"op_outcomes": [], "solo_returns_one": []}
-    for name, log in calls.items():
+    """One `representative_sets` call runs the outcome searches once per
+    pid and actor set, all pids or the pid alone: every configuration's
+    futures come from those four tables."""
+    log = []
+    orig = checker._outcomes
 
-        def counted(m, c, pid, orig=getattr(checker, name), log=log):
-            log.append((c, pid))
-            return orig(m, c, pid)
+    def counted(m, pid, actors):
+        log.append((pid, actors))
+        return orig(m, pid, actors)
 
-        monkeypatch.setattr(checker, name, counted)
-    rep = checker.representative_sets(step_fn)
-    for log in calls.values():
-        assert log and len(log) == len(set(log))
-    assert all(rep.values())
+    monkeypatch.setattr(checker, "_outcomes", counted)
+    for calls in (1, 2):
+        rep = checker.representative_sets(step_fn)
+        assert sorted(log) == sorted([(0, (0, 1)), (1, (0, 1)), (0, (0,)), (1, (1,))] * calls)
+        assert all(rep.values())
+
+
+@pytest.mark.parametrize("step_fn", [
+    protocol.step,
+    _mutant(S.CHOOSE, RegValue.RST, S.TOME),
+    _mutant(S.ME, RegValue.ME, S.TST0),
+], ids=["chart", "choose-reads-rst-tome", "me-reads-me-tst0"])
+def test_outcome_searches_match_forward_search(step_fn):
+    """The backward searches give every mid-operation process the values
+    a forward search from its configuration finds."""
+    m = model(step_fn)
+    for pid in (0, 1):
+        for actors in ((0, 1), (pid,)):
+            out = checker._outcomes(m, pid, actors)
+            for c, config in enumerate(m.configs):
+                if config[pid] not in IDLE_OP:
+                    assert out[c] == _forward_outcomes(m, c, pid, actors)
 
 
 def test_mutation_sensitivity():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wftas import checker, expectation
+from wftas import checker, expectation, search
 from wftas.checker import Model
 from wftas.core import RegValue
 from wftas.protocol import Move, ProcState as S
@@ -39,8 +40,30 @@ def test_process_swap_symmetry(solve0):
         assert other.values[(s1, s0)] == val
 
 
+def one_step_consistency(result):
+    """The decrement argument, for `result` = solve(0): scheduling P0
+    never pays more than the current value predicts, with equality when
+    the optimal adversary schedules it."""
+    problems = []
+    m = checker.model()
+    acts = expectation._actions(m, expectation._access_cost(0))
+    values = [result.values[c] for c in m.configs]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    for i, c in enumerate(m.configs):
+        q2 = expectation._q2(acts[2 * i], nums, den)
+        q = Fraction(q2, 2 * den)
+        if q2 > 2 * nums[i]:
+            problems.append(f"{checker._cfg_name(c)}: tracked step pays {q} > value {values[i]}")
+        if result.policy[c] == 0 and q2 != 2 * nums[i]:
+            problems.append(
+                f"{checker._cfg_name(c)}: optimal tracked step pays {q} != value {values[i]}"
+            )
+    return problems
+
+
 def test_one_step_consistency(solve0):
-    assert expectation.one_step_consistency(solve0) == []
+    assert one_step_consistency(solve0) == []
 
 
 def test_policy_schedules_valid_pid(solve0):
@@ -112,6 +135,13 @@ def test_solve_results_are_shared():
     assert expectation.solve(0) is not expectation.solve(1)
 
 
+def components(acts):
+    """`search.components` of the solver's graph: an edge for every
+    non-absorbing branch of either pid's action."""
+    n = len(acts) // 2
+    return search.components([[d for k in (2 * i, 2 * i + 1) for d, _ in acts[k][1]] for i in range(n)])
+
+
 def assert_sinks_first(comps, acts):
     """Every non-absorbing branch of either pid leads into its own
     component or an earlier one, and the components partition the ids."""
@@ -133,7 +163,7 @@ def test_components_listed_sinks_first(branch_fn_for, count, largest):
     m = checker.model()
     for tracked in (0, 1):
         acts = expectation._actions(m, branch_fn_for(tracked))
-        comps = expectation._components(m, acts)
+        comps = components(acts)
         assert_sinks_first(comps, acts)
         assert (len(comps), max(map(len, comps))) == (count, largest)
 
@@ -159,7 +189,7 @@ def test_exact_value_beyond_2_pow_20():
         return (1 if mv is pay else 0, mv.finishes)
 
     acts = expectation._actions(m, branch_fn)
-    comps = expectation._components(m, acts)
+    comps = components(acts)
     assert_sinks_first(comps, acts)
     assert comps == [[i] for i in reversed(range(22))]
     nums, den, _ = expectation._component_values(m, acts, [0] * 22, improve=False)

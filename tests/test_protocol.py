@@ -174,17 +174,36 @@ def test_branches():
 
 def test_compile_chart_illegal_transition():
     """A step function leaving the legal chart gets the events the idle
-    states imply: tst1 -> tst0 starts a tas and finishes it with 0."""
+    states imply: rst -> tst0 starts a tas and finishes it with 0, and
+    the write records the group value of tst0."""
     def mutated(s, observed=None, coin=None):
-        return S.TST0 if s is S.TST1 else step(s, observed, coin)
+        return S.TST0 if s is S.RST else step(s, observed, coin)
 
     chart = compile_chart(mutated)
-    assert chart[(S.TST1, RegValue.RST, None)].post is S.TST0
-    for v in RegValue:
-        m = chart[(S.TST1, v, None)]
-        assert [_kinds(m, 0), _kinds(m, 1)] == [["sTas", "fTas0"]] * 2
-        assert m.finishes
+    m = chart[(S.RST, None, None)]
+    assert (m.action, m.value, m.post) == ("w", RegValue.ME, S.TST0)
+    assert [_kinds(m, 0), _kinds(m, 1)] == [["sTas", "fTas0"]] * 2
+    assert m.finishes
     assert chart[(S.HE, RegValue.ME, None)] == CHART[(S.HE, RegValue.ME, None)]
+
+
+def test_compile_chart_follows_the_register_rule():
+    """A read cannot change the own register, so a read that enters
+    another group does not compile; a write records the group value of
+    the state it enters."""
+    def tst1_reads_into_tst0(s, observed=None, coin=None):
+        return S.TST0 if s is S.TST1 else step(s, observed, coin)
+
+    with pytest.raises(ProtocolError, match="^tst1 -> tst0: a read cannot leave group he$"):
+        compile_chart(tst1_reads_into_tst0)
+
+    def tohe_writes_into_choose(s, observed=None, coin=None):
+        return S.CHOOSE if s is S.TOHE else step(s, observed, coin)
+
+    m = compile_chart(tohe_writes_into_choose)[(S.TOHE, None, None)]
+    assert (m.action, m.value, m.post) == ("w", RegValue.CHOOSE, S.CHOOSE)
+    for key, move in CHART.items():
+        assert GROUP[move.post] is (move.value if key[1] is None else GROUP[key[0]])
 
 
 @pytest.mark.parametrize("state, post, message", [
