@@ -15,6 +15,7 @@ trace checker.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -224,14 +225,9 @@ class Fa3:
         return self.canonical({self.initial})
 
 
-_FA3_SINGLETON: Optional[Fa3] = None
-
-
+@functools.cache
 def fa3_build() -> Fa3:
-    global _FA3_SINGLETON
-    if _FA3_SINGLETON is None:
-        _FA3_SINGLETON = Fa3()
-    return _FA3_SINGLETON
+    return Fa3()
 
 
 # -- Display labels ----------------------------------------------------

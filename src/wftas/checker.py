@@ -302,6 +302,11 @@ def verify_against_table(
     for key in sorted(reach_keys - golden_reach):
         report.mismatches.append(f"cell {key}: reachable but '*' in table")
 
+    report.verified_unreachable = sum(
+        1 for key in table.unreachable_keys()
+        if (ProcState(key[0]), ProcState(key[1])) not in rep
+    )
+
     # Solve the letter bijection from the table plus the computed sets.
     cells = {
         (ProcState(r), ProcState(c)): cell.letters
@@ -329,10 +334,6 @@ def verify_against_table(
             )
         else:
             report.verified_cells += 1
-    report.verified_unreachable = sum(
-        1 for key in table.unreachable_keys()
-        if (ProcState(key[0]), ProcState(key[1])) not in rep
-    )
 
     # Semantic mirror symmetry of the computed sets.
     for c in sorted(rep, key=_cfg_key):

@@ -3,6 +3,11 @@
 Two processes, P0 and P1.  Process i owns register R_i: only P_i writes R_i
 and only P_{1-i} reads it.  Global time is the step index of the trace;
 every access happens at its own step.
+
+A trace is stored as JSON lines, one access per line.  `Access.to_json`
+and `Access.from_json` are the plain codec of one line; `Trace.dump_jsonl`
+and `Trace.load_jsonl` give the same lines and accesses, and are the fast
+paths, each with a memo of the tails that lives only for its call.
 """
 
 from __future__ import annotations
@@ -95,20 +100,7 @@ class Access:
 
     def to_json(self) -> str:
         """The canonical line: `json.dumps` of the fields in the order
-        t, pid, op_seq, op, action, reg, value, coin, pre, post, events.
-
-        The part after `op` is encoded once per distinct tail."""
-        t, pid, op_seq, op = self.t, self.pid, self.op_seq, self.op
-        reg, coin = self.reg, self.coin
-        # The types are part of the key: True == 1, but they encode apart.
-        key = (reg, self.action, self.value, coin, self.pre, self.post,
-               self.events, type(reg), type(coin))
-        try:
-            tail = _TAILS_OUT[key]
-        except (KeyError, TypeError):
-            tail = _encode_tail(self, key)
-        if type(t) is int and type(pid) is int and type(op_seq) is int and op in _OPS:
-            return f'{{"t": {t}, "pid": {pid}, "op_seq": {op_seq}, "op": "{op}", {tail}'
+        t, pid, op_seq, op, action, reg, value, coin, pre, post, events."""
         return json.dumps(self._fields())
 
     def _fields(self) -> dict:
@@ -128,26 +120,43 @@ class Access:
 
     @staticmethod
     def from_json(line: str) -> "Access":
-        """Parse one trace line, exactly as `json.loads` plus the checks
-        of `_decode_strict` would.
-
-        A line with the canonical head `{"t": N, "pid": P, "op_seq": N,
-        "op": "tas"|"reset", ` reuses the strict decoding of its tail, the
-        rest of the line, when an earlier line of the same pid had the
-        same tail.  Every other line is decoded strictly."""
-        m = _HEAD.match(line)
-        if m is None:
-            return _decode_strict(line)
-        t, pid, op_seq, op, tail = m.groups()
-        fields = _TAILS_IN.get((pid, tail))
-        if fields is not None:
-            return Access(int(t), *fields, int(op_seq), op)
-        a = _decode_strict(line)
-        # A tail that repeats a head key overrides the head: never store it.
-        if tuple(json.loads("{" + tail)) == _TAIL_KEYS:
-            if len(_TAILS_IN) >= _MEMO_MAX:
-                _TAILS_IN.clear()
-            _TAILS_IN[pid, tail] = (a.pid, a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
+        """`json.loads` the line and check every field; any failure is a
+        CorruptTrace."""
+        try:
+            obj = json.loads(line)
+            t, pid, op_seq, reg = obj["t"], obj["pid"], obj["op_seq"], obj["reg"]
+            coin, events = obj["coin"], obj["events"]
+            # type() rather than isinstance(): JSON true must not pass as 1.
+            if type(t) is not int or type(op_seq) is not int:
+                raise CorruptTrace(f"bad t/op_seq {t!r}/{op_seq!r}")
+            if type(pid) is not int or pid not in (0, 1):
+                raise CorruptTrace(f"bad pid {pid!r}")
+            if reg not in ("R0", "R1"):
+                raise CorruptTrace(f"bad reg {reg!r}")
+            if coin is not None and type(coin) is not bool:
+                raise CorruptTrace(f"bad coin {coin!r}")
+            if type(events) is not list or any(type(k) is not str for k in events):
+                raise CorruptTrace(f"bad events {events!r}")
+            a = Access(
+                t=t,
+                pid=pid,
+                reg=int(reg[1]),
+                action=obj["action"],
+                value=RegValue(obj["value"]),
+                coin=coin,
+                pre=obj["pre"],
+                post=obj["post"],
+                # Only B-events are keys: an epsilon event is a KeyError.
+                events=tuple(SHARED_EVENTS[k, pid] for k in events),
+                op_seq=op_seq,
+                op=obj["op"],
+            )
+        except (KeyError, ValueError, IndexError, TypeError, RecursionError) as exc:
+            raise CorruptTrace(f"bad trace line: {exc}") from exc
+        if a.action not in ("r", "w"):
+            raise CorruptTrace(f"bad action {a.action!r}")
+        if a.op not in _OPS:
+            raise CorruptTrace(f"bad op kind {a.op!r}")
         return a
 
 
@@ -162,70 +171,9 @@ _HEAD = re.compile(
     re.DOTALL,
 )
 
-# Encoded and decoded tails.  A simulated trace has at most 48 distinct
-# tails (24 chart entries x 2 pids); forged input may have any number, so
-# a full memo starts over.
-_MEMO_MAX = 4096
-_TAILS_OUT: dict[tuple, str] = {}
-_TAILS_IN: dict[tuple[str, str], tuple] = {}
-
-
-def _encode_tail(a: Access, key: tuple) -> str:
-    fields = a._fields()
-    tail = json.dumps({k: fields[k] for k in _TAIL_KEYS})[1:]
-    if len(_TAILS_OUT) >= _MEMO_MAX:
-        _TAILS_OUT.clear()
-    try:
-        _TAILS_OUT[key] = tail
-    except TypeError:  # an unhashable field, e.g. events as a list
-        pass
-    return tail
-
-
 # The return value of the operation that an access's last B-event
 # finishes: every chart access carries its finishing event last.
 _FINISH = {"fTas0": 0, "fTas1": 1, "rstOp": None}
-
-
-def _decode_strict(line: str) -> Access:
-    """`json.loads` the line and check every field; any failure is a
-    CorruptTrace."""
-    try:
-        obj = json.loads(line)
-        t, pid, op_seq, reg = obj["t"], obj["pid"], obj["op_seq"], obj["reg"]
-        coin, events = obj["coin"], obj["events"]
-        # type() rather than isinstance(): JSON true must not pass as 1.
-        if type(t) is not int or type(op_seq) is not int:
-            raise CorruptTrace(f"bad t/op_seq {t!r}/{op_seq!r}")
-        if type(pid) is not int or pid not in (0, 1):
-            raise CorruptTrace(f"bad pid {pid!r}")
-        if reg not in ("R0", "R1"):
-            raise CorruptTrace(f"bad reg {reg!r}")
-        if coin is not None and type(coin) is not bool:
-            raise CorruptTrace(f"bad coin {coin!r}")
-        if type(events) is not list or any(type(k) is not str for k in events):
-            raise CorruptTrace(f"bad events {events!r}")
-        a = Access(
-            t=t,
-            pid=pid,
-            reg=int(reg[1]),
-            action=obj["action"],
-            value=RegValue(obj["value"]),
-            coin=coin,
-            pre=obj["pre"],
-            post=obj["post"],
-            # Only B-events are keys: an epsilon event is a KeyError.
-            events=tuple(SHARED_EVENTS[k, pid] for k in events),
-            op_seq=op_seq,
-            op=obj["op"],
-        )
-    except (KeyError, ValueError, IndexError, TypeError, RecursionError) as exc:
-        raise CorruptTrace(f"bad trace line: {exc}") from exc
-    if a.action not in ("r", "w"):
-        raise CorruptTrace(f"bad action {a.action!r}")
-    if a.op not in _OPS:
-        raise CorruptTrace(f"bad op kind {a.op!r}")
-    return a
 
 
 @dataclass
@@ -321,29 +269,56 @@ class Trace:
         return done
 
     def dump_jsonl(self, fh) -> None:
+        """Write `to_json` of each access as one line.  The part of a
+        canonical line after `op`, its tail, is encoded once per distinct
+        tail in the trace (a simulated one has at most 48)."""
         write = fh.write
+        tails: dict[tuple, str] = {}
         for a in self.accesses:
-            write(a.to_json() + "\n")
+            t, pid, op_seq, op, reg, coin = a.t, a.pid, a.op_seq, a.op, a.reg, a.coin
+            # The types are part of the key: True == 1, but they encode apart.
+            key = (reg, a.action, a.value, coin, a.pre, a.post, a.events, type(reg), type(coin))
+            try:
+                tail = tails[key]
+            except KeyError:
+                fields = a._fields()
+                tail = tails[key] = json.dumps({k: fields[k] for k in _TAIL_KEYS})[1:]
+            except TypeError:  # an unhashable field, e.g. events as a list
+                tail = None
+            if (tail is not None and type(t) is int and type(pid) is int
+                    and type(op_seq) is int and op in _OPS):
+                write(f'{{"t": {t}, "pid": {pid}, "op_seq": {op_seq}, "op": "{op}", {tail}\n')
+            else:
+                write(a.to_json() + "\n")
 
     @staticmethod
     def load_jsonl(fh) -> "Trace":
         """The trace of the lines of `fh`, blank ones skipped: each line
         is read as `Access.from_json` reads it and added as `append`
-        adds it, so the first bad line raises CorruptTrace."""
+        adds it, so the first bad line raises CorruptTrace.
+
+        A line with the canonical head `{"t": N, "pid": P, "op_seq": N,
+        "op": "tas"|"reset", ` reuses the fields decoded from its tail,
+        the rest of the line, when an earlier line of the trace had the
+        same pid and tail."""
         tr = Trace()
         accesses = tr.accesses
-        append, match, tails, from_json = accesses.append, _HEAD.match, _TAILS_IN, Access.from_json
+        append, match, from_json = accesses.append, _HEAD.match, Access.from_json
+        tails: dict[tuple[str, str], tuple] = {}
         last_t = 0
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            # `from_json`'s fast path: a canonical head and a stored tail.
             m = match(line)
             fields = None if m is None else tails.get(m.group(2, 5))
             if fields is None:
                 a = from_json(line)
                 t = a.t
+                # A tail that repeats a head key overrides the head: never store it.
+                if m is not None and tuple(json.loads("{" + m[5])) == _TAIL_KEYS:
+                    tails[m.group(2, 5)] = (
+                        a.pid, a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
             else:
                 t = int(m[1])
                 a = Access(t, *fields, int(m[3]), m[4])

@@ -54,22 +54,31 @@ def project_b(trace: Trace) -> list[tuple[int, Event]]:
     return [(i, e) for i, a in enumerate(trace.accesses) for e in a.events]
 
 
+# The sequential test-and-set: `owner` is the pid that holds the 0, or
+# None when the object is free.
+_ILLEGAL = -1
+
+
+def _spec_step(owner: Optional[int], pid: int, kind: str, ret: Optional[int]) -> Optional[int]:
+    """The owner after `pid`'s `kind` returns `ret` from `owner`, or
+    _ILLEGAL: a tas from the free state returns 0 and takes ownership, a
+    tas under another owner returns 1, and a reset by the owner frees
+    the object."""
+    if kind == "reset":
+        return None if owner == pid else _ILLEGAL
+    if ret == 0:
+        return pid if owner is None else _ILLEGAL
+    if ret == 1 and owner is not None and owner != pid:
+        return owner
+    return _ILLEGAL
+
+
 def _fa1_legal(order: Sequence[SeqOp]) -> bool:
     """Replay a sequential history through the two-process object spec."""
     owner: Optional[int] = None
     for op in order:
-        if op.kind == "reset":
-            if owner != op.pid:
-                return False
-            owner = None
-        elif op.ret == 0:
-            if owner is not None:
-                return False
-            owner = op.pid
-        elif op.ret == 1:
-            if owner != 1 - op.pid:
-                return False
-        else:
+        owner = _spec_step(owner, op.pid, op.kind, op.ret)
+        if owner == _ILLEGAL:
             return False
     return True
 
@@ -191,19 +200,10 @@ def _search_n_process(records: Sequence[OpRecord], n: int, budget: int) -> Verdi
         for i, r in enumerate(ops):
             if i in placed or not eligible(i, placed):
                 continue
-            if r.kind == "reset":
-                if owner == r.pid and dfs(placed | {i}, None):
-                    return True
-                continue
-            rets = (r.ret,) if r.ret is not None else (0, 1)
-            for ret in rets:
-                if ret == 0 and owner is None:
-                    after = r.pid
-                elif ret == 1 and owner is not None and owner != r.pid:
-                    after = owner
-                else:
-                    continue
-                if dfs(placed | {i}, after):
+            # A pending tas may be placed with either return value.
+            for ret in (0, 1) if r.ret is None and r.kind != "reset" else (r.ret,):
+                after = _spec_step(owner, r.pid, r.kind, ret)
+                if after != _ILLEGAL and dfs(placed | {i}, after):
                     return True
         memo.add((placed, owner))
         return False

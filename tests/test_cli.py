@@ -46,6 +46,23 @@ def test_check_symmetry_problems_printed_once(capsys, monkeypatch):
     assert all(lines.count(line) == 1 for line in sym)
 
 
+def test_check_failed_bijection_still_counts_unreachable(capsys, monkeypatch):
+    """A forged letter set that no bijection fits fails the table letters
+    alone: the '*' cells are still counted, so reachability passes."""
+    from wftas import goldens
+
+    table = goldens.load_golden_table()
+    cells = dict(table.cells)
+    cells[("me", "me")] = goldens.Cell(frozenset("abc"), cells[("me", "me")].expected)
+    monkeypatch.setattr(cli.goldens, "load_golden_table",
+                        lambda: goldens.GoldenTable(cells))
+    rc, out = run_cli(capsys, "check")
+    assert rc == 1
+    assert "PASS reachability" in out.splitlines()
+    assert "FAIL table letters" in out.splitlines()
+    assert "label bijection failed" in out
+
+
 def test_check_json(capsys):
     rc, out = run_cli(capsys, "check", "--json")
     assert rc == 0
