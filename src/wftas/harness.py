@@ -20,7 +20,8 @@ from .core import Access, OpRecord, Trace
 from .protocol import ProcState
 
 # An adversary sees the full visible history (accesses so far, current
-# chart states) and the schedulable pids, and picks one of them.
+# chart states) and the schedulable pids, in ascending order, and picks
+# one of them.
 Adversary = Callable[[Sequence[Access], Config, tuple[int, ...]], int]
 
 DEFAULT_MAX_STEPS = 10**6
@@ -173,7 +174,7 @@ def random_adversary(seed: int) -> Adversary:
     rng = random.Random(seed)
 
     def choose(accesses, config, schedulable):
-        return rng.choice(sorted(schedulable))
+        return rng.choice(schedulable)
 
     return choose
 

@@ -14,6 +14,7 @@ but the n-process histories it generates need not be linearizable.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -239,6 +240,106 @@ def _run_schedule(n: int, schedule: Sequence[int], coins: Sequence[float]) -> To
     return tree
 
 
+# A `_StepTrie` node stands for the accesses that runs share so far and
+# is a list with one slot per pid: the node after pid's next access,
+# None while no run has taken that access, _FINISHED once pid's n-tas
+# has returned, or a leaf.  A leaf `(path, ends, history)` stands for the
+# rest of one run: `path` holds the pid of each of the run's accesses,
+# `ends[pid]` the time of pid's last one, and `history` is the run's
+# finished history.
+_FINISHED = object()
+_PID = operator.itemgetter(1)  # the pid of a `TournamentTree._log` entry
+# Nodes and leaves one trie may hold.  A full trie keeps the paths it
+# has and records no more, which bounds both its memory and the work
+# that a search whose paths never repeat (n=4) spends recording them.
+_TRIE_MAX = 512
+
+
+class _StepTrie:
+    """The step paths of the runs of one search in which every process
+    returned.
+
+    Every tree of a search reads the same coins from the start, so a
+    run's accesses, and with them its finished history, are a function
+    of the sequence of pids it steps.  Entries of a schedule that name
+    a process that has returned are skipped, and so do not count."""
+
+    __slots__ = ("n", "root", "size")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.root = [None] * n
+        self.size = 1
+
+    def lookup(self, schedule: Sequence[int]) -> Optional[list[OpRecord]]:
+        """The finished history of the run under `schedule` if an
+        earlier run took its step path, else None."""
+        node = self.root
+        t = 0  # accesses taken
+        entries = iter(schedule)
+        for pid in entries:
+            child = node[pid]
+            if child is _FINISHED:
+                continue
+            if child is None:
+                return None
+            t += 1
+            if type(child) is list:
+                node = child
+                continue
+            path, ends, history = child
+            end = len(path)
+            if t == end:
+                return history
+            for pid in entries:
+                if path[t] == pid:
+                    t += 1
+                    if t == end:
+                        return history
+                elif ends[pid] >= t:
+                    return None  # pid is running but did not take access t
+            break
+        return None  # the schedule ran out before every process returned
+
+    def record(self, tree: TournamentTree, history: list[OpRecord]) -> None:
+        """Add the step path of `tree`, a run under one schedule that
+        the trie does not hold, with its finished `history`.  A run cut
+        short by its schedule is not kept, nor a path that might not fit."""
+        if len(history) < self.n or self.size + len(tree._log) > _TRIE_MAX:
+            return
+        path = bytes(map(_PID, tree._log))
+        ends = [path.rindex(pid) for pid in range(self.n)]
+        self.size += 1
+        leaf = (path, ends, history)
+        node, t = self.root, 0
+        # Neither of two different paths on which every process returns
+        # is a prefix of the other, so the walk leaves the trie before
+        # the path ends.
+        while True:
+            pid = path[t]
+            child = node[pid]
+            if child is None:
+                node[pid] = leaf
+                return
+            t += 1
+            if type(child) is list:
+                node = child
+                continue
+            # Both runs took this access: give each access they share a
+            # node, down to the first where they differ.
+            other = child[0]
+            while True:
+                node[pid] = node = [_FINISHED if e < t else None for e in ends]
+                self.size += 1
+                if other[t] != path[t]:
+                    break
+                pid = path[t]
+                t += 1
+            node[other[t]] = child
+            node[path[t]] = leaf
+            return
+
+
 def _schedules(rng: random.Random, n: int) -> Iterator[bytes]:
     """Successive `40 * n`-entry slices of the stream of
     `rng.randrange(n)` draws, drawn 1,024 generator words at a time.
@@ -279,13 +380,20 @@ def find_violation(
     # schedule has at most `40 * n` entries, so no tree runs out.
     coin = random.Random(seed).random
     coins = [coin() for _ in range(40 * n)]
+    trie = _StepTrie(n)
     for attempt in range(budget):
         if n == 3 and attempt == 0:
             schedule = GUIDED_SCHEDULE_N3
         else:
             schedule = next(schedules)
-        tree = _run_schedule(n, schedule, coins)
-        history = [r for r in tree.history() if r.finished]
+        history = trie.lookup(schedule)
+        if history is None:
+            tree = _run_schedule(n, schedule, coins)
+            history = [r for r in tree.history() if r.finished]
+            trie.record(tree, history)
+        # Each schedule is checked, a repeated history too.  A repeated
+        # one passed when first checked, so a violation comes from a
+        # schedule just run, and `tree` is its run.
         verdict = linearize.check_n_process(history, n)
         if not verdict.ok:
             traces = {v: tree.node_trace(v) for v in tree.nodes}

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -82,15 +83,17 @@ def test_n2_no_violation():
 @pytest.mark.parametrize("seed", (0, 1, 7))
 def test_schedule_stream(monkeypatch, n, seed):
     """The search tries the schedules of successive `randrange(n)` draws
-    from `Random(seed)`, after the guided one for n=3."""
+    from `Random(seed)`, after the guided one for n=3.  Every schedule
+    is looked up in the step-path trie first, so the lookups record
+    them all, those served from the trie included."""
     recorded = []
-    real = tournament._run_schedule
+    real = tournament._StepTrie.lookup
 
-    def record(n, schedule, seed):
+    def record(trie, schedule):
         recorded.append(list(schedule))
-        return real(n, schedule, seed)
+        return real(trie, schedule)
 
-    monkeypatch.setattr(tournament, "_run_schedule", record)
+    monkeypatch.setattr(tournament._StepTrie, "lookup", record)
     if n == 2:
         with pytest.raises(BudgetExceeded):
             tournament.find_violation(n, 2000, seed)
@@ -102,6 +105,120 @@ def test_schedule_stream(monkeypatch, n, seed):
     while len(expected) < len(recorded):
         expected.append([rng.randrange(n) for _ in range(40 * n)])
     assert recorded == expected
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_checked_histories_match_fresh_runs(monkeypatch, n, seed):
+    """The history the search checks for each schedule, served from the
+    step-path trie or not, equals in every field the finished history
+    of a fresh run; and an n=2 search checks each of its schedules."""
+    schedules, checked, runs = [], [], []
+    lookup, check = tournament._StepTrie.lookup, linearize.check_n_process
+    run = tournament._run_schedule
+
+    def record_run(n, schedule, coins):
+        runs.append(schedule)
+        return run(n, schedule, coins)
+
+    def record_lookup(trie, schedule):
+        schedules.append(schedule)
+        return lookup(trie, schedule)
+
+    def record_check(history, n):
+        checked.append([dataclasses.astuple(r) for r in history])
+        return check(history, n)
+
+    monkeypatch.setattr(tournament._StepTrie, "lookup", record_lookup)
+    monkeypatch.setattr(linearize, "check_n_process", record_check)
+    monkeypatch.setattr(tournament, "_run_schedule", record_run)
+    if n == 2:
+        with pytest.raises(BudgetExceeded):
+            tournament.find_violation(n, 2000, seed)
+        assert len(checked) == 2000
+        assert len(runs) < 2000 / 4  # most n=2 schedules repeat a step path
+    else:
+        tournament.find_violation(n, 2000, seed)
+    rng = random.Random(seed)
+    coins = [rng.random() for _ in range(40 * n)]
+    assert len(checked) == len(schedules)
+    for schedule, history in zip(schedules, checked):
+        tree = tournament._run_schedule(n, schedule, coins)
+        assert history == [dataclasses.astuple(r) for r in tree.history() if r.finished]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_trie_serves_only_paths_run_to_the_end(monkeypatch, n):
+    """The trie gives a history only for a step path that an earlier run
+    took until every process returned, skips the entries of a schedule
+    that name a process that has returned, and still serves a path
+    after other runs branch off it."""
+    monkeypatch.setattr(tournament, "_TRIE_MAX", 10**6)
+    rng = random.Random(5)
+    coins = [rng.random() for _ in range(40 * n)]
+    schedules = tournament._schedules(rng, n)
+    trie = tournament._StepTrie(n)
+    served = []
+    for _ in range(300):
+        tree = tournament._run_schedule(n, next(schedules), coins)
+        path = [entry[1] for entry in tree._log]
+        history = [r for r in tree.history() if r.finished]
+        seen = trie.lookup(path)
+        if seen is not None:
+            assert seen == history
+            continue
+        short = tournament._run_schedule(n, path[:-1], coins)
+        size = trie.size
+        trie.record(short, [r for r in short.history() if r.finished])
+        assert trie.size == size
+        assert trie.lookup(path[:-1]) is None
+        trie.record(tree, history)
+        # the process that returns first, named again before each later access
+        first = min(tree.procs.values(), key=lambda p: p.records[0].finish).records[0]
+        late = path[:first.finish + 1]
+        for pid in path[first.finish + 1:]:
+            late += [first.pid, pid]
+        served += [(path, history), (late, history)]
+    for schedule, history in served:
+        assert trie.lookup(schedule) is history
+    nodes, marked = [trie.root], 0
+    while nodes:
+        node = nodes.pop()
+        marked += tournament._FINISHED in node
+        nodes += [c for c in node if type(c) is list]
+    # With n=2 a run's path branches no more once one process returned.
+    assert marked or n == 2
+
+
+def _report_fields(n, seed):
+    try:
+        rep = tournament.find_violation(n, 2000, seed)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return (rep.schedule, rep.history, rep.verdict, rep.node_verdicts,
+            rep.tree.accesses)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 3, 7))
+def test_capped_trie_gives_same_report(monkeypatch, seed):
+    """With a trie cap that the search soon reaches, an n=4 search
+    returns the same report, or runs out of budget the same way, and
+    the trie never holds more nodes and leaves than the cap."""
+    expected = _report_fields(4, seed)
+    cap = 200
+    sizes = []
+    record = tournament._StepTrie.record
+
+    def record_size(trie, tree, history):
+        before = trie.size
+        record(trie, tree, history)
+        sizes.append((before, trie.size))
+
+    monkeypatch.setattr(tournament, "_TRIE_MAX", cap)
+    monkeypatch.setattr(tournament._StepTrie, "record", record_size)
+    assert _report_fields(4, seed) == expected
+    assert max(after for _, after in sizes) <= cap
+    assert any(after == before for before, after in sizes)  # a path was refused
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
