@@ -16,9 +16,8 @@ trace checker.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import Event
 from .search import explore, path
@@ -48,8 +47,7 @@ class Fa2State(Enum):
         return f"Fa2State.{self.name}"
 
 
-@dataclass(frozen=True)
-class Fa3State:
+class Fa3State(NamedTuple):
     owner: Owner
     p0: Fa2State
     p1: Fa2State
@@ -256,8 +254,7 @@ class NoConsistentBijection(Exception):
     pass
 
 
-@dataclass
-class LabelAssignment:
+class LabelAssignment(NamedTuple):
     """Letter -> FA3 state mapping plus the unresolved equivalence classes."""
 
     mapping: dict[str, Fa3State]

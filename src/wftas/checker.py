@@ -9,8 +9,7 @@ golden table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import protocol
 from .automata import (
@@ -36,7 +35,6 @@ StepFn = Callable[..., ProcState]
 Branch = tuple[int, Optional[bool], Move]
 
 
-@dataclass(frozen=True, eq=False)
 class Model:
     """The reachable configuration graph of one step function on ids:
     `configs[i]` is configuration i, numbered breadth-first from
@@ -46,9 +44,13 @@ class Model:
     `move.events[pid]`).  Idle processes are deemed invoked: RST/TST1
     start a test-and-set, TST0 its reset."""
 
-    configs: tuple[Config, ...]
-    index: dict[Config, int]
-    branches: tuple[tuple[Branch, ...], ...]
+    __slots__ = ("configs", "index", "branches")
+
+    def __init__(self, configs: tuple[Config, ...], index: dict[Config, int],
+                 branches: tuple[tuple[Branch, ...], ...]) -> None:
+        self.configs = configs
+        self.index = index
+        self.branches = branches
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -256,14 +258,13 @@ def representative_sets(
     return rep
 
 
-@dataclass
-class CheckReport:
-    reachable_count: int = 0
-    verified_cells: int = 0
-    verified_unreachable: int = 0
-    mismatches: list[str] = field(default_factory=list)
-    labels: Optional[LabelAssignment] = None
-    rep_sets: dict[Config, frozenset[Fa3State]] = field(default_factory=dict)
+class CheckReport(NamedTuple):
+    reachable_count: int
+    verified_cells: int
+    verified_unreachable: int
+    mismatches: list[str]
+    labels: Optional[LabelAssignment]  # None when the letter bijection failed
+    rep_sets: dict[Config, frozenset[Fa3State]]
 
     @property
     def ok(self) -> bool:
@@ -285,24 +286,22 @@ def verify_against_table(
     """Cell-by-cell comparison of the computed system against the table."""
     if table is None:
         table = load_golden_table()
-    report = CheckReport()
     rep = representative_sets(step_fn)
-    report.rep_sets = rep
-    report.reachable_count = len(rep)
+    mismatches: list[str] = []
     for c in sorted(rep, key=_cfg_key):
         if not rep[c]:
-            report.mismatches.append(
+            mismatches.append(
                 f"config {_cfg_name(c)} has an empty representative set"
             )
 
     reach_keys = {(c[0].value, c[1].value) for c in rep}
     golden_reach = set(table.reachable_cells())
     for key in sorted(golden_reach - reach_keys):
-        report.mismatches.append(f"cell {key}: in table but not reachable")
+        mismatches.append(f"cell {key}: in table but not reachable")
     for key in sorted(reach_keys - golden_reach):
-        report.mismatches.append(f"cell {key}: reachable but '*' in table")
+        mismatches.append(f"cell {key}: reachable but '*' in table")
 
-    report.verified_unreachable = sum(
+    verified_unreachable = sum(
         1 for key in table.unreachable_keys()
         if (ProcState(key[0]), ProcState(key[1])) not in rep
     )
@@ -315,11 +314,11 @@ def verify_against_table(
     }
     try:
         labels = assign_labels(cells, rep)
-        report.labels = labels
     except NoConsistentBijection as exc:
-        report.mismatches.append(f"label bijection failed: {exc}")
-        return report
+        mismatches.append(f"label bijection failed: {exc}")
+        return CheckReport(len(rep), 0, verified_unreachable, mismatches, None, rep)
 
+    verified_cells = 0
     inv = {v: k for k, v in labels.mapping.items()}
     for c in sorted(rep, key=_cfg_key):
         key = (c[0].value, c[1].value)
@@ -328,25 +327,25 @@ def verify_against_table(
             continue  # already reported above
         got = {inv.get(s) for s in rep[c]}
         if None in got or got != set(cell.letters):
-            report.mismatches.append(
+            mismatches.append(
                 f"cell {key}: table letters {''.join(sorted(cell.letters))} "
                 f"!= computed {sorted(map(str, got))}"
             )
         else:
-            report.verified_cells += 1
+            verified_cells += 1
 
     # Semantic mirror symmetry of the computed sets.
     for c in sorted(rep, key=_cfg_key):
         S = rep[c]
         mc = (c[1], c[0])
         if mc not in rep:
-            report.mismatches.append(f"mirror of {_cfg_name(c)} unreachable")
+            mismatches.append(f"mirror of {_cfg_name(c)} unreachable")
             continue
         if frozenset(s.mirror() for s in S) != rep[mc]:
-            report.mismatches.append(
+            mismatches.append(
                 f"mirror symmetry broken between {_cfg_name(c)} and {_cfg_name(mc)}"
             )
-    return report
+    return CheckReport(len(rep), verified_cells, verified_unreachable, mismatches, labels, rep)
 
 
 def claim_induction_check(

@@ -8,7 +8,6 @@ stdout closed by its reader; 2 linearizability violation (lint-trace);
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -134,6 +133,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         trace, records, stats = harness.run(workload, adversary, seed=args.seed)
         if args.stats:
+            import csv  # here, not at the top: only --stats pays for it at start-up
+
             with open(args.stats, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["op_index", "pid", "kind", "accesses", "ret", "choose_visits"])

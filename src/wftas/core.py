@@ -4,6 +4,11 @@ Two processes, P0 and P1.  Process i owns register R_i: only P_i writes R_i
 and only P_{1-i} reads it.  Global time is the step index of the trace;
 every access happens at its own step.
 
+`Event(kind, pid)` is the one immutable instance for its pair, so events
+compare and hash by identity.  `Access` and `OpRecord`, made once per
+access and per operation, are mutable slotted records that compare by
+their fields.
+
 A trace is stored as JSON lines, one access per line.  `Access.to_json`
 and `Access.from_json` are the plain codec of one line; `Trace.dump_jsonl`
 and `Trace.load_jsonl` give the same lines and accesses, and are the fast
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
@@ -47,16 +51,30 @@ B_EVENT_KINDS = ("sTas", "fTas0", "fTas1", "rstOp")
 EPS_EVENT_KINDS = ("tas0", "tas1")
 
 
-@dataclass(frozen=True)
 class Event:
+    """An event of one process: `Event(kind, pid)` is the one instance
+    for that pair, so events compare and hash by identity (as `RegValue`
+    members do), and copying or unpickling one returns it."""
+
+    __slots__ = ("kind", "pid")
     kind: str
     pid: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in B_EVENT_KINDS + EPS_EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.pid not in (0, 1):
-            raise ValueError(f"bad pid {self.pid}")
+    def __new__(cls, kind: str, pid: int) -> "Event":
+        if kind not in B_EVENT_KINDS + EPS_EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if pid not in (0, 1):
+            raise ValueError(f"bad pid {pid}")
+        return _EVENTS[kind, pid]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an Event")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an Event")
+
+    def __reduce__(self) -> tuple:  # copy, deepcopy and pickle call Event(kind, pid)
+        return Event, (self.kind, self.pid)
 
     @property
     def is_eps(self) -> bool:
@@ -66,37 +84,70 @@ class Event:
         return f"{self.kind}({self.pid})"
 
 
-# One shared Event per B-event (kind, pid): the chart's accesses and the
-# parsed ones carry these instances, so comparing events tuples mostly
-# compares identities.
+def _make_event(kind: str, pid: int) -> Event:
+    e = object.__new__(Event)
+    object.__setattr__(e, "kind", kind)
+    object.__setattr__(e, "pid", pid)
+    return e
+
+
+_EVENTS = {(k, pid): _make_event(k, pid) for k in B_EVENT_KINDS + EPS_EVENT_KINDS for pid in (0, 1)}
+
+# The B-events by (kind, pid).  An epsilon kind is not a key: that
+# KeyError is how `Access.from_json` refuses one.
 SHARED_EVENTS = {(k, pid): Event(k, pid) for k in B_EVENT_KINDS for pid in (0, 1)}
 
 
-@dataclass(slots=True)
-class Access:
+class _Record:
+    """A mutable slotted record: equal to a record of its own class with
+    equal fields, unhashable, and shown with its fields."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Access(_Record):
     """One atomic shared-memory step.
 
     `value` is the written value for writes and the observed value for
     reads.  `coin` is present exactly when the access is a read of CHOOSE
     performed from the CHOOSE state.  `pre`/`post` are the chart states of
     the acting process (stored as their serialized names so this module
-    stays independent of the protocol module).
+    stays independent of the protocol module).  `action` is "r" or "w",
+    `op` is "tas" or "reset".
 
     Construction checks nothing: the engine builds accesses from the
     compiled chart, and `from_json` checks every line read from outside.
     """
 
-    t: int
-    pid: int
-    reg: int
-    action: str  # "r" or "w"
-    value: RegValue
-    coin: Optional[bool]
-    pre: str
-    post: str
-    events: tuple[Event, ...]
-    op_seq: int
-    op: str  # "tas" or "reset"
+    __slots__ = ("t", "pid", "reg", "action", "value", "coin", "pre", "post", "events", "op_seq", "op")
+
+    def __init__(self, t: int, pid: int, reg: int, action: str, value: RegValue,
+                 coin: Optional[bool], pre: str, post: str, events: tuple[Event, ...],
+                 op_seq: int, op: str) -> None:
+        self.t = t
+        self.pid = pid
+        self.reg = reg
+        self.action = action
+        self.value = value
+        self.coin = coin
+        self.pre = pre
+        self.post = post
+        self.events = events
+        self.op_seq = op_seq
+        self.op = op
 
     def to_json(self) -> str:
         """The canonical line: `json.dumps` of the fields in the order
@@ -176,18 +227,22 @@ _HEAD = re.compile(
 _FINISH = {"fTas0": 0, "fTas1": 1, "rstOp": None}
 
 
-@dataclass
-class OpRecord:
-    """Start/finish bookkeeping of one operation execution."""
+class OpRecord(_Record):
+    """Start/finish bookkeeping of one operation execution; `kind` is
+    "tas" or "reset"."""
 
-    pid: int
-    kind: str  # "tas" or "reset"
-    op_seq: int
-    start: int
-    finish: Optional[int] = None
-    ret: Optional[int] = None
-    accesses: int = 0
-    choose_visits: int = 0
+    __slots__ = ("pid", "kind", "op_seq", "start", "finish", "ret", "accesses", "choose_visits")
+
+    def __init__(self, pid: int, kind: str, op_seq: int, start: int, finish: Optional[int] = None,
+                 ret: Optional[int] = None, accesses: int = 0, choose_visits: int = 0) -> None:
+        self.pid = pid
+        self.kind = kind
+        self.op_seq = op_seq
+        self.start = start
+        self.finish = finish
+        self.ret = ret
+        self.accesses = accesses
+        self.choose_visits = choose_visits
 
     @property
     def finished(self) -> bool:

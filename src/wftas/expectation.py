@@ -51,10 +51,9 @@ Each objective is solved once per process and tracked pid: `solve`,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .checker import Config, Model, _cfg_name, model
 from .protocol import Move, ProcState
@@ -76,8 +75,7 @@ class NonConvergence(Exception):
     """A policy is improper or exact certification failed — a modeling bug."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Certified exact solution of one maximizing fixed point."""
 
     values: dict[Config, Fraction]

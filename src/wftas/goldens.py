@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import pkgutil
 import re
-from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .protocol import ProcState
 
@@ -17,8 +16,7 @@ STATE_ORDER = (
 _CELL_RE = re.compile(r"^([a-t]+)(\d+)$")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     letters: frozenset[str]
     expected: int  # worst-case expected remaining accesses of P0
 
@@ -79,7 +77,9 @@ class GoldenTable:
 
 
 def load_golden_table() -> GoldenTable:
-    text = resources.files("wftas.data").joinpath("golden_table.txt").read_text()
+    # pkgutil, not importlib.resources, whose import loads pathlib, zipfile
+    # and tempfile (and, from Python 3.12, inspect) at every start-up.
+    text = pkgutil.get_data("wftas", "data/golden_table.txt").decode()
     return GoldenTable.parse(text)
 
 

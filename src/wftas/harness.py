@@ -9,10 +9,10 @@ the generator.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from . import expectation
 from .checker import Branch, Config, model, step_table
@@ -31,8 +31,7 @@ class ScriptExhausted(Exception):
     """A scripted adversary ran out of scheduling decisions."""
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(NamedTuple):
     """Per-process operation budget.
 
     Each process performs `tas_ops[pid]` test-and-set operations; a
@@ -43,40 +42,39 @@ class Workload:
     tas_ops: tuple[int, int] = (1, 1)
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     """Aggregate statistics of one run."""
 
-    # One row per finished op: (op_index, pid, kind, accesses, ret, choose_visits)
-    per_op: list[tuple[int, int, str, int, Optional[int], int]] = field(
-        default_factory=list
-    )
-    returns: dict[int, int] = field(default_factory=dict)
-    mean_tas_accesses: float = 0.0
-    max_tas_accesses: int = 0
-    resets_all_one_access: bool = True
-    truncated: bool = False
+    # One row per op: (op_index, pid, kind, accesses, ret, choose_visits)
+    per_op: list[tuple[int, int, str, int, Optional[int], int]]
+    returns: dict[int, int]
+    mean_tas_accesses: float
+    max_tas_accesses: int
+    resets_all_one_access: bool
+    truncated: bool
 
     @staticmethod
     def from_records(records: Sequence[OpRecord], truncated: bool = False) -> "RunStats":
-        st = RunStats(truncated=truncated)
+        per_op = [(i, r.pid, r.kind, r.accesses, r.ret, r.choose_visits)
+                  for i, r in enumerate(records)]
+        returns: dict[int, int] = {}
         tas_counts: list[int] = []
-        for i, r in enumerate(records):
-            st.per_op.append(
-                (i, r.pid, r.kind, r.accesses, r.ret, r.choose_visits)
-            )
+        resets_all_one_access = True
+        for r in records:
             if not r.finished:
                 continue
             if r.kind == "reset":
                 if r.accesses != 1:
-                    st.resets_all_one_access = False
+                    resets_all_one_access = False
                 continue
             tas_counts.append(r.accesses)
-            st.returns[r.ret] = st.returns.get(r.ret, 0) + 1
-        if tas_counts:
-            st.mean_tas_accesses = sum(tas_counts) / len(tas_counts)
-            st.max_tas_accesses = max(tas_counts)
-        return st
+            returns[r.ret] = returns.get(r.ret, 0) + 1
+        return RunStats(
+            per_op, returns,
+            sum(tas_counts) / len(tas_counts) if tas_counts else 0.0,
+            max(tas_counts, default=0),
+            resets_all_one_access, truncated,
+        )
 
 
 _B = TypeVar("_B")
@@ -170,11 +168,32 @@ def round_robin() -> Adversary:
     return choose
 
 
+def _randrange_blocks(rng: random.Random, n: int) -> Iterator[bytes]:
+    """Successive blocks of the stream of `rng.randrange(n)` draws, for
+    n < 256, drawn 1,024 generator words at a time.
+
+    `randrange(n)` keeps the top `k = n.bit_length()` bits of one 32-bit
+    word and draws again while they are `>= n`, and
+    `getrandbits(32 * m)` returns m successive words, the first least
+    significant.  So each word's top byte shifted right by `8 - k`, with
+    the rejected values deleted, is the same stream."""
+    shift = 8 - n.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    reject = bytes(range(n << shift, 256))
+    while True:
+        yield rng.getrandbits(32 * 1024).to_bytes(4 * 1024, "little")[3::4].translate(table, reject)
+
+
 def random_adversary(seed: int) -> Adversary:
-    rng = random.Random(seed)
+    """Picks as `random.Random(seed).choice(schedulable)` would.  A
+    choice among one pid takes the same words as one among two, those of
+    one `randrange(2)` draw, so every pick reads that stream."""
+    draws = itertools.chain.from_iterable(_randrange_blocks(random.Random(seed), 2))
 
     def choose(accesses, config, schedulable):
-        return rng.choice(schedulable)
+        if len(schedulable) > 2:
+            raise ValueError(f"the random adversary picks among at most 2 pids, got {schedulable}")
+        return schedulable[next(draws) & (len(schedulable) - 1)]
 
     return choose
 
@@ -248,8 +267,7 @@ def measure_from_config(config: Config, n_ops: int, seed: int) -> list[int]:
     return counts
 
 
-@dataclass
-class LoopExperiment:
+class LoopExperiment(NamedTuple):
     """Per-visit outcomes of the CHOOSE-loop Monte Carlo experiment.
 
     Each trial is one CHOOSE entry of P0; `probs[i]` is the analytic
@@ -258,8 +276,8 @@ class LoopExperiment:
     finished.
     """
 
-    probs: list[Fraction] = field(default_factory=list)
-    successes: list[bool] = field(default_factory=list)
+    probs: list[Fraction]
+    successes: list[bool]
 
     @property
     def n(self) -> int:
@@ -301,10 +319,11 @@ def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
     moves = _policy_branches(lp.policy)
     values = [lp.values[c] for c in model().configs]
     coin = random.Random(seed).random
-    exp = LoopExperiment()
+    probs: list[Fraction] = []
+    successes: list[bool] = []
     c = t = 0
     pending: Optional[Fraction] = None
-    while len(exp.probs) < min_visits:
+    while len(probs) < min_visits:
         if t >= 100 * DEFAULT_MAX_STEPS:
             raise RuntimeError("loop experiment exceeded its step budget")
         t += 1
@@ -314,11 +333,11 @@ def loop_experiment(min_visits: int, seed: int) -> LoopExperiment:
             continue
         if move.post is ProcState.CHOOSE:
             if pending is not None:
-                exp.probs.append(pending)
-                exp.successes.append(True)
+                probs.append(pending)
+                successes.append(True)
             pending = values[c]
         elif move.finishes and pending is not None:
-            exp.probs.append(pending)
-            exp.successes.append(False)
+            probs.append(pending)
+            successes.append(False)
             pending = None
-    return exp
+    return LoopExperiment(probs, successes)

@@ -9,8 +9,7 @@ test-and-set operations (resets linearize at their single access).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .automata import B_EVENT_ID, fa3_build
 from .checker import step_table
@@ -21,8 +20,7 @@ class SearchBudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SeqOp:
+class SeqOp(NamedTuple):
     """One operation in a sequential (linearized) history."""
 
     pid: int
@@ -32,15 +30,13 @@ class SeqOp:
     op_seq: int
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(NamedTuple):
     """A witness total order with one point per operation."""
 
     order: tuple[SeqOp, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     linearization: Optional[Linearization] = None
     # Number of accesses in the shortest rejected trace prefix.

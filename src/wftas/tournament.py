@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linearize, protocol
 from .core import Access, OpRecord, Trace
-from .harness import _Engine
+from .harness import _Engine, _randrange_blocks
 
 
 class NotOwner(Exception):
@@ -41,8 +40,7 @@ class BudgetExceeded(Exception):
 GUIDED_SCHEDULE_N3: tuple[int, ...] = (0,) * 2 + (1,) * 6 + (2,) * 4 + (0,) * 7
 
 
-@dataclass(slots=True)
-class NodeAccess:
+class NodeAccess(NamedTuple):
     """One register access inside one tree node, with global time."""
 
     t: int
@@ -209,14 +207,13 @@ class TournamentTree:
         )
 
 
-@dataclass
-class ViolationReport:
+class ViolationReport(NamedTuple):
     n: int
     schedule: tuple[int, ...]
     tree: TournamentTree
     history: list[OpRecord]
     verdict: linearize.Verdict
-    node_verdicts: dict[int, bool] = field(default_factory=dict)
+    node_verdicts: dict[int, bool]
 
 
 def _run_schedule(n: int, schedule: Sequence[int], coins: Sequence[float]) -> TournamentTree:
@@ -342,22 +339,13 @@ class _StepTrie:
 
 def _schedules(rng: random.Random, n: int) -> Iterator[bytes]:
     """Successive `40 * n`-entry slices of the stream of
-    `rng.randrange(n)` draws, drawn 1,024 generator words at a time.
-
-    `randrange(n)` keeps the top `k = n.bit_length()` bits of one 32-bit
-    word and draws again while they are `>= n`, and
-    `getrandbits(32 * m)` returns m successive words, the first least
-    significant.  So each word's top byte shifted right by `8 - k`, with
-    the rejected values deleted, is the same stream."""
+    `rng.randrange(n)` draws."""
     length = 40 * n  # enough steps for every process to finish one n-tas
-    shift = 8 - n.bit_length()
-    table = bytes(b >> shift for b in range(256))
-    reject = bytes(range(n << shift, 256))
+    blocks = _randrange_blocks(rng, n)
     buf, pos = b"", 0
     while True:
         while len(buf) - pos < length:
-            words = rng.getrandbits(32 * 1024).to_bytes(4 * 1024, "little")
-            buf = buf[pos:] + words[3::4].translate(table, reject)
+            buf = buf[pos:] + next(blocks)
             pos = 0
         yield buf[pos:pos + length]
         pos += length

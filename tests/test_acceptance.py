@@ -2,7 +2,6 @@
 each.  Tolerances and budgets are stated inline; nothing is loosened.
 """
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -22,6 +21,11 @@ from wftas import (
 from wftas.core import Event, RegValue, Trace
 from wftas.harness import Workload
 from wftas.protocol import ProcState as S
+
+
+def _replace(record, **changes):
+    """`record` rebuilt from its fields, with `changes` applied."""
+    return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
 
 
 def report(capsys, num, ok, detail):
@@ -130,7 +134,7 @@ def test_criterion_5_negative(capsys):
     forged = False
     for a in trace:
         if not forged and any(e.kind == "fTas0" for e in a.events):
-            a = dataclasses.replace(
+            a = _replace(
                 a,
                 events=tuple(
                     Event("fTas1", e.pid) if e.kind == "fTas0" else e

@@ -15,6 +15,33 @@ from hypothesis import strategies as st
 from wftas import cli
 
 
+def _replace(record, **changes):
+    """`record` rebuilt from its fields, with `changes` applied."""
+    return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
+
+
+def test_import_loads_no_heavy_modules():
+    """Starting a command imports none of `dataclasses` (which brings
+    `inspect`, `ast`, `dis` and `tokenize`), `inspect` (which
+    `importlib.resources` imports from Python 3.12) and `csv`, and still
+    imports every submodule the package exports."""
+    import wftas
+
+    src = str(Path(wftas.__file__).resolve().parents[1])
+    code = (
+        "import json, sys, types; sys.path.insert(0, sys.argv[1]); "
+        "import wftas, wftas.cli; "
+        "print(json.dumps({'loaded': sorted(sys.modules), 'submodules': ["
+        "n for n in wftas.__all__ if isinstance(getattr(wftas, n), types.ModuleType)]}))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert {"dataclasses", "inspect", "csv"} & set(got["loaded"]) == set()
+    assert len(got["submodules"]) == 9
+    assert {f"wftas.{n}" for n in got["submodules"]} <= set(got["loaded"])
+
+
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
@@ -226,8 +253,6 @@ def test_lint_trace_corrupt(capsys, tmp_path):
 
 
 def test_lint_trace_violation(capsys, tmp_path):
-    import dataclasses
-
     from wftas import harness
     from wftas.core import Event, Trace
 
@@ -237,7 +262,7 @@ def test_lint_trace_violation(capsys, tmp_path):
     forged = False
     for a in trace:
         if not forged and any(e.kind == "fTas0" for e in a.events):
-            a = dataclasses.replace(
+            a = _replace(
                 a,
                 events=tuple(
                     Event("fTas1", e.pid) if e.kind == "fTas0" else e

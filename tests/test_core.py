@@ -1,7 +1,8 @@
-import dataclasses
+import copy
 import functools
 import io
 import json
+import pickle
 import re
 
 import pytest
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 
 from wftas import core, harness, protocol
 from wftas.core import Access, CorruptTrace, Event, RegValue, Trace
+
+
+def _replace(record, **changes):
+    """`record` rebuilt from its fields, with `changes` applied."""
+    return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
 
 
 def test_event_kinds():
@@ -22,6 +28,41 @@ def test_event_kinds():
         Event("sTas", 2)
     assert Event("tas1", 0).is_eps
     assert not Event("fTas1", 0).is_eps
+
+
+@pytest.mark.parametrize("kind", core.B_EVENT_KINDS + core.EPS_EVENT_KINDS)
+@pytest.mark.parametrize("pid", (0, 1))
+def test_events_are_interned(kind, pid):
+    e = Event(kind, pid)
+    assert Event(kind, pid) is e
+    assert (e.kind, e.pid, repr(e)) == (kind, pid, f"{kind}({pid})")
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy([e, (e,)])[1][0] is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert hash(e) == object.__hash__(e)
+    assert e != Event(kind, 1 - pid)
+    with pytest.raises(AttributeError):
+        e.kind = "sTas"
+    with pytest.raises(AttributeError):
+        e.pid = 1 - pid
+    with pytest.raises(AttributeError):
+        del e.pid
+    assert (e.kind, e.pid) == (kind, pid)
+    if kind in core.B_EVENT_KINDS:
+        assert core.SHARED_EVENTS[kind, pid] is e
+    else:
+        with pytest.raises(KeyError):
+            core.SHARED_EVENTS[kind, pid]
+
+
+def test_event_errors():
+    with pytest.raises(ValueError, match=r"^unknown event kind 'bogus'$"):
+        Event("bogus", 0)
+    with pytest.raises(ValueError, match=r"^bad pid 2$"):
+        Event("sTas", 2)
+    with pytest.raises(ValueError, match=r"^unknown event kind 'bogus'$"):
+        Event("bogus", 2)  # the kind is checked first
 
 
 def _solo_trace():
@@ -53,13 +94,13 @@ def _forged_accesses():
     """Accesses no chart produces, with fields that JSON escapes or that
     compare equal to canonical fields but encode differently."""
     base = next(a for a in _chart_accesses() if a.coin is True)
-    yield dataclasses.replace(base, pre='say "hi"\\', post="tab\there")
-    yield dataclasses.replace(base, pre="\u00e9\x01\u2028", post="\ud83d\ude00", op="reset")
-    yield dataclasses.replace(base, coin=1)  # == True, encodes as 1
-    yield dataclasses.replace(base, reg=True)  # == 1, encodes as RTrue
-    yield dataclasses.replace(base, t=True, op_seq=2**70)
-    yield dataclasses.replace(base, op="tas\n")
-    yield dataclasses.replace(base, events=list(base.events))  # unhashable
+    yield _replace(base, pre='say "hi"\\', post="tab\there")
+    yield _replace(base, pre="\u00e9\x01\u2028", post="\ud83d\ude00", op="reset")
+    yield _replace(base, coin=1)  # == True, encodes as 1
+    yield _replace(base, reg=True)  # == 1, encodes as RTrue
+    yield _replace(base, t=True, op_seq=2**70)
+    yield _replace(base, op="tas\n")
+    yield _replace(base, events=list(base.events))  # unhashable
 
 
 def test_access_json_field_order():
@@ -196,7 +237,7 @@ def test_replay_checks_register_ownership(action, message):
     trace = _solo_trace()
     # The solo trace leaves R0 holding rst, so only ownership can fail.
     assert trace.replay() == (RegValue.RST, RegValue.RST)
-    bad = dataclasses.replace(
+    bad = _replace(
         trace.accesses[-1], t=trace.accesses[-1].t + 1, pid=1,
         reg=1 if action == "r" else 0, action=action, value=RegValue.RST,
     )
@@ -344,7 +385,7 @@ def test_op_records_other_pids_match_reference(trace, data):
     accesses = list(trace.accesses)
     i = data.draw(st.integers(0, len(accesses) - 1), label="at")
     pid = data.draw(st.sampled_from([2, -1]), label="pid")
-    accesses[i] = dataclasses.replace(accesses[i], pid=pid)
+    accesses[i] = _replace(accesses[i], pid=pid)
     forged = Trace(accesses)
     records = _result(forged.op_records)
     assert records == _result(_op_records_reference, forged)

@@ -42,6 +42,18 @@ def test_resets_always_one_access():
         assert stats.resets_all_one_access
 
 
+@pytest.mark.parametrize("seed", (0, 1, 13, 2**40 + 7))
+def test_random_adversary_picks_as_rng_choice(seed):
+    """The bulk-drawn picks equal `rng.choice` over one- and two-pid
+    tuples in any mix, for more picks than one block of draws holds."""
+    mix = random.Random(-seed)
+    tuples = [mix.choice(((0,), (1,), (0, 1))) for _ in range(5000)]
+    adv, rng = harness.random_adversary(seed), random.Random(seed)
+    assert [adv((), None, s) for s in tuples] == [rng.choice(s) for s in tuples]
+    with pytest.raises(ValueError, match="at most 2 pids"):
+        adv((), None, (0, 1, 2))
+
+
 def test_exclusivity():
     """At no instant do both processes hold an unreset 0."""
     trace, records, _ = harness.run(

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 
@@ -11,6 +10,11 @@ from wftas.automata import B_EVENTS, fa3_build
 from wftas.core import Access, CorruptTrace, Event, OpRecord, RegValue, Trace
 from wftas.harness import Workload
 from wftas.linearize import check_n_process, check_two_process, lint
+
+
+def _replace(record, **changes):
+    """`record` rebuilt from its fields, with `changes` applied."""
+    return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
 
 
 def _run(workload, adversary, seed):
@@ -53,7 +57,7 @@ def _corrupt_both_return_one(seed=1):
                 Event("fTas1", e.pid) if e.kind == "fTas0" else e
                 for e in a.events
             )
-            a = dataclasses.replace(a, events=events)
+            a = _replace(a, events=events)
             forged = True
         accesses.append(a)
     assert forged
@@ -79,7 +83,7 @@ def test_rejection_monotone_under_extension():
 def test_lint_catches_tampered_state():
     trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
     accesses = list(trace.accesses)
-    accesses[1] = dataclasses.replace(accesses[1], post="he")
+    accesses[1] = _replace(accesses[1], post="he")
     with pytest.raises(CorruptTrace):
         lint(Trace(accesses))
 
@@ -87,7 +91,7 @@ def test_lint_catches_tampered_state():
 def test_lint_requires_start_from_rst():
     trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
     accesses = list(trace.accesses)
-    accesses[0] = dataclasses.replace(accesses[0], pre="free", events=())
+    accesses[0] = _replace(accesses[0], pre="free", events=())
     with pytest.raises(CorruptTrace, match="steps from free but is in rst"):
         lint(Trace(accesses))
 
@@ -98,7 +102,7 @@ def test_lint_rejects_bad_pid(i, pid):
     """A pid other than 0 or 1 is named before it indexes the step table."""
     trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
     accesses = list(trace.accesses)
-    accesses[i] = dataclasses.replace(accesses[i], pid=pid)
+    accesses[i] = _replace(accesses[i], pid=pid)
     with pytest.raises(CorruptTrace, match=rf"^step {i}: bad pid {pid}$"):
         lint(Trace(accesses))
 
@@ -108,7 +112,7 @@ def test_lint_checks_op_and_op_seq(field, value):
     trace, _ = _run(Workload((3, 3)), harness.round_robin(), 1)
     accesses = list(trace.accesses)
     i = next(i for i, a in enumerate(accesses) if i > 0 and a.op == "tas")
-    accesses[i] = dataclasses.replace(accesses[i], **{field: value})
+    accesses[i] = _replace(accesses[i], **{field: value})
     with pytest.raises(CorruptTrace, match=r"runs tas #\d+, trace says"):
         lint(Trace(accesses))
 
@@ -123,7 +127,7 @@ def test_lint_check_order():
     a = next(a for a in trace if a.action == "r" and a.coin is None)
     stale = next(v for v in RegValue if v is not a.value)
     move = protocol.CHART[(protocol.ProcState(a.pre), stale, None)]
-    forged = dataclasses.replace(a, value=stale, post=move.post_name,
+    forged = _replace(a, value=stale, post=move.post_name,
                                  events=move.events[a.pid])
     prefix = [b for b in trace if b.t < a.t]
     with pytest.raises(CorruptTrace, match="observed"):
@@ -265,7 +269,7 @@ def test_lint_agrees_with_reference_on_every_events_forgery():
         for i, a in enumerate(base):
             for kinds in _EVENT_LISTS:
                 accesses = list(base)
-                accesses[i] = dataclasses.replace(
+                accesses[i] = _replace(
                     a, events=tuple(Event(k, a.pid) for k in kinds))
                 trace = Trace(accesses)
                 v = _verdict_or_corrupt(lint, trace)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -11,6 +10,11 @@ from wftas.core import Access, OpRecord, Trace
 from wftas.harness import _take
 from wftas.protocol import GROUP
 from wftas.tournament import BudgetExceeded, NodeAccess, NotOwner, TournamentTree
+
+
+def _astuple(record):
+    """The fields of `record`, in order."""
+    return tuple(getattr(record, f) for f in record.__slots__)
 
 
 def test_solo_win_n4():
@@ -126,7 +130,7 @@ def test_checked_histories_match_fresh_runs(monkeypatch, n, seed):
         return lookup(trie, schedule)
 
     def record_check(history, n):
-        checked.append([dataclasses.astuple(r) for r in history])
+        checked.append([_astuple(r) for r in history])
         return check(history, n)
 
     monkeypatch.setattr(tournament._StepTrie, "lookup", record_lookup)
@@ -144,7 +148,7 @@ def test_checked_histories_match_fresh_runs(monkeypatch, n, seed):
     assert len(checked) == len(schedules)
     for schedule, history in zip(schedules, checked):
         tree = tournament._run_schedule(n, schedule, coins)
-        assert history == [dataclasses.astuple(r) for r in tree.history() if r.finished]
+        assert history == [_astuple(r) for r in tree.history() if r.finished]
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
