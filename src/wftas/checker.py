@@ -31,26 +31,33 @@ INITIAL_CONFIG: Config = (ProcState.RST, ProcState.RST)
 
 StepFn = Callable[..., ProcState]
 
-# (destination id, coin, Move) of one outcome of a scheduled access.
-Branch = tuple[int, Optional[bool], Move]
+# (destination id, fields, Move) of one outcome of a scheduled access:
+# `fields` are what the access records from `reg` to `events`, the coin
+# being `fields[3]`.
+Branch = tuple[int, tuple, Move]
 
 
 class Model:
     """The reachable configuration graph of one step function on ids:
     `configs[i]` is configuration i, numbered breadth-first from
     (rst, rst) = 0, `index` maps back, and `branches[2 * i + pid]` are
-    the outcomes of scheduling pid in it, each of probability 1 / their
-    number (a coin read has two, heads first; the access's B-events are
-    `move.events[pid]`).  Idle processes are deemed invoked: RST/TST1
-    start a test-and-set, TST0 its reset."""
+    the outcomes of scheduling pid in it, each a `Branch` of probability
+    1 / their number (a coin read has two, heads first).  `ops[2 * i + pid]` is
+    (op, starts): the operation pid's access belongs to and whether it
+    starts it.  Idle processes are deemed invoked: RST/TST1 start a
+    test-and-set, TST0 its reset.  A reset takes one access, so the
+    operation is a function of the configuration, and an access finishes
+    it exactly when it enters an idle state (`Move.finishes`)."""
 
-    __slots__ = ("configs", "index", "branches")
+    __slots__ = ("configs", "index", "branches", "ops")
 
     def __init__(self, configs: tuple[Config, ...], index: dict[Config, int],
-                 branches: tuple[tuple[Branch, ...], ...]) -> None:
+                 branches: tuple[tuple[Branch, ...], ...],
+                 ops: tuple[tuple[str, bool], ...]) -> None:
         self.configs = configs
         self.index = index
         self.branches = branches
+        self.ops = ops
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -82,45 +89,21 @@ def _compile_model(step_fn: StepFn) -> Model:
     def successors(config: Config, pid: int):
         other = config[1 - pid]
         for coin, move in protocol.branches(chart, config[pid], GROUP[other]):
-            yield ((move.post, other) if pid == 0 else (other, move.post)), coin, move
+            fields = (pid if move.action == "w" else 1 - pid, move.action, move.value, coin,
+                      move.pre_name, move.post_name, move.events[pid])
+            yield ((move.post, other) if pid == 0 else (other, move.post)), fields, move
 
     reached = explore(
         [INITIAL_CONFIG], lambda c: ((pid, d) for pid in (0, 1) for d, _, _ in successors(c, pid))
     )
     index = {c: i for i, c in enumerate(reached)}
     branches = tuple(
-        tuple((index[dst], coin, move) for dst, coin, move in successors(c, pid))
+        tuple((index[dst], fields, move) for dst, fields, move in successors(c, pid))
         for c in index
         for pid in (0, 1)
     )
-    return Model(tuple(index), index, branches)
-
-
-Step = tuple[str, bool, tuple[tuple[int, tuple], ...]]
-
-
-@functools.cache
-def step_table() -> tuple[Step, ...]:
-    """`model()`'s branches compiled once for making and checking
-    accesses.  Entry `[2 * id + pid]` holds the operation pid's access
-    there belongs to, whether the access starts it, and per branch the
-    destination id and the access's fields from `reg` to `events`.
-
-    A reset takes one access, so the operation is a function of the
-    configuration: the one pid's idle state starts (`IDLE_OP`), else its
-    tas.  An access finishes it exactly when it enters an idle state
-    (`Move.finishes`), as `protocol.compile_chart` derives it."""
-    m = model()
-    table = []
-    for i, c in enumerate(m.configs):
-        for pid in (0, 1):
-            rows = []
-            for d, coin, move in m.branches[2 * i + pid]:
-                reg = pid if move.action == "w" else 1 - pid
-                rows.append((d, (reg, move.action, move.value, coin, move.pre_name,
-                                 move.post_name, move.events[pid])))
-            table.append((IDLE_OP.get(c[pid], "tas"), c[pid] in IDLE_OP, tuple(rows)))
-    return tuple(table)
+    ops = tuple((IDLE_OP.get(c[pid], "tas"), c[pid] in IDLE_OP) for c in index for pid in (0, 1))
+    return Model(tuple(index), index, branches, ops)
 
 
 def forward_families(m: Model) -> dict[Config, set[frozenset[Fa3State]]]:
@@ -175,23 +158,6 @@ def _outcomes(m: Model, pid: int, actors: tuple[int, ...]) -> list[set[int]]:
         for c in explore(finish[ret], preds.__getitem__):
             out[c].add(ret)
     return out
-
-
-def op_outcomes(m: Model, c: int, pid: int) -> frozenset[int]:
-    """Possible return values of pid's pending operation from
-    configuration id `c`.
-
-    Explores every schedule and coin outcome and collects the value the
-    operation in progress eventually returns.  Meaningful only when pid
-    is mid-operation (not in an idle chart state).
-    """
-    return frozenset(_outcomes(m, pid, (0, 1))[c])
-
-
-def solo_returns_one(m: Model, c: int, pid: int) -> bool:
-    """Can pid's pending operation, from configuration id `c`, return 1
-    with the peer never scheduled?"""
-    return 1 in _outcomes(m, pid, (pid,))[c]
 
 
 _IDLE_CLAIM = {

@@ -108,18 +108,12 @@ def _input_error(exc: object) -> int:
 
 
 def _make_adversary(spec: str, seed: int) -> harness.Adversary:
-    if spec == "round-robin":
-        return harness.round_robin()
-    if spec == "random":
-        return harness.random_adversary(seed)
-    if spec == "optimal":
-        return harness.optimal()
     if spec.startswith("script:"):
         path = spec[len("script:") :]
         with open(path) as fh:
             pids = [int(tok) for tok in fh.read().replace(",", " ").split()]
         return harness.script(pids)
-    raise ValueError(f"unknown adversary {spec!r}")
+    return harness.adversary(spec, seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -175,7 +169,7 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
         print(f"corrupt trace: {exc}")
         return 3
     if verdict.ok:
-        n_ops = len(verdict.linearization.order)
+        n_ops = len(verdict.order)
         print(f"linearizable: {len(trace)} accesses, {n_ops} operations")
         return 0
     print(f"violation: shortest rejected prefix = {verdict.rejected_prefix} accesses")

@@ -268,9 +268,10 @@ class Trace:
 
     def replay(self) -> tuple[RegValue, RegValue]:
         """Replay from both registers holding rst and return their final
-        contents.  Step indices must increase, each write must go to the
-        writer's own register and each read to the other one, observing
-        its current content; the first failure raises CorruptTrace."""
+        contents.  The step indices must increase, each write must go to
+        the writer's own register and each read to the other one,
+        observing its current content; the first failure raises
+        CorruptTrace."""
         last_t = -1
         regs = [RegValue.RST, RegValue.RST]
         for a in self.accesses:

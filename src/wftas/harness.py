@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from . import expectation
-from .checker import Branch, Config, model, step_table
+from .checker import Branch, Config, model
 from .core import Access, OpRecord, Trace
 from .protocol import ProcState
 
@@ -91,22 +91,23 @@ class _Engine:
 
     def __init__(self, coin: Callable[[], float]):
         self.coin = coin
-        self.steps = step_table()
+        self.model = model()
         self.cid = 0  # (rst, rst)
         self.op_seq = [-1, -1]
 
     @property
     def config(self) -> Config:
-        return model().configs[self.cid]
+        return self.model.configs[self.cid]
 
     def step_pid(self, pid: int) -> tuple[tuple, int, str]:
         """Execute one access of `pid`, invoking its next op if idle, and
-        return it raw: the step table's tuple of its fields from `reg` to
+        return it raw: the model's tuple of its fields from `reg` to
         `events`, its op_seq and its op."""
-        op, starts, b = self.steps[2 * self.cid + pid]
+        k = 2 * self.cid + pid
+        op, starts = self.model.ops[k]
         if starts:
             self.op_seq[pid] += 1
-        self.cid, fields = _take(b, self.coin)
+        self.cid, fields, _ = _take(self.model.branches[k], self.coin)
         return fields, self.op_seq[pid], op
 
 
@@ -120,10 +121,10 @@ def run(
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     eng = _Engine(random.Random(seed).random)
-    step_pid, configs = eng.step_pid, model().configs
+    step_pid, configs = eng.step_pid, eng.model.configs
     # A tas in progress or a pending reset is mandatory; an idle pid's
     # tas is schedulable while its budget lasts, and spends it.
-    forced = [not starts or op == "reset" for op, starts, _ in eng.steps]
+    forced = [not starts or op == "reset" for op, starts in eng.model.ops]
     remaining = list(workload.tas_ops)
     trace = Trace()
     # The loop numbers the steps itself, so accesses skip Trace.append's check.
@@ -229,12 +230,16 @@ def optimal() -> Adversary:
     return choose
 
 
-def builtin_adversaries(seed: int) -> dict[str, Adversary]:
-    return {
-        "round-robin": round_robin(),
-        "random": random_adversary(seed),
-        "optimal": optimal(),
-    }
+def adversary(name: str, seed: int) -> Adversary:
+    """The built-in adversary `name`: "round-robin", "random" (drawing
+    from `seed`) or "optimal"."""
+    if name == "round-robin":
+        return round_robin()
+    if name == "random":
+        return random_adversary(seed)
+    if name == "optimal":
+        return optimal()
+    raise ValueError(f"unknown adversary {name!r}")
 
 
 def _policy_branches(policy: dict[Config, int]) -> list[tuple[int, tuple[Branch, ...]]]:

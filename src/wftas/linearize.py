@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .automata import B_EVENT_ID, fa3_build
-from .checker import step_table
+from .checker import model
 from .core import Access, CorruptTrace, Event, OpRecord, Trace
 
 
@@ -30,15 +30,11 @@ class SeqOp(NamedTuple):
     op_seq: int
 
 
-class Linearization(NamedTuple):
-    """A witness total order with one point per operation."""
-
-    order: tuple[SeqOp, ...]
-
-
 class Verdict(NamedTuple):
     ok: bool
-    linearization: Optional[Linearization] = None
+    # Of an accepted two-process trace: a witness total order with one
+    # point per operation.
+    order: Optional[tuple[SeqOp, ...]] = None
     # Number of accesses in the shortest rejected trace prefix.
     rejected_prefix: Optional[int] = None
 
@@ -125,10 +121,9 @@ def check_two_process(trace: Trace) -> Verdict:
         for o in eps:
             ret = 0 if o.kind == "tas0" else 1
             order.append(SeqOp(o.pid, "tas", ret, a.t, open_tas[o.pid]))
-    lin = Linearization(order=tuple(order))
-    if not _fa1_legal(lin.order):
+    if not _fa1_legal(order):
         raise AssertionError("extracted linearization is not legal")
-    return Verdict(ok=True, linearization=lin)
+    return Verdict(ok=True, order=tuple(order))
 
 
 # Verdicts of `check_n_process` by (n, budget, the fields of each record
@@ -208,10 +203,10 @@ def _search_n_process(records: Sequence[OpRecord], n: int, budget: int) -> Verdi
 
 
 def lint(trace: Trace) -> Verdict:
-    """Full trace lint: one walk of `checker.step_table()` from (rst, rst),
+    """Full trace lint: one walk of `checker.model()` from (rst, rst),
     then check_two_process.
 
-    Each access must be one the table gives its process in the
+    Each access must be one the model gives its process in the
     configuration reached: from its process's state, with the op it
     belongs to and its process's invocation count from 0 as op_seq, a
     write to its own register or a read of the other register's
@@ -221,7 +216,8 @@ def lint(trace: Trace) -> Verdict:
     One in the events alone raises it only if FA4 then accepts the
     trace; otherwise lint returns check_two_process's verdict.
     """
-    table = step_table()
+    m = model()
+    ops, branches = m.ops, m.branches
     c = 0  # (rst, rst)
     op_seq = [-1, -1]
     misclassified: Optional[Access] = None
@@ -229,7 +225,8 @@ def lint(trace: Trace) -> Verdict:
         pid = a.pid
         if pid not in (0, 1):
             raise CorruptTrace(f"step {a.t}: bad pid {pid!r}")
-        op, starts, b = table[2 * c + pid]
+        k = 2 * c + pid
+        op, starts = ops[k]
         if starts:
             op_seq[pid] += 1
         n = op_seq[pid]
@@ -237,11 +234,11 @@ def lint(trace: Trace) -> Verdict:
         got = None
         if a.op == op and a.op_seq == n:
             got = (a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
-        for d, fields in b:
+        for d, fields, _ in branches[k]:
             if fields == got:
                 break
         else:
-            d = _events_only(a, (op, n), b)
+            d = _events_only(a, (op, n), branches[k])
             if misclassified is None:
                 misclassified = a
         c = d
@@ -255,7 +252,7 @@ def _events_only(a: Access, runs: tuple[str, int], b: tuple) -> int:
     """The destination of the branch of `b` that `a`, running `runs`,
     matches in all but its events; any other difference raises
     CorruptTrace naming the first field that differs."""
-    d, (reg, action, value, coin, pre, post, _) = next(
+    d, (reg, action, value, coin, pre, post, _), _ = next(
         (x for x in b if x[1][3] == a.coin), b[0]
     )
     where = f"step {a.t}: P{a.pid}"

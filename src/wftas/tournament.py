@@ -101,7 +101,7 @@ class TournamentTree:
         }
         self.t = 0
         # One (t, pid, node, role, fields, op_seq, op) per access, `fields`
-        # being the step table's tuple; `accesses` builds the objects.
+        # being the model's tuple; `accesses` builds the objects.
         self._log: list[tuple] = []
 
     # -- operation control -------------------------------------------------
@@ -143,7 +143,7 @@ class TournamentTree:
         self._log.append((self.t, pid, node_id, role, fields, op_seq, op))
         self.t += 1
         rec.accesses += 1
-        if not nd.steps[2 * nd.cid + role][1]:
+        if not nd.model.ops[2 * nd.cid + role][1]:
             return  # the node-level operation is still in progress
         if p.descending:
             p.level -= 1  # released this node

@@ -49,7 +49,7 @@ def test_edges_probabilities():
 def test_coin_branch_at_choose_choose():
     m = model()
     branches = m.branches[2 * m.index[(S.CHOOSE, S.CHOOSE)]]
-    assert [coin for _, coin, _ in branches] == [True, False]
+    assert [fields[3] for _, fields, _ in branches] == [True, False]
     assert [m.configs[d][0] for d, _, _ in branches] == [S.TOME, S.TOHE]
 
 
@@ -83,7 +83,7 @@ def test_model_conforms_to_chart():
                 ((move.post, other) if pid == 0 else (other, move.post), coin, move)
                 for coin, move in protocol.branches(protocol.CHART, c[pid], GROUP[other])
             ]
-            got = [(m.configs[d], coin, move) for d, coin, move in m.branches[2 * i + pid]]
+            got = [(m.configs[d], fields[3], move) for d, fields, move in m.branches[2 * i + pid]]
             assert got == want
             coins = [coin for _, coin, _ in got]
             if len(got) == 2:
@@ -146,18 +146,20 @@ def test_representative_set_mirror(rep_sets):
 
 def test_op_outcomes():
     m = model()
+    out = checker._outcomes(m, 0, (0, 1))
     # Both outcomes are open in the symmetric race.
-    assert checker.op_outcomes(m, m.index[(S.ME, S.ME)], 0) == frozenset({0, 1})
+    assert out[m.index[(S.ME, S.ME)]] == {0, 1}
     # A process in HE facing a winner can only lose.
-    assert checker.op_outcomes(m, m.index[(S.HE, S.TST0)], 0) == frozenset({1})
+    assert out[m.index[(S.HE, S.TST0)]] == {1}
 
 
 def test_solo_returns_one():
     m = model()
+    solo = checker._outcomes(m, 0, (0,))
     # From TST1 the one-access tas returns 1 without the peer moving.
-    assert checker.solo_returns_one(m, m.index[(S.TST1, S.ME)], 0)
+    assert 1 in solo[m.index[(S.TST1, S.ME)]]
     # From RST a solo run wins; it cannot return 1 on its own.
-    assert not checker.solo_returns_one(m, m.index[(S.ME, S.RST)], 0)
+    assert 1 not in solo[m.index[(S.ME, S.RST)]]
 
 
 def _forward_outcomes(m, c, pid, actors):
@@ -189,25 +191,42 @@ def _mutant(state, value, post):
     return step
 
 
-def test_step_table_finishes_iff_idle():
+def test_model_ops_finish_iff_idle():
     """Every branch of the chart finishes its operation exactly when it
-    enters an idle state, so the table's entries follow the model; a
+    enters an idle state, so the model's ops follow its configurations:
+    the access after one that finishes starts the next operation.  A
     chart with an access that enters an idle state and cannot finish
     there does not compile."""
     m = model()
-    table = checker.step_table()
-    assert len(table) == len(m.branches)
+    assert len(m.ops) == len(m.branches)
     for i, c in enumerate(m.configs):
         for pid in (0, 1):
-            op, starts, b = table[2 * i + pid]
-            assert (op, starts) == (IDLE_OP.get(c[pid], "tas"), c[pid] in IDLE_OP)
-            assert [d for d, _ in b] == [d for d, _, _ in m.branches[2 * i + pid]]
-            for _, _, move in m.branches[2 * i + pid]:
-                assert move.finishes == (move.post in IDLE_OP)
+            assert m.ops[2 * i + pid] == (IDLE_OP.get(c[pid], "tas"), c[pid] in IDLE_OP)
+            for d, _, move in m.branches[2 * i + pid]:
+                assert m.configs[d][pid] is move.post
+                assert move.finishes == (move.post in IDLE_OP) == m.ops[2 * d + pid][1]
     # he reading he enters rst: an idle state, in the middle of a tas
     # that then has no return value.
     with pytest.raises(ProtocolError, match="^he -> rst: "):
         model(_mutant(S.HE, RegValue.HE, S.RST))
+
+
+@pytest.mark.parametrize("step_fn", [
+    protocol.step,
+    _mutant(S.HE, RegValue.HE, S.TST1),
+], ids=["chart", "he-reads-he-tst1"])
+def test_branch_fields_follow_the_move(step_fn):
+    """Each branch's fields are the access its Move and pid record: a
+    write to pid's own register or a read of the other one, the action,
+    value, coin (heads, then tails), state names and pid's events."""
+    m = model(step_fn)
+    for k, b in enumerate(m.branches):
+        pid = k % 2
+        coins = (True, False) if len(b) == 2 else (None,)
+        for (_, fields, move), coin in zip(b, coins, strict=True):
+            reg = pid if move.action == "w" else 1 - pid
+            assert fields == (reg, move.action, move.value, coin, move.pre_name,
+                              move.post_name, move.events[pid])
 
 
 def _rule(pre, post):

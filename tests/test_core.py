@@ -314,7 +314,7 @@ def _result(fn, *args):
 @functools.cache
 def _adversary_trace(adversary: str, seed: int, max_steps: int) -> Trace:
     trace, _, _ = harness.run(
-        harness.Workload((12, 12)), harness.builtin_adversaries(seed)[adversary],
+        harness.Workload((12, 12)), harness.adversary(adversary, seed),
         seed=seed, max_steps=max_steps,
     )
     return trace

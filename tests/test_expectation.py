@@ -172,7 +172,8 @@ def test_exact_value_beyond_2_pow_20():
     # c0 -> c1 -> ... -> c21, each step surviving with probability 1/2;
     # only c21 pays, 1.  The value at c0 is 2**-21, whose denominator a
     # snap to denominators <= 2**20 cannot represent.  P1 has one branch,
-    # which stops; the policy never schedules it.
+    # which stops; the policy never schedules it.  The solver reads
+    # neither the branches' fields nor the ops, so they are left empty.
     configs = list(itertools.product(S, repeat=2))[:22]
 
     def move(finishes):
@@ -181,9 +182,9 @@ def test_exact_value_beyond_2_pow_20():
     survive, stop, pay = move(False), move(True), move(True)
     branches = []
     for i in range(21):
-        branches += [((i + 1, True, survive), (i, False, stop)), ((i, None, stop),)]
-    branches += [((21, None, pay),), ((21, None, stop),)]
-    m = Model(tuple(configs), {c: i for i, c in enumerate(configs)}, tuple(branches))
+        branches += [((i + 1, (), survive), (i, (), stop)), ((i, (), stop),)]
+    branches += [((21, (), pay),), ((21, (), stop),)]
+    m = Model(tuple(configs), {c: i for i, c in enumerate(configs)}, tuple(branches), ())
 
     def branch_fn(pid, mv):
         return (1 if mv is pay else 0, mv.finishes)
@@ -203,7 +204,7 @@ def test_actions_reject_other_branch_counts():
     configs = list(itertools.product(S, repeat=2))[:1]
     mv = Move("r", RegValue.RST, S.RST, "rst", "rst", ((), ()), True)
     for n in (0, 3):
-        m = Model(tuple(configs), {configs[0]: 0}, (((0, None, mv),), ((0, None, mv),) * n))
+        m = Model(tuple(configs), {configs[0]: 0}, (((0, (), mv),), ((0, (), mv),) * n), ())
         with pytest.raises(ValueError, match=f"P1 has {n} branches"):
             expectation._actions(m, lambda pid, move: (1, move.finishes))
 

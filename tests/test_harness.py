@@ -25,10 +25,10 @@ def test_solo_run_three_accesses():
 def test_determinism():
     for name in ("round-robin", "random", "optimal"):
         t1, _, s1 = harness.run(
-            Workload((10, 10)), harness.builtin_adversaries(5)[name], seed=5
+            Workload((10, 10)), harness.adversary(name, 5), seed=5
         )
         t2, _, s2 = harness.run(
-            Workload((10, 10)), harness.builtin_adversaries(5)[name], seed=5
+            Workload((10, 10)), harness.adversary(name, 5), seed=5
         )
         assert t1.accesses == t2.accesses
         assert s1.per_op == s2.per_op
@@ -84,6 +84,11 @@ def test_script_exhausted():
         harness.run(Workload((1, 1)), harness.script([0]), seed=0)
 
 
+def test_unknown_adversary_name():
+    with pytest.raises(ValueError, match="^unknown adversary 'fair'$"):
+        harness.adversary("fair", 0)
+
+
 def test_truncation_recorded():
     _, _, stats = harness.run(
         Workload((5, 5)), harness.round_robin(), seed=0, max_steps=3
@@ -92,8 +97,8 @@ def test_truncation_recorded():
 
 
 def test_traces_linearizable():
-    for name, adv in harness.builtin_adversaries(11).items():
-        trace, _, _ = harness.run(Workload((25, 25)), adv, seed=11)
+    for name in ("round-robin", "random", "optimal"):
+        trace, _, _ = harness.run(Workload((25, 25)), harness.adversary(name, 11), seed=11)
         assert linearize.lint(trace).ok, name
 
 
@@ -124,7 +129,12 @@ def test_engine_steps_like_the_model(seed, schedule):
         if mid_op[pid] is None:
             op_seq[pid] += 1
             mid_op[pid] = IDLE_OP[m.configs[cid][pid]]
-        cid, coin, move = harness._take(m.branches[2 * cid + pid], rng.random)
+        # The branch the generator picks, and its coin: a coin read's two
+        # outcomes are heads, then tails.
+        b = m.branches[2 * cid + pid]
+        j = harness._take(range(len(b)), rng.random)
+        coin = (True, False)[j] if len(b) == 2 else None
+        cid, _, move = b[j]
         expected = Access(
             t=t,
             pid=pid,
@@ -147,7 +157,7 @@ def test_engine_steps_like_the_model(seed, schedule):
             type(getattr(expected, f)) for f in Access.__slots__
         ]
         assert (eng.cid, eng.op_seq) == (cid, op_seq)
-        idle = [eng.steps[2 * eng.cid + p][1] for p in (0, 1)]
+        idle = [m.ops[2 * eng.cid + p][1] for p in (0, 1)]
         assert idle == [mid_op[p] is None for p in (0, 1)]
         trace.append(a)
     assert linearize.lint(trace).ok
@@ -155,9 +165,9 @@ def test_engine_steps_like_the_model(seed, schedule):
 
 def _run_reference(workload, adversary, seed, max_steps):
     """A plain version of `harness.run`'s loop, which reads the
-    schedulable pids from the step table entry by entry."""
+    schedulable pids from the model's ops entry by entry."""
     eng = harness._Engine(random.Random(seed).random)
-    steps, configs = eng.steps, model().configs
+    ops, configs = model().ops, model().configs
     remaining = list(workload.tas_ops)
     trace = Trace()
     accesses = trace.accesses
@@ -166,7 +176,7 @@ def _run_reference(workload, adversary, seed, max_steps):
     while True:
         schedulable = []
         for pid in (0, 1):
-            op, starts, _ = steps[2 * eng.cid + pid]
+            op, starts = ops[2 * eng.cid + pid]
             if not starts or op == "reset" or remaining[pid] > 0:
                 schedulable.append(pid)
         if not schedulable:
@@ -177,7 +187,7 @@ def _run_reference(workload, adversary, seed, max_steps):
         pid = adversary(accesses, configs[eng.cid], tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        op, starts, _ = steps[2 * eng.cid + pid]
+        op, starts = ops[2 * eng.cid + pid]
         if starts and op == "tas":
             remaining[pid] -= 1
         fields, op_seq, op = eng.step_pid(pid)
@@ -208,10 +218,10 @@ def test_run_matches_reference_loop(adversary, seed, ops, max_steps):
     included, and shows its adversary the same decisions."""
     logs = [], []
     got = harness.run(Workload(ops),
-                      _logged(harness.builtin_adversaries(seed)[adversary], logs[0]),
+                      _logged(harness.adversary(adversary, seed), logs[0]),
                       seed, max_steps)
     want = _run_reference(Workload(ops),
-                          _logged(harness.builtin_adversaries(seed)[adversary], logs[1]),
+                          _logged(harness.adversary(adversary, seed), logs[1]),
                           seed, max_steps)
     assert got[0].accesses == want[0].accesses
     assert got[1:] == want[1:]

@@ -26,7 +26,7 @@ def test_solo_witness():
     trace, _ = _run(Workload((1, 0)), harness.round_robin(), 0)
     v = check_two_process(trace)
     assert v.ok
-    order = v.linearization.order
+    order = v.order
     assert [(o.pid, o.kind, o.ret) for o in order] == [
         (0, "tas", 0), (0, "reset", None)
     ]
@@ -99,7 +99,7 @@ def test_lint_requires_start_from_rst():
 @pytest.mark.parametrize("i", (0, 7))
 @pytest.mark.parametrize("pid", (2, -1))
 def test_lint_rejects_bad_pid(i, pid):
-    """A pid other than 0 or 1 is named before it indexes the step table."""
+    """A pid other than 0 or 1 is named before it indexes the model."""
     trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
     accesses = list(trace.accesses)
     accesses[i] = _replace(accesses[i], pid=pid)
@@ -173,7 +173,7 @@ def _verdict_or_corrupt(lint_fn, trace):
         v = lint_fn(trace)
     except CorruptTrace:
         return "corrupt"
-    return (v.ok, v.rejected_prefix, v.linearization)
+    return (v.ok, v.rejected_prefix, v.order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,7 +312,7 @@ def _assert_witness(word):
     records = trace.op_records()
     v = check_two_process(trace)
     assert v.ok
-    order = v.linearization.order
+    order = v.order
     by_op = {(r.pid, r.op_seq): r for r in records}
     # Exactly one SeqOp per operation, pending ones included.
     assert sorted((o.pid, o.op_seq) for o in order) == sorted(by_op)

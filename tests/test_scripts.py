@@ -24,6 +24,8 @@ PINNED = {
         "b14481bc80ea5099569d7752568e4298c3a276a7aab60e3726589c5c7e421a2e",
     "wftas dump-fa3":
         "e568f05db1e97a5c355e354795ff9843ead3dc9160a227d4508edb0e467c5a7b",
+    "wftas simulate --ops 100 --adversary round-robin --seed 0":
+        "5ac547ad45c1be638b7f514705102e3d217ea70c22b116e49a4cd8f04276477e",
     "wftas simulate --ops 100 --adversary optimal --seed 1":
         "aaeff820ce166b752fad69d8258d28c13c46887f574a7eeab01ba178bef4217e",
     "wftas simulate --ops 200 --adversary random --seed 13":

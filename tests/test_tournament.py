@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wftas import linearize, protocol, tournament
-from wftas.checker import model, step_table
+from wftas.checker import model
 from wftas.core import Access, OpRecord, Trace
 from wftas.harness import _take
 from wftas.protocol import GROUP
@@ -301,7 +301,6 @@ class _OracleEngine:
     def __init__(self, coin):
         self.coin = coin
         self.model = model()
-        self.steps = step_table()
         self.cid = 0
         self.op_seq = [-1, -1]
         self.t = 0
@@ -311,13 +310,14 @@ class _OracleEngine:
         return self.model.configs[self.cid]
 
     def idle(self, pid):
-        return self.steps[2 * self.cid + pid][1]
+        return self.model.ops[2 * self.cid + pid][1]
 
     def step_pid(self, pid):
-        op, starts, b = self.steps[2 * self.cid + pid]
+        k = 2 * self.cid + pid
+        op, starts = self.model.ops[k]
         if starts:
             self.op_seq[pid] += 1
-        self.cid, fields = _take(b, self.coin)
+        self.cid, fields, _ = _take(self.model.branches[k], self.coin)
         a = Access(self.t, pid, *fields, self.op_seq[pid], op)
         self.t += 1
         return a
