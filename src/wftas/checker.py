@@ -38,7 +38,7 @@ Branch = tuple[int, tuple, Move]
 
 
 class Model:
-    """The reachable configuration graph of one step function on ids:
+    """The reachable configuration graph of one chart on ids:
     `configs[i]` is configuration i, numbered breadth-first from
     (rst, rst) = 0, `index` maps back, and `branches[2 * i + pid]` are
     the outcomes of scheduling pid in it, each a `Branch` of probability
@@ -63,28 +63,16 @@ class Model:
         return len(self.configs)
 
 
-def model(step_fn: StepFn = protocol.step) -> Model:
-    """The model of `step_fn`, compiled from `protocol.compile_chart`
-    on first use and shared by every caller, who must not modify it.
-    The chart's model is kept for the life of the process, and only the
-    few most recently used models of other step functions (mutants)."""
-    if step_fn is protocol.step:
-        return _model()
-    return _mutant_model(step_fn)
-
-
 @functools.cache
-def _model() -> Model:
-    return _compile_model(protocol.step)
+def model() -> Model:
+    """The model of `protocol.CHART`, compiled on first use and shared
+    by every caller, who must not modify it."""
+    return compile_model(protocol.CHART)
 
 
-@functools.lru_cache(maxsize=4)
-def _mutant_model(step_fn: StepFn) -> Model:
-    return _compile_model(step_fn)
-
-
-def _compile_model(step_fn: StepFn) -> Model:
-    chart = protocol.compile_chart(step_fn)
+def compile_model(chart: protocol.Chart) -> Model:
+    """The model of `chart`, compiled afresh on every call; the
+    mutation checks compile each mutant chart with it."""
 
     def successors(config: Config, pid: int):
         other = config[1 - pid]
@@ -194,9 +182,7 @@ def _allowed_claims(state: ProcState, out: set[int], solo: set[int]) -> frozense
     return frozenset(allowed)
 
 
-def representative_sets(
-    step_fn: StepFn = protocol.step,
-) -> dict[Config, frozenset[Fa3State]]:
+def representative_sets(m: Model) -> dict[Config, frozenset[Fa3State]]:
     """The representative FA4 state set of every reachable configuration.
 
     A state belongs to the set of a configuration iff
@@ -208,10 +194,9 @@ def representative_sets(
 
     closed under canonicalization (epsilon-closure minus states with only
     epsilon-moves).  The result is history-independent by construction
-    and may contain empty sets if `step_fn` deviates from the chart.
+    and may contain empty sets if `m` is the model of a mutant chart.
     """
     fa3 = fa3_build()
-    m = model(step_fn)
     futures = [(_outcomes(m, pid, (0, 1)), _outcomes(m, pid, (pid,))) for pid in (0, 1)]
     rep: dict[Config, frozenset[Fa3State]] = {}
     for c, sets in forward_families(m).items():
@@ -249,10 +234,13 @@ def verify_against_table(
     table: Optional[GoldenTable] = None,
     step_fn: StepFn = protocol.step,
 ) -> CheckReport:
-    """Cell-by-cell comparison of the computed system against the table."""
+    """Cell-by-cell comparison of the computed system against the table.
+    A `step_fn` other than `protocol.step` is a mutant: its chart is
+    compiled into a model of its own, used for this call only."""
     if table is None:
         table = load_golden_table()
-    rep = representative_sets(step_fn)
+    m = model() if step_fn is protocol.step else compile_model(protocol.compile_chart(step_fn))
+    rep = representative_sets(m)
     mismatches: list[str] = []
     for c in sorted(rep, key=_cfg_key):
         if not rep[c]:
@@ -316,14 +304,13 @@ def verify_against_table(
 
 def claim_induction_check(
     rep: dict[Config, frozenset[Fa3State]],
-    step_fn: StepFn = protocol.step,
+    m: Model,
 ) -> list[str]:
-    """Edge-wise induction over the representative sets `rep` of
-    `step_fn`: every state in the successor's set must be reachable from
-    some state of the predecessor's set via the access's B-events plus
+    """Edge-wise induction over the representative sets `rep` of `m`:
+    every state in the successor's set must be reachable from some state
+    of the predecessor's set via the access's B-events plus
     epsilon-moves."""
     fa3 = fa3_build()
-    m = model(step_fn)
     problems: list[str] = []
     for c in sorted(rep, key=_cfg_key):
         i = m.index[c]

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success / all phases PASS; 1 verification failure, or
-stdout closed by its reader; 2 linearizability violation (lint-trace);
-3 input errors.
+Exit codes: 0 success / all phases PASS, or --help; 1 verification
+failure, no tournament violation found, or stdout closed by its reader;
+2 linearizability violation (lint-trace); 3 input errors, usage errors
+(an unknown subcommand, option or choice, a missing argument) included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import (
     automata,
@@ -52,7 +53,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"{121 - expected_reachable} * cells verified unreachable"
         )
     ok = _phase("reachability", reach_problems)
-    ok &= _phase("confluence", checker.claim_induction_check(report.rep_sets))
+    ok &= _phase("confluence", checker.claim_induction_check(report.rep_sets, checker.model()))
     ok &= _phase("table letters", report.mismatches)
     ok &= _phase("table symmetry", goldens.validate_goldens(table))
     if args.json:
@@ -210,11 +211,22 @@ def cmd_dump_fa3(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code lint-trace gives a
+    # violation; raising lets `main` exit 3, as for any input error.
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `wftas` parser, built on first use and shared by every call;
     `main` runs the `cmd_*` function the subcommand names."""
-    p = argparse.ArgumentParser(prog="wftas")
+    p = _Parser(prog="wftas")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="verify the model against the shipped table")
@@ -249,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _input_error(exc)
     # Looked up per call, so a command replaced on the module (a test's
     # patch, a tracer's wrapper) is the one that runs.
     fn = globals()["cmd_" + args.command.replace("-", "_")]

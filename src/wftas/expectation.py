@@ -15,7 +15,7 @@ Python ints throughout.
 The solver works one strongly connected component at a time
 (topological value iteration, Dai & Goldsmith 2007, run as exact policy
 iteration).  The graph has an edge for every non-absorbing branch of
-either pid's action, and `search.components` (Tarjan's algorithm) lists
+every action, and `search.components` (Tarjan's algorithm) lists
 its components sinks first, so every such branch leads into its own
 component or an earlier one.  A component's rows are solved with the
 values of the earlier components held fixed on the right-hand side, by
@@ -24,23 +24,25 @@ gcd; its values, numerators over one denominator, join the common
 denominator of the values found so far through lcm.  A zero pivot means
 the policy is improper (some configuration never reaches absorption).
 
-Policy iteration runs inside each component, from the policy "always
-schedule the tracked process": a configuration switches to the other
-process only when that strictly raises its value, until no
-configuration of the component switches.  The start is proper, since a
-solo tracked process always finishes its operation, so it leaves the
-component or absorbs; and a strict improvement keeps a proper policy
-proper: in a closed set that never absorbs, the tracked process takes
-no step (it would finish with probability 1), so no reward is paid
-there and no switch into it strictly gains.
+Each configuration offers a tuple of actions: action 0 schedules the
+tracked process, action 1 the other one.  A policy is an action index
+per configuration; only `_solve_mdp` and `evaluate_policy` map indices
+to pids.  Policy iteration runs inside each component, from the policy
+"always take action 0": a configuration switches action only when that
+strictly raises its value, until no configuration of the component
+switches.  The start is proper, since a solo tracked process always
+finishes its operation, so it leaves the component or absorbs; and a
+strict improvement keeps a proper policy proper: in a closed set that
+never absorbs, the tracked process takes no step (it would finish with
+probability 1), so no reward is paid there and no switch into it
+strictly gains.
 
 The result is then certified independently, on the whole model: the
 policy is re-extracted greedily from the exact values (ties broken
-toward scheduling the tracked process), the values must be exactly the
-fixed point of the optimal Bellman operator, and the policy must be
-proper.  A proper policy's affine operator has a unique fixed point, so
-the values are exactly the optimal values.  Fractions are built once,
-for the result.
+toward action 0), the values must be exactly the fixed point of the
+optimal Bellman operator, and the policy must be proper.  A proper
+policy's affine operator has a unique fixed point, so the values are
+exactly the optimal values.  Fractions are built once, for the result.
 
 Each objective is solved once per process and tracked pid: `solve`,
 `loop_probabilities` and `expected_choose_visits` return one shared
@@ -62,12 +64,14 @@ from .search import components, explore
 # perfbench's tracer times the model accessor under this name.
 edge_map = model
 
-# (acting pid, move) -> (reward on taking this branch, branch is absorbing)
-BranchFn = Callable[[int, Move], tuple[int, bool]]
+# An objective: the reward of one access of the tracked process, given
+# its Move, and whether that access absorbs.  The other process's
+# accesses pay 0 and never absorb.
+Objective = Callable[[Move], tuple[int, bool]]
 
-# Scheduling pid in configuration id, at 2 * id + pid, doubled: twice the
-# expected reward, the non-absorbing branches as (destination id, twice
-# the branch's probability: 1 or 2), and whether some branch absorbs.
+# Scheduling one pid in a configuration, doubled: twice the expected
+# reward, the non-absorbing branches as (destination id, twice the
+# branch's probability: 1 or 2), and whether some branch absorbs.
 Action = tuple[int, tuple[tuple[int, int], ...], bool]
 
 
@@ -90,24 +94,30 @@ class SolveResult(NamedTuple):
         return max(self.values.values())
 
 
-def _actions(m: Model, branch_fn: BranchFn) -> list[Action]:
-    out: list[Action] = []
-    for k, branches in enumerate(m.branches):
-        if len(branches) not in (1, 2):
-            config = _cfg_name(m.configs[k // 2])
-            raise ValueError(f"{config}: P{k % 2} has {len(branches)} branches, not 1 or 2")
-        w = 2 // len(branches)
-        reward = 0
-        succ = []
-        exits = False
-        for d, _, move in branches:
-            r, absorbing = branch_fn(k % 2, move)
-            reward += w * r
-            if absorbing:
-                exits = True
-            else:
-                succ.append((d, w))
-        out.append((reward, tuple(succ), exits))
+def _actions(m: Model, objective: Objective, tracked: int) -> list[tuple[Action, ...]]:
+    """Per configuration id, its actions: scheduling the tracked pid
+    (action 0), then the other pid (action 1)."""
+    out: list[tuple[Action, ...]] = []
+    for i in range(len(m)):
+        actions = []
+        for pid in (tracked, 1 - tracked):
+            branches = m.branches[2 * i + pid]
+            if len(branches) not in (1, 2):
+                config = _cfg_name(m.configs[i])
+                raise ValueError(f"{config}: P{pid} has {len(branches)} branches, not 1 or 2")
+            w = 2 // len(branches)
+            reward = 0
+            succ = []
+            exits = False
+            for d, _, move in branches:
+                r, absorbing = objective(move) if pid == tracked else (0, False)
+                reward += w * r
+                if absorbing:
+                    exits = True
+                else:
+                    succ.append((d, w))
+            actions.append((reward, tuple(succ), exits))
+        out.append(tuple(actions))
     return out
 
 
@@ -195,48 +205,51 @@ def _evaluate(m: Model, comp: list[int], eqs: list[Equation]) -> tuple[list[int]
 
 
 def _component_values(
-    m: Model, acts: list[Action], policy: list[int], improve: bool
+    m: Model, acts: list[tuple[Action, ...]], policy: list[int], improve: bool
 ) -> tuple[list[int], int, int]:
-    """Values of `policy` as numerators over one positive common
-    denominator, solved component by component, sinks first, and the
-    most exact evaluations any one component needed.
+    """Values of `policy`, an action index per configuration, as
+    numerators over one positive common denominator, solved component by
+    component, sinks first, and the most exact evaluations any one
+    component needed.
 
     With `improve`, each component runs policy iteration from the
     entries of `policy`, which it updates in place: a configuration
-    switches pid only when that strictly raises its value."""
+    switches to the first other action that strictly raises its
+    value."""
     nums = [0] * len(m)
     den = 1
     most = 0
-    succ = [[d for pid in (0, 1) for d, _ in acts[2 * i + pid][1]] for i in range(len(m))]
+    succ = [[d for _, branches, _ in actions for d, _ in branches] for actions in acts]
     for comp in components(succ):
         local = {i: j for j, i in enumerate(comp)}
-        # eqs[2 * j + pid]: scheduling pid in comp[j].
-        eqs: list[Equation] = []
+        # eqs[j][a]: taking action a in comp[j].
+        eqs: list[list[Equation]] = []
         for i in comp:
-            for pid in (0, 1):
-                reward, succ, _ = acts[2 * i + pid]
+            eqs.append([])
+            for reward, branches, _ in acts[i]:
                 outer = reward * den
                 inner = []
-                for d, w in succ:
+                for d, w in branches:
                     j = local.get(d)
                     if j is None:
                         outer += w * nums[d]
                     else:
                         inner.append((j, w))
-                eqs.append((outer, inner))
+                eqs[-1].append((outer, inner))
         evaluations = 0
         while True:
-            t, p = _evaluate(m, comp, [eqs[2 * j + policy[i]] for j, i in enumerate(comp)])
+            t, p = _evaluate(m, comp, [eqs[j][policy[i]] for j, i in enumerate(comp)])
             evaluations += 1
             if not improve:
                 break
             # Twice an action's value, times p * den, against 2 * t[j].
             stable = True
             for j, i in enumerate(comp):
-                outer, inner = eqs[2 * j + 1 - policy[i]]
-                if p * outer + sum(w * t[x] for x, w in inner) > 2 * t[j]:
-                    policy[i] = 1 - policy[i]
-                    stable = False
+                for a, (outer, inner) in enumerate(eqs[j]):
+                    if a != policy[i] and p * outer + sum(w * t[x] for x, w in inner) > 2 * t[j]:
+                        policy[i] = a
+                        stable = False
+                        break
             if stable:
                 break
         most = max(most, evaluations)
@@ -256,25 +269,24 @@ def _component_values(
 
 
 def _result(
-    m: Model, nums: list[int], den: int, policy: list[int], iterations: int
+    m: Model, nums: list[int], den: int, pids: list[int], iterations: int
 ) -> SolveResult:
     values = [Fraction(x, den) for x in nums]
-    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, policy)), iterations)
+    return SolveResult(dict(zip(m.configs, values)), dict(zip(m.configs, pids)), iterations)
 
 
-def _certify(
-    m: Model, acts: list[Action], nums: list[int], den: int, iterations: int, tracked: int
-) -> SolveResult:
-    # Greedy policy; ties go to the tracked process so that the policy
-    # keeps making progress toward absorption (a solo process always
-    # finishes its operation).
+def _certify(m: Model, acts: list[tuple[Action, ...]], nums: list[int], den: int) -> list[int]:
+    """The greedy policy of the values nums[i] / den, once they are
+    certified optimal.  Ties go to action 0, so that the policy keeps
+    making progress toward absorption: action 0 schedules the process
+    whose operation is priced, and run solo it always finishes."""
     policy: list[int] = []
     for i, num in enumerate(nums):
-        q_tracked = _q2(acts[2 * i + tracked], nums, den)
-        q_other = _q2(acts[2 * i + 1 - tracked], nums, den)
-        policy.append(tracked if q_tracked >= q_other else 1 - tracked)
+        q = [_q2(action, nums, den) for action in acts[i]]
+        best = max(q)
+        policy.append(q.index(best))
         # Optimal Bellman fixed point, exactly.
-        if 2 * num != max(q_tracked, q_other):
+        if 2 * num != best:
             raise NonConvergence(
                 f"values are not a Bellman fixed point at {_cfg_name(m.configs[i])}"
             )
@@ -282,26 +294,24 @@ def _certify(
     # from every configuration, hence absorption is almost sure and the
     # policy's affine operator has a unique fixed point.
     _policy_properness(m, acts, policy)
-    return _result(m, nums, den, policy, iterations)
+    return policy
 
 
-def _policy_properness(m: Model, acts: list[Action], policy: list[int]) -> None:
+def _policy_properness(m: Model, acts: list[tuple[Action, ...]], policy: list[int]) -> None:
     # Live: the scheduled access can absorb, or lead to a live
     # configuration; a backward search from those that absorb.
     preds: list[list[tuple[int, int]]] = [[] for _ in range(len(m))]
-    for i, pid in enumerate(policy):
-        for d, _ in acts[2 * i + pid][1]:
-            preds[d].append((pid, i))
-    live = explore((i for i, pid in enumerate(policy) if acts[2 * i + pid][2]), preds.__getitem__)
+    for i, a in enumerate(policy):
+        for d, _ in acts[i][a][1]:
+            preds[d].append((a, i))
+    live = explore((i for i, a in enumerate(policy) if acts[i][a][2]), preds.__getitem__)
     if len(live) < len(m):
         dead = next(i for i in range(len(m)) if i not in live)
         raise NonConvergence(f"policy is improper from {_cfg_name(m.configs[dead])}")
 
 
 def evaluate_policy(
-    policy: dict[Config, int],
-    branch_fn_for: Callable[[int], BranchFn],
-    tracked: int = 0,
+    policy: dict[Config, int], objective: Objective, tracked: int = 0
 ) -> SolveResult:
     """Certified exact value of a *fixed* scheduling policy: the
     properness check, then one exact evaluation per component.
@@ -309,59 +319,45 @@ def evaluate_policy(
     Raises ValueError, naming the configuration, when `policy` has no
     entry for a reachable configuration or an entry other than 0 or 1."""
     m = model()
-    acts = _actions(m, branch_fn_for(tracked))
-    ids: list[int] = []
+    acts = _actions(m, objective, tracked)
+    pids: list[int] = []
     for c in m.configs:
         pid = policy.get(c)
         if pid is None:
             raise ValueError(f"policy has no entry for {_cfg_name(c)}")
         if not (isinstance(pid, int) and pid in (0, 1)):
             raise ValueError(f"policy schedules {pid!r} at {_cfg_name(c)}, not 0 or 1")
-        ids.append(pid)
-    _policy_properness(m, acts, ids)
-    nums, den, _ = _component_values(m, acts, ids, improve=False)
-    return _result(m, nums, den, ids, 1)
+        pids.append(pid)
+    chosen = [0 if pid == tracked else 1 for pid in pids]
+    _policy_properness(m, acts, chosen)
+    nums, den, _ = _component_values(m, acts, chosen, improve=False)
+    return _result(m, nums, den, pids, 1)
 
 
 # Three objectives, each with tracked 0 or 1: at most six entries.
 @functools.cache
-def _solve_mdp(branch_fn_for: Callable[[int], BranchFn], tracked: int) -> SolveResult:
-    """Exact policy iteration, one component at a time from the
-    all-tracked policy, then the certificate on the whole model."""
+def _solve_mdp(objective: Objective, tracked: int) -> SolveResult:
+    """Exact policy iteration, one component at a time from action 0
+    everywhere, then the certificate on the whole model."""
     m = model()
-    acts = _actions(m, branch_fn_for(tracked))
-    policy = [tracked] * len(m)
-    nums, den, most = _component_values(m, acts, policy, improve=True)
-    return _certify(m, acts, nums, den, most, tracked)
+    acts = _actions(m, objective, tracked)
+    nums, den, most = _component_values(m, acts, [0] * len(m), improve=True)
+    pids = (tracked, 1 - tracked)
+    return _result(m, nums, den, [pids[a] for a in _certify(m, acts, nums, den)], most)
 
 
-def _access_cost(tracked: int) -> BranchFn:
-    def branch(pid: int, move: Move) -> tuple[int, bool]:
-        if pid != tracked:
-            return (0, False)
-        return (1, move.finishes)
-
-    return branch
+def _access_cost(move: Move) -> tuple[int, bool]:
+    return (1, move.finishes)
 
 
-def _choose_entry_reward(tracked: int) -> BranchFn:
-    def branch(pid: int, move: Move) -> tuple[int, bool]:
-        if pid != tracked:
-            return (0, False)
-        if move.post is ProcState.CHOOSE:
-            return (1, True)  # success: absorbed with reward 1
-        return (0, move.finishes)
-
-    return branch
+def _choose_entry_reward(move: Move) -> tuple[int, bool]:
+    if move.post is ProcState.CHOOSE:
+        return (1, True)  # success: absorbed with reward 1
+    return (0, move.finishes)
 
 
-def _choose_visit_cost(tracked: int) -> BranchFn:
-    def branch(pid: int, move: Move) -> tuple[int, bool]:
-        if pid != tracked:
-            return (0, False)
-        return (1 if move.post is ProcState.CHOOSE else 0, move.finishes)
-
-    return branch
+def _choose_visit_cost(move: Move) -> tuple[int, bool]:
+    return (1 if move.post is ProcState.CHOOSE else 0, move.finishes)
 
 
 def solve(tracked: int = 0) -> SolveResult:

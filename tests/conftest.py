@@ -26,7 +26,7 @@ def check_report(golden_table):
 
 @pytest.fixture(scope="session")
 def rep_sets():
-    return checker.representative_sets()
+    return checker.representative_sets(checker.model())
 
 
 @pytest.fixture(scope="session")

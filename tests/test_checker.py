@@ -2,7 +2,7 @@ import pytest
 
 from wftas import checker, cli, expectation, protocol
 from wftas.automata import Fa2State, Fa3State, Owner, fa3_build
-from wftas.checker import INITIAL_CONFIG, model
+from wftas.checker import INITIAL_CONFIG, compile_model, model
 from wftas.core import RegValue
 from wftas.protocol import GROUP, IDLE_OP, ProcState as S, ProtocolError
 
@@ -23,27 +23,29 @@ def test_edges_probabilities():
         assert len(branches) in (1, 2)
     # Weights are doubled probabilities.  With no absorbing branch, every
     # action's successors carry weight 2.
-    for _, succ, exits in expectation._actions(m, lambda pid, move: (0, False)):
-        assert not exits
-        assert sum(w for _, w in succ) == 2
-    # Under each solver's branch function, the absorbing branches carry
-    # exactly the rest.
-    for cost in (
+    for actions in expectation._actions(m, lambda move: (0, False), 0):
+        for _, succ, exits in actions:
+            assert not exits
+            assert sum(w for _, w in succ) == 2
+    # Under each solver's objective, the absorbing branches of the
+    # tracked pid's action 0 carry exactly the rest; the other pid's
+    # action 1 never absorbs.
+    for objective in (
         expectation._access_cost,
         expectation._choose_entry_reward,
         expectation._choose_visit_cost,
     ):
         for tracked in (0, 1):
-            fn = cost(tracked)
-            for k, (_, succ, exits) in enumerate(expectation._actions(m, fn)):
-                branches = m.branches[k]
-                absorbed = sum(
-                    2 // len(branches)
-                    for _, _, move in branches
-                    if fn(k % 2, move)[1]
-                )
-                assert sum(w for _, w in succ) + absorbed == 2
-                assert exits == (absorbed > 0)
+            for i, actions in enumerate(expectation._actions(m, objective, tracked)):
+                for pid, (_, succ, exits) in zip((tracked, 1 - tracked), actions, strict=True):
+                    branches = m.branches[2 * i + pid]
+                    absorbed = sum(
+                        2 // len(branches)
+                        for _, _, move in branches
+                        if pid == tracked and objective(move)[1]
+                    )
+                    assert sum(w for _, w in succ) + absorbed == 2
+                    assert exits == (absorbed > 0)
 
 
 def test_coin_branch_at_choose_choose():
@@ -71,7 +73,12 @@ def _reachable():
 
 def test_model_conforms_to_chart():
     m = model()
-    assert m is model(protocol.step)
+    assert m is model()
+    # `model()` is the chart's compile, kept; `compile_model` compiles afresh.
+    fresh = compile_model(protocol.CHART)
+    assert fresh is not m
+    assert (fresh.configs, fresh.index, fresh.branches, fresh.ops) == (
+        m.configs, m.index, m.branches, m.ops)
     assert m.configs[0] == (S.RST, S.RST)
     assert set(m.configs) == _reachable() and len(_reachable()) == 98
     assert m.index == {c: i for i, c in enumerate(m.configs)}
@@ -101,7 +108,7 @@ def test_verify_against_table(check_report):
 
 
 def test_claim_induction(rep_sets):
-    assert checker.claim_induction_check(rep_sets) == []
+    assert checker.claim_induction_check(rep_sets, model()) == []
 
 
 def test_claim_induction_names_underivable_state(rep_sets):
@@ -111,7 +118,7 @@ def test_claim_induction_names_underivable_state(rep_sets):
     assert extra not in fa3_build().eps_only_states()
     assert extra not in rep_sets[me_me]
     forged = {**rep_sets, me_me: rep_sets[me_me] | {extra}}
-    problems = checker.claim_induction_check(forged)
+    problems = checker.claim_induction_check(forged, model())
     assert f"(rst,me) -> (me,me): state {extra!r} not derivable" in problems
     assert all(p.endswith(f"-> (me,me): state {extra!r} not derivable")
                for p in problems)
@@ -128,9 +135,6 @@ def test_step_fn_called_once_per_chart_entry():
     report = checker.verify_against_table(step_fn=counting_step)
     assert report.ok
     assert calls == len(protocol.CHART) == 24
-    # The graph of a step function is built once.
-    checker.verify_against_table(step_fn=counting_step)
-    assert calls == 24
 
 
 def test_representative_sets_nonempty(rep_sets):
@@ -178,6 +182,11 @@ def _forward_outcomes(m, c, pid, actors):
     return out
 
 
+def _model_of(step_fn):
+    """The model of the chart `step_fn` defines, compiled afresh."""
+    return compile_model(protocol.compile_chart(step_fn))
+
+
 def _mutant(state, value, post):
     """The protocol step with the read of `value` from `state` redirected
     to `post`."""
@@ -208,7 +217,7 @@ def test_model_ops_finish_iff_idle():
     # he reading he enters rst: an idle state, in the middle of a tas
     # that then has no return value.
     with pytest.raises(ProtocolError, match="^he -> rst: "):
-        model(_mutant(S.HE, RegValue.HE, S.RST))
+        _model_of(_mutant(S.HE, RegValue.HE, S.RST))
 
 
 @pytest.mark.parametrize("step_fn", [
@@ -219,7 +228,7 @@ def test_branch_fields_follow_the_move(step_fn):
     """Each branch's fields are the access its Move and pid record: a
     write to pid's own register or a read of the other one, the action,
     value, coin (heads, then tails), state names and pid's events."""
-    m = model(step_fn)
+    m = _model_of(step_fn)
     for k, b in enumerate(m.branches):
         pid = k % 2
         coins = (True, False) if len(b) == 2 else (None,)
@@ -293,13 +302,12 @@ def test_single_entry_mutant_census():
             assert move.finishes == (move.post in IDLE_OP)
             assert move.value is (GROUP[move.post] if observed is None else observed)
         compiled += 1
-        fam = checker.forward_families(model(step_fn))
+        fam = checker.forward_families(compile_model(chart))
         empty += any(frozenset() in sets for sets in fam.values())
     assert (compiled, refused, empty) == (98, {"register": 128, "tas": 6, "reset": 8}, 38)
-    # The chart's model outlives the census; only a few mutant models stay.
+    # The chart's model outlives the census.
     assert model() is chart_model and model() is model()
-    assert checker._model.cache_info().currsize == 1
-    assert checker._mutant_model.cache_info().currsize <= 4
+    assert model.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("step_fn", [
@@ -318,8 +326,9 @@ def test_claim_futures_computed_once_per_config_and_pid(monkeypatch, step_fn):
         return orig(m, pid, actors)
 
     monkeypatch.setattr(checker, "_outcomes", counted)
+    m = _model_of(step_fn)
     for calls in (1, 2):
-        rep = checker.representative_sets(step_fn)
+        rep = checker.representative_sets(m)
         assert sorted(log) == sorted([(0, (0, 1)), (1, (0, 1)), (0, (0,)), (1, (1,))] * calls)
         assert all(rep.values())
 
@@ -332,7 +341,7 @@ def test_claim_futures_computed_once_per_config_and_pid(monkeypatch, step_fn):
 def test_outcome_searches_match_forward_search(step_fn):
     """The backward searches give every mid-operation process the values
     a forward search from its configuration finds."""
-    m = model(step_fn)
+    m = _model_of(step_fn)
     for pid in (0, 1):
         for actors in ((0, 1), (pid,)):
             out = checker._outcomes(m, pid, actors)
@@ -383,25 +392,33 @@ def _reference_families(m):
     ids=["chart", "choose-reads-rst-tome", "me-reads-me-tst0"],
 )
 def test_forward_families_match_subset_construction(step_fn, empty_configs):
-    m = model(step_fn)
+    m = _model_of(step_fn)
     fam = checker.forward_families(m)
     assert fam == _reference_families(m)
     assert sum(frozenset() in sets for sets in fam.values()) == empty_configs
 
 
 def test_default_graph_built_once(monkeypatch):
-    checker._model.cache_clear()
-    compiled = []
-    orig = protocol.compile_chart
+    """After import, `check` then `expect` compile no chart and one
+    model: that of `protocol.CHART`."""
+    checker.model.cache_clear()
+    charts, models = [], []
+    orig_chart, orig_model = protocol.compile_chart, checker.compile_model
 
-    def counting(step_fn=protocol.step):
-        compiled.append(step_fn)
-        return orig(step_fn)
+    def counting_chart(step_fn=protocol.step):
+        charts.append(step_fn)
+        return orig_chart(step_fn)
 
-    monkeypatch.setattr(protocol, "compile_chart", counting)
+    def counting_model(chart):
+        models.append(chart)
+        return orig_model(chart)
+
+    monkeypatch.setattr(protocol, "compile_chart", counting_chart)
+    monkeypatch.setattr(checker, "compile_model", counting_model)
     assert cli.main(["check", "--json"]) == 0
     assert cli.main(["expect", "--verify", "--policy"]) == 0
-    assert compiled == [protocol.step]
+    assert charts == []
+    assert len(models) == 1 and models[0] is protocol.CHART
 
 
 def _reference_induction(rep, step_fn):
@@ -433,18 +450,19 @@ def _reference_induction(rep, step_fn):
     ids=["he-reads-he-tst1", "me-reads-me-tst0"],
 )
 def test_claim_induction_walks_the_mutant_model(step_fn):
-    rep = checker.representative_sets(step_fn)
+    m = _model_of(step_fn)
+    rep = checker.representative_sets(m)
     # Each mutant reaches a configuration the default model lacks, so
     # only the mutant's own model can step its sets.
     extra = sorted(set(rep) - set(model().configs), key=checker._cfg_key)
     assert extra
-    assert checker.claim_induction_check(rep, step_fn) == []
+    assert checker.claim_induction_check(rep, m) == []
     assert _reference_induction(rep, step_fn) == []
     # Plant a state in the first mutant-only configuration: the edges
     # into it, which only the mutant has, must now be reported.
     planted = dict(rep)
     planted[extra[0]] = fa3_build().fa4_initial()
-    problems = checker.claim_induction_check(planted, step_fn)
+    problems = checker.claim_induction_check(planted, m)
     assert problems == _reference_induction(planted, step_fn)
     into = f"-> {checker._cfg_name(extra[0])}: "
     assert problems and all(into in p for p in problems)

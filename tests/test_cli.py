@@ -446,3 +446,39 @@ def test_patched_command_runs_after_first_call(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.ops) or 7)
     assert run_cli(capsys, "simulate", "--ops", "5") == (7, "")
     assert seen == [5]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["check", "--bogus"], "wftas: unrecognized arguments: --bogus"),
+    (["expect", "--verify", "1"], "wftas: unrecognized arguments: 1"),
+    (["simulate", "--ops", "x"], "wftas simulate: argument --ops: invalid int value: 'x'"),
+    (["lint-trace", "--bogus"], "wftas: unrecognized arguments: --bogus"),
+    (["tournament", "--n", "5"], "wftas tournament: argument --n: invalid choice: 5"),
+    (["dump-fa3", "extra"], "wftas: unrecognized arguments: extra"),
+    ([], "wftas: the following arguments are required: command"),
+], ids=["check", "expect", "simulate", "lint-trace", "tournament", "dump-fa3",
+        "no-subcommand"])
+def test_usage_error_exits_3(capsys, argv, fragment):
+    # argparse's own exit code, 2, would read as "not linearizable".
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    assert (rc, out.out) == (3, "")
+    assert out.err.startswith(f"error: {fragment}") and out.err.count("\n") == 1, out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lint-trace", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wftas")
+
+
+def test_usage_error_is_the_process_exit_code():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "wftas.cli", "lint-trace", "--bogus"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: wftas: unrecognized arguments: --bogus\n"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wftas import core, harness, protocol
+from wftas import cli, core, harness, protocol
 from wftas.core import Access, CorruptTrace, Event, RegValue, Trace
 
 
@@ -390,3 +390,25 @@ def test_op_records_other_pids_match_reference(trace, data):
     records = _result(forged.op_records)
     assert records == _result(_op_records_reference, forged)
     assert isinstance(records, str) or any(r.pid == pid for r in records)
+
+
+_CANONICAL_LINE = (
+    '{"t": 0, "pid": 0, "op_seq": 0, "op": "tas", "action": "w", "reg": "R0", '
+    '"value": "me", "coin": null, "pre": "rst", "post": "me", "events": ["sTas"]}'
+)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("action", "x", "bad action 'x'"),
+    ("op", "lock", "bad op kind 'lock'"),
+])
+def test_from_json_rejects_unknown_action_and_op(capsys, tmp_path, field, value, message):
+    # The line is otherwise the first access of a solo trace.
+    assert Access.from_json(_CANONICAL_LINE).action == "w"
+    line = json.dumps({**json.loads(_CANONICAL_LINE), field: value})
+    with pytest.raises(CorruptTrace, match=f"^{message}$"):
+        Access.from_json(line)
+    path = tmp_path / "t.jsonl"
+    path.write_text(line + "\n")
+    assert cli.main(["lint-trace", str(path)]) == 3
+    assert capsys.readouterr().out == f"corrupt trace: {message}\n"

@@ -46,12 +46,12 @@ def one_step_consistency(result):
     the optimal adversary schedules it."""
     problems = []
     m = checker.model()
-    acts = expectation._actions(m, expectation._access_cost(0))
+    acts = expectation._actions(m, expectation._access_cost, 0)
     values = [result.values[c] for c in m.configs]
     den = math.lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
     for i, c in enumerate(m.configs):
-        q2 = expectation._q2(acts[2 * i], nums, den)
+        q2 = expectation._q2(acts[i][0], nums, den)
         q = Fraction(q2, 2 * den)
         if q2 > 2 * nums[i]:
             problems.append(f"{checker._cfg_name(c)}: tracked step pays {q} > value {values[i]}")
@@ -96,10 +96,10 @@ SOLVERS = [
 
 
 @pytest.mark.parametrize("tracked", [0, 1])
-@pytest.mark.parametrize("solver, branch_fn_for", SOLVERS)
-def test_evaluate_policy_reproduces_solve(solver, branch_fn_for, tracked):
+@pytest.mark.parametrize("solver, objective", SOLVERS)
+def test_evaluate_policy_reproduces_solve(solver, objective, tracked):
     r = solver(tracked)
-    assert expectation.evaluate_policy(r.policy, branch_fn_for, tracked).values == r.values
+    assert expectation.evaluate_policy(r.policy, objective, tracked).values == r.values
 
 
 def test_untracked_only_policy_is_improper():
@@ -108,7 +108,7 @@ def test_untracked_only_policy_is_improper():
     with pytest.raises(expectation.NonConvergence):
         expectation.evaluate_policy(untracked, expectation._access_cost, 0)
     # The elimination alone also reports it, as a zero pivot.
-    acts = expectation._actions(m, expectation._access_cost(0))
+    acts = expectation._actions(m, expectation._access_cost, 0)
     with pytest.raises(expectation.NonConvergence):
         expectation._component_values(m, acts, [1] * len(m), improve=False)
 
@@ -137,32 +137,31 @@ def test_solve_results_are_shared():
 
 def components(acts):
     """`search.components` of the solver's graph: an edge for every
-    non-absorbing branch of either pid's action."""
-    n = len(acts) // 2
-    return search.components([[d for k in (2 * i, 2 * i + 1) for d, _ in acts[k][1]] for i in range(n)])
+    non-absorbing branch of every action."""
+    return search.components([[d for a in actions for d, _ in a[1]] for actions in acts])
 
 
 def assert_sinks_first(comps, acts):
-    """Every non-absorbing branch of either pid leads into its own
+    """Every non-absorbing branch of every action leads into its own
     component or an earlier one, and the components partition the ids."""
     where = {i: k for k, comp in enumerate(comps) for i in comp}
-    assert sorted(where) == list(range(len(acts) // 2))
+    assert sorted(where) == list(range(len(acts)))
     assert sum(map(len, comps)) == len(where)
     for i, k in where.items():
-        for pid in (0, 1):
-            for d, _ in acts[2 * i + pid][1]:
+        for a in acts[i]:
+            for d, _ in a[1]:
                 assert where[d] <= k
 
 
-@pytest.mark.parametrize("branch_fn_for, count, largest", [
+@pytest.mark.parametrize("objective, count, largest", [
     (expectation._access_cost, 52, 33),
     (expectation._choose_entry_reward, 82, 3),
     (expectation._choose_visit_cost, 52, 33),
 ])
-def test_components_listed_sinks_first(branch_fn_for, count, largest):
+def test_components_listed_sinks_first(objective, count, largest):
     m = checker.model()
     for tracked in (0, 1):
-        acts = expectation._actions(m, branch_fn_for(tracked))
+        acts = expectation._actions(m, objective, tracked)
         comps = components(acts)
         assert_sinks_first(comps, acts)
         assert (len(comps), max(map(len, comps))) == (count, largest)
@@ -171,9 +170,10 @@ def test_components_listed_sinks_first(branch_fn_for, count, largest):
 def test_exact_value_beyond_2_pow_20():
     # c0 -> c1 -> ... -> c21, each step surviving with probability 1/2;
     # only c21 pays, 1.  The value at c0 is 2**-21, whose denominator a
-    # snap to denominators <= 2**20 cannot represent.  P1 has one branch,
-    # which stops; the policy never schedules it.  The solver reads
-    # neither the branches' fields nor the ops, so they are left empty.
+    # snap to denominators <= 2**20 cannot represent.  P1, the other
+    # pid, has one branch, a self loop that pays 0 and never absorbs;
+    # the policy never schedules it.  The solver reads neither the
+    # branches' fields nor the ops, so they are left empty.
     configs = list(itertools.product(S, repeat=2))[:22]
 
     def move(finishes):
@@ -186,10 +186,10 @@ def test_exact_value_beyond_2_pow_20():
     branches += [((21, (), pay),), ((21, (), stop),)]
     m = Model(tuple(configs), {c: i for i, c in enumerate(configs)}, tuple(branches), ())
 
-    def branch_fn(pid, mv):
+    def objective(mv):
         return (1 if mv is pay else 0, mv.finishes)
 
-    acts = expectation._actions(m, branch_fn)
+    acts = expectation._actions(m, objective, 0)
     comps = components(acts)
     assert_sinks_first(comps, acts)
     assert comps == [[i] for i in reversed(range(22))]
@@ -206,7 +206,7 @@ def test_actions_reject_other_branch_counts():
     for n in (0, 3):
         m = Model(tuple(configs), {configs[0]: 0}, (((0, (), mv),), ((0, (), mv),) * n), ())
         with pytest.raises(ValueError, match=f"P1 has {n} branches"):
-            expectation._actions(m, lambda pid, move: (1, move.finishes))
+            expectation._actions(m, lambda move: (1, move.finishes), 0)
 
 
 # The reference: the same policy iteration and certificate in Fractions,
@@ -215,21 +215,27 @@ def test_actions_reject_other_branch_counts():
 _PROB = (None, Fraction(1), Fraction(1, 2))  # of each branch, by their number
 
 
-def ref_actions(m, branch_fn):
+def ref_actions(m, objective, tracked):
+    """Per configuration, its actions in Fractions: the tracked pid's,
+    then the other pid's, whose accesses pay 0 and never absorb."""
     out = []
-    for k, branches in enumerate(m.branches):
-        p = _PROB[len(branches)]
-        reward = Fraction(0)
-        succ = []
-        exits = False
-        for d, _, move in branches:
-            r, absorbing = branch_fn(k % 2, move)
-            reward += p * r
-            if absorbing:
-                exits = True
-            else:
-                succ.append((d, p))
-        out.append((reward, tuple(succ), exits))
+    for i in range(len(m)):
+        actions = []
+        for pid in (tracked, 1 - tracked):
+            branches = m.branches[2 * i + pid]
+            p = _PROB[len(branches)]
+            reward = Fraction(0)
+            succ = []
+            exits = False
+            for d, _, move in branches:
+                r, absorbing = objective(move) if pid == tracked else (0, False)
+                reward += p * r
+                if absorbing:
+                    exits = True
+                else:
+                    succ.append((d, p))
+            actions.append((reward, tuple(succ), exits))
+        out.append(tuple(actions))
     return out
 
 
@@ -239,12 +245,13 @@ def ref_q_value(action, v):
 
 
 def ref_evaluate(m, acts, policy):
-    """v = r + P·v by sparse Gaussian elimination over Fractions."""
+    """v = r + P·v by sparse Gaussian elimination over Fractions, for
+    `policy`, an action index per configuration."""
     n = len(m)
     rows, rhs = [], []
     cols = [set() for _ in range(n)]
     for i in range(n):
-        reward, succ, _ = acts[2 * i + policy[i]]
+        reward, succ, _ = acts[i][policy[i]]
         row = {i: Fraction(1)}
         for d, p in succ:
             row[d] = row.get(d, 0) - p
@@ -286,32 +293,33 @@ def ref_evaluate(m, acts, policy):
 def ref_certify(m, acts, values, iterations, tracked):
     policy = []
     for i, v in enumerate(values):
-        q_tracked = ref_q_value(acts[2 * i + tracked], values)
-        q_other = ref_q_value(acts[2 * i + 1 - tracked], values)
-        policy.append(tracked if q_tracked >= q_other else 1 - tracked)
+        q_tracked = ref_q_value(acts[i][0], values)
+        q_other = ref_q_value(acts[i][1], values)
+        policy.append(0 if q_tracked >= q_other else 1)
         if v != max(q_tracked, q_other):
             raise expectation.NonConvergence(f"not a Bellman fixed point at {m.configs[i]}")
     expectation._policy_properness(m, acts, policy)
+    pids = (tracked, 1 - tracked)
     return expectation.SolveResult(
-        dict(zip(m.configs, values)), dict(zip(m.configs, policy)), iterations
+        dict(zip(m.configs, values)), dict(zip(m.configs, (pids[a] for a in policy))), iterations
     )
 
 
 @functools.cache
-def exact_only(branch_fn_for, tracked):
+def exact_only(objective, tracked):
     """Oracle: policy iteration in Fractions from the all-tracked
-    policy, then the certificate."""
+    policy (action 0 everywhere), then the certificate."""
     m = checker.model()
-    acts = ref_actions(m, branch_fn_for(tracked))
-    policy = [tracked] * len(m)
+    acts = ref_actions(m, objective, tracked)
+    policy = [0] * len(m)
     rounds = 0
     while True:
         values = ref_evaluate(m, acts, policy)
         rounds += 1
         stable = True
-        for i, pid in enumerate(policy):
-            if ref_q_value(acts[2 * i + 1 - pid], values) > values[i]:
-                policy[i] = 1 - pid
+        for i, a in enumerate(policy):
+            if ref_q_value(acts[i][1 - a], values) > values[i]:
+                policy[i] = 1 - a
                 stable = False
         if stable:
             return ref_certify(m, acts, values, rounds, tracked)
@@ -327,11 +335,11 @@ COMPONENT_EVALUATIONS = {
 
 
 @pytest.mark.parametrize("tracked", [0, 1])
-@pytest.mark.parametrize("solver, branch_fn_for", SOLVERS)
-def test_solver_matches_exact_only_oracle(solver, branch_fn_for, tracked):
+@pytest.mark.parametrize("solver, objective", SOLVERS)
+def test_solver_matches_exact_only_oracle(solver, objective, tracked):
     # Values and policy, and the number of exact evaluations.
     r = solver(tracked)
-    oracle = exact_only(branch_fn_for, tracked)
+    oracle = exact_only(objective, tracked)
     assert r.values == oracle.values
     assert r.policy == oracle.policy
     assert r.iterations == COMPONENT_EVALUATIONS[solver]
@@ -339,21 +347,22 @@ def test_solver_matches_exact_only_oracle(solver, branch_fn_for, tracked):
 
 @st.composite
 def start_policies(draw):
-    """A policy: all-tracked, all-untracked, a solver's policy or random
-    bits, with some configurations flipped."""
+    """A policy, an action index per configuration: all-tracked,
+    all-untracked, a solver's policy or random bits, with some
+    configurations flipped."""
     n = len(checker.model())
     base = draw(st.sampled_from(["tracked", "untracked", "optimal", "random"]))
-    solver, branch_fn_for = draw(st.sampled_from(SOLVERS))
+    solver, objective = draw(st.sampled_from(SOLVERS))
     tracked = draw(st.integers(0, 1))
     if base == "random":
         policy = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     elif base == "optimal":
-        policy = list(solver(tracked).policy.values())
+        policy = [0 if pid == tracked else 1 for pid in solver(tracked).policy.values()]
     else:
-        policy = [tracked if base == "tracked" else 1 - tracked] * n
+        policy = [0 if base == "tracked" else 1] * n
     for i in draw(st.sets(st.integers(0, n - 1), max_size=12)):
         policy[i] = 1 - policy[i]
-    return solver, branch_fn_for, tracked, policy
+    return solver, objective, tracked, policy
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,10 +370,10 @@ def start_policies(draw):
 def test_integer_evaluation_matches_fraction_reference(case):
     # A proper policy gets the reference's values; an improper one makes
     # both eliminations raise.
-    _, branch_fn_for, tracked, policy = case
+    _, objective, tracked, policy = case
     m = checker.model()
-    acts = expectation._actions(m, branch_fn_for(tracked))
-    ref_acts = ref_actions(m, branch_fn_for(tracked))
+    acts = expectation._actions(m, objective, tracked)
+    ref_acts = ref_actions(m, objective, tracked)
     try:
         expectation._policy_properness(m, acts, policy)
     except expectation.NonConvergence:
@@ -376,3 +385,39 @@ def test_integer_evaluation_matches_fraction_reference(case):
     nums, den, _ = expectation._component_values(m, acts, policy, improve=False)
     assert den > 0
     assert [Fraction(x, den) for x in nums] == ref_evaluate(m, ref_acts, policy)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_certify_rejects_values_off_the_fixed_point(solve0, delta):
+    # The solved numerators of solve(0) certify, to solve(0)'s policy;
+    # each one moved by +-1 is no longer a Bellman fixed point, but for
+    # one: P1 in tst1 reading choose loops on itself for free, so
+    # (tohe,tst1) raised by 1 is a fixed point through that loop, and
+    # only the properness check rejects it.
+    m = checker.model()
+    acts = expectation._actions(m, expectation._access_cost, 0)
+    values = [solve0.values[c] for c in m.configs]
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    assert expectation._certify(m, acts, nums, den) == list(solve0.policy.values())
+    for i in range(len(m)):
+        moved = list(nums)
+        moved[i] += delta
+        if delta == 1 and m.configs[i] == (S.TOHE, S.TST1):
+            message = r"^policy is improper from \(tohe,tst1\)$"
+        else:
+            message = r"^values are not a Bellman fixed point at \("
+        with pytest.raises(expectation.NonConvergence, match=message):
+            expectation._certify(m, acts, moved, den)
+
+
+def test_certify_breaks_ties_toward_action_0():
+    # One configuration whose two actions each absorb at once with
+    # reward 1: both are worth the value 1, and the tie goes to action 0.
+    # Against a richer action 1, action 1 is certified.
+    config = (S.RST, S.RST)
+    m = Model((config,), {config: 0}, ((), ()), ())
+    tie = ((2, (), True), (2, (), True))
+    assert expectation._certify(m, [tie], [1], 1) == [0]
+    richer = ((2, (), True), (4, (), True))
+    assert expectation._certify(m, [richer], [2], 1) == [1]

@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import pytest
@@ -58,3 +59,35 @@ def test_parse_rejects_bad_cell():
     text = _source_text().replace("imoq9", "imoz9", 1)
     with pytest.raises(GoldenTableError):
         GoldenTable.parse(text)
+
+
+def _table_lines() -> list[str]:
+    return [
+        raw for raw in _source_text().splitlines()
+        if raw.strip() and not raw.lstrip().startswith("#")
+    ]
+
+
+def _drop_last_field(lines: list[str], i: int) -> list[str]:
+    return lines[:i] + [lines[i].rsplit(maxsplit=1)[0]] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([], "empty table"),
+    (["# only a comment", ""], "empty table"),
+    (["rst tst0", *_table_lines()[1:]], "bad column order: ('rst', 'tst0')"),
+    (_table_lines()[:-1], "expected 11 rows, got 10"),
+    (_table_lines() + _table_lines()[-1:], "expected 11 rows, got 12"),
+    (_drop_last_field(_table_lines(), 3), "row 2: expected 12 fields"),
+    ([_table_lines()[0], _table_lines()[2], _table_lines()[1], *_table_lines()[3:]],
+     "bad row order: got tst0, want rst"),
+    ([l.replace("imoq9", "imoz9", 1) for l in _table_lines()],
+     "bad cell 'imoz9' at ('me', 'notme')"),
+    ([l.replace("imoq9", "imoq", 1) for l in _table_lines()],
+     "bad cell 'imoq' at ('me', 'notme')"),
+], ids=["empty", "comment-only", "wrong-header", "too-few-rows", "too-many-rows",
+        "short-row", "wrong-row-order", "bad-letter", "no-value"])
+def test_parse_names_each_malformation(lines, message):
+    assert GoldenTable.parse("\n".join(_table_lines())).cells  # the source parses
+    with pytest.raises(GoldenTableError, match=f"^{re.escape(message)}$"):
+        GoldenTable.parse("\n".join(lines))

@@ -433,3 +433,13 @@ def test_two_checker_agreement(seed, ops_per_proc):
     v2 = check_two_process(trace)
     vn = check_n_process([r for r in records if r.finished], 2)
     assert v2.ok == vn.ok == True  # noqa: E712
+
+
+@pytest.mark.parametrize("pid", [2, 3, -1])
+def test_n_process_rejects_pid_out_of_range(pid):
+    recs = [
+        OpRecord(pid=0, kind="tas", op_seq=0, start=0, finish=1, ret=0),
+        OpRecord(pid=pid, kind="tas", op_seq=0, start=2, finish=3, ret=1),
+    ]
+    with pytest.raises(ValueError, match="^record pid out of range$"):
+        check_n_process(recs, 2)
