@@ -114,8 +114,8 @@ ALL_EVENTS = tuple(
 )
 EPS_EVENTS = tuple(e for e in ALL_EVENTS if e.is_eps)
 B_EVENTS = tuple(e for e in ALL_EVENTS if not e.is_eps)
-# Column of each B-event, by (kind, pid), in the integer move tables.
-B_EVENT_ID = {(e.kind, e.pid): i for i, e in enumerate(B_EVENTS)}
+# Column of each B-event in the integer move tables.
+B_EVENT_ID = {e: i for i, e in enumerate(B_EVENTS)}
 
 
 class Fa3:

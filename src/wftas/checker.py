@@ -114,7 +114,7 @@ def forward_families(m: Model) -> dict[Config, set[frozenset[Fa3State]]]:
                 r = q
                 for ev in move.events[pid]:
                     if r >= 0:
-                        r = dfa[r][B_EVENT_ID[ev.kind, pid]]
+                        r = dfa[r][B_EVENT_ID[ev]]
                 yield pid, (d, r)
 
     fam: dict[int, set[int]] = {}

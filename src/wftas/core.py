@@ -295,16 +295,21 @@ class Trace:
         return regs[0], regs[1]
 
     def op_records(self) -> list[OpRecord]:
-        """Reconstruct per-operation records from the recorded accesses."""
+        """Reconstruct per-operation records from the recorded accesses,
+        in start order: a record is listed when its operation's first
+        access is read.  The step indices are taken as they are; on the
+        `check_two_process` path the register replay checks that they
+        increase."""
         # The open operation of each pid; a trace built in Python may
         # carry other pids, which get a slot when they first act.
         open_ops: dict[int, Optional[OpRecord]] = {0: None, 1: None}
-        done: list[OpRecord] = []
+        records: list[OpRecord] = []
         for a in self.accesses:
             pid = a.pid
             rec = open_ops.get(pid)
             if rec is None:
                 rec = open_ops[pid] = OpRecord(pid=pid, kind=a.op, op_seq=a.op_seq, start=a.t)
+                records.append(rec)
             elif rec.op_seq != a.op_seq:
                 raise CorruptTrace(
                     f"step {a.t}: P{pid} access for op {a.op_seq} "
@@ -317,12 +322,8 @@ class Trace:
             if events and events[-1].kind in _FINISH:
                 rec.ret = _FINISH[events[-1].kind]
                 rec.finish = a.t
-                done.append(rec)
                 open_ops[pid] = None
-        # Pending (unfinished) operations, in pid order for determinism.
-        done.extend(rec for _, rec in sorted(open_ops.items()) if rec is not None)
-        done.sort(key=lambda r: r.start)
-        return done
+        return records
 
     def dump_jsonl(self, fh) -> None:
         """Write `to_json` of each access as one line.  The part of a
@@ -367,17 +368,22 @@ class Trace:
             if not line:
                 continue
             m = match(line)
-            fields = None if m is None else tails.get(m.group(2, 5))
-            if fields is None:
+            if m is None:
                 a = from_json(line)
                 t = a.t
-                # A tail that repeats a head key overrides the head: never store it.
-                if m is not None and tuple(json.loads("{" + m[5])) == _TAIL_KEYS:
-                    tails[m.group(2, 5)] = (
-                        a.pid, a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
             else:
-                t = int(m[1])
-                a = Access(t, *fields, int(m[3]), m[4])
+                t, pid, op_seq, op, tail = m.groups()
+                fields = tails.get((pid, tail))
+                if fields is not None:
+                    t = int(t)
+                    a = Access(t, *fields, int(op_seq), op)
+                else:
+                    a = from_json(line)
+                    t = a.t
+                    # A tail that repeats a head key overrides the head: never store it.
+                    if tuple(json.loads("{" + tail)) == _TAIL_KEYS:
+                        tails[pid, tail] = (
+                            a.pid, a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
             if accesses and t <= last_t:
                 raise CorruptTrace("step indices must strictly increase")
             append(a)

@@ -61,7 +61,7 @@ class RunStats(NamedTuple):
         tas_counts: list[int] = []
         resets_all_one_access = True
         for r in records:
-            if not r.finished:
+            if r.finish is None:
                 continue
             if r.kind == "reset":
                 if r.accesses != 1:
@@ -87,7 +87,8 @@ def _take(b: tuple[_B, ...], coin: Callable[[], float]) -> _B:
 
 class _Engine:
     """Mutable two-process system: configuration id and operations.  Its
-    coins come from `coin()`, a float in [0, 1) per coin read."""
+    coins come from `coin()`, a float in [0, 1) per coin read.  Each
+    tournament node is one; `run` keeps the same state in locals."""
 
     def __init__(self, coin: Callable[[], float]):
         self.coin = coin
@@ -120,20 +121,23 @@ def run(
     """Simulate until the workload finishes or max_steps elapse."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    eng = _Engine(random.Random(seed).random)
-    step_pid, configs = eng.step_pid, eng.model.configs
+    m = model()
+    ops, branches, configs = m.ops, m.branches, m.configs
+    coin = random.Random(seed).random
     # A tas in progress or a pending reset is mandatory; an idle pid's
     # tas is schedulable while its budget lasts, and spends it.
-    forced = [not starts or op == "reset" for op, starts in eng.model.ops]
+    forced = [not starts or op == "reset" for op, starts in ops]
     remaining = list(workload.tas_ops)
     trace = Trace()
     # The loop numbers the steps itself, so accesses skip Trace.append's check.
     accesses = trace.accesses
     append = accesses.append
+    cid = 0  # (rst, rst)
+    op_seq = [-1, -1]
     t = 0
     truncated = False
     while True:
-        base = 2 * eng.cid
+        base = 2 * cid
         if forced[base] or remaining[0] > 0:
             schedulable = (0, 1) if forced[base + 1] or remaining[1] > 0 else (0,)
         elif forced[base + 1] or remaining[1] > 0:
@@ -143,13 +147,17 @@ def run(
         if t >= max_steps:
             truncated = True
             break
-        pid = adversary(accesses, configs[eng.cid], schedulable)
+        pid = adversary(accesses, configs[cid], schedulable)
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        if not forced[base + pid]:
+        k = base + pid
+        if not forced[k]:
             remaining[pid] -= 1
-        fields, op_seq, op = step_pid(pid)
-        append(Access(t, pid, *fields, op_seq, op))
+        op, starts = ops[k]
+        if starts:
+            op_seq[pid] += 1
+        cid, fields, _ = _take(branches[k], coin)
+        append(Access(t, pid, *fields, op_seq[pid], op))
         t += 1
     records = trace.op_records()
     return trace, records, RunStats.from_records(records, truncated)

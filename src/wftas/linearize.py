@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .automata import B_EVENT_ID, fa3_build
+from .automata import B_EVENT_ID, B_EVENTS, fa3_build
 from .checker import model
 from .core import Access, CorruptTrace, Event, OpRecord, Trace
 
@@ -87,19 +87,23 @@ def check_two_process(trace: Trace) -> Verdict:
     follows (a tas occurrence always follows its own sTas).
     """
     fa3 = fa3_build()
-    events = project_b(trace)
-    cols = [B_EVENT_ID[e.kind, e.pid] for _, e in events]
 
-    # Forward: the DFA state before each B-event.
+    # Forward, per B-event: its access position, the DFA state before it
+    # and its column.
     dfa = fa3.fa4_dfa
+    positions: list[int] = []
     before: list[int] = []
+    cols: list[int] = []
     q = 0
-    for j, col in enumerate(cols):
+    for i, e in project_b(trace):
+        col = B_EVENT_ID[e]
+        positions.append(i)
         before.append(q)
+        cols.append(col)
         q = dfa[q][col]
         if q < 0:
             # Shortest rejected prefix: up to and including this access.
-            return Verdict(ok=False, rejected_prefix=events[j][0] + 1)
+            return Verdict(ok=False, rejected_prefix=i + 1)
 
     # Backward: the FA3 state after each B-event's epsilon moves, and
     # those moves, one predecessor per B-event.
@@ -112,8 +116,9 @@ def check_two_process(trace: Trace) -> Verdict:
     accesses = trace.accesses
     open_tas = [0, 0]  # op_seq of each pid's latest tas
     order: list[SeqOp] = []
-    for (i, e), eps in zip(events, fired):
+    for i, col, eps in zip(positions, cols, fired):
         a = accesses[i]
+        e = B_EVENTS[col]
         if e.kind == "sTas":
             open_tas[e.pid] = a.op_seq
         elif e.kind == "rstOp":

@@ -245,6 +245,25 @@ def test_replay_checks_register_ownership(action, message):
         Trace(trace.accesses + [bad]).replay()
 
 
+def test_replay_requires_increasing_steps():
+    """A repeated step index fails the replay, though every access is
+    otherwise one the registers allow."""
+    first, second, third = _solo_trace().accesses
+    assert Trace([first, second, third]).replay() == (RegValue.RST, RegValue.RST)
+    repeated = _replace(second, t=first.t)
+    with pytest.raises(CorruptTrace, match=r"^step indices must strictly increase$"):
+        Trace([first, repeated, third]).replay()
+
+
+@pytest.mark.parametrize("pid", (2, -1))
+def test_replay_rejects_bad_pid(pid):
+    """A pid other than 0 or 1 is named before its register is checked."""
+    first, second, third = _solo_trace().accesses
+    bad = _replace(second, pid=pid)
+    with pytest.raises(CorruptTrace, match=rf"^step {second.t}: bad pid {pid}$"):
+        Trace([first, bad, third]).replay()
+
+
 def test_op_records_solo():
     trace = _solo_trace()
     recs = trace.op_records()

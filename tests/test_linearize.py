@@ -134,6 +134,33 @@ def test_lint_check_order():
         lint(Trace(prefix + [forged]))
 
 
+def test_lint_names_a_forged_write_value():
+    """A write whose value alone is forged is named as the access its
+    chart state lacks."""
+    trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
+    accesses = list(trace.accesses)
+    i = next(i for i, a in enumerate(accesses) if i > 0 and a.action == "w")
+    a = accesses[i]
+    value = next(v for v in RegValue if v is not a.value)
+    accesses[i] = _replace(a, value=value)
+    with pytest.raises(CorruptTrace, match=(
+            rf"^step {a.t}: {a.pre} has no access w R{a.reg} {value.value} with coin None$")):
+        lint(Trace(accesses))
+
+
+def test_lint_names_a_forged_post_state():
+    """An access with no events whose post state alone is forged is
+    named with the chart's post state and the trace's."""
+    trace, _ = _run(Workload((2, 2)), harness.round_robin(), 0)
+    accesses = list(trace.accesses)
+    i = next(i for i, a in enumerate(accesses) if not a.events)
+    a = accesses[i]
+    assert a.post != "he"
+    accesses[i] = _replace(a, post="he")
+    with pytest.raises(CorruptTrace, match=rf"^step {a.t}: {a.pre} goes to {a.post}, trace says he$"):
+        lint(Trace(accesses))
+
+
 def _lint_reference(trace):
     """lint as three passes (chart conformance per process, then
     check_two_process, then event classification), kept as the

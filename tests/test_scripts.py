@@ -49,14 +49,27 @@ PINNED_TRACES = {
         "b6471a681ba0b1c2eb4fe51ead876a2252e0299e4e8b25b58eebf32a4e9a6767",
 }
 
+# SHA-256 of the `--stats` CSV of a seeded simulation: one row per
+# operation, in start order.
+PINNED_STATS = {
+    "wftas simulate --ops 2000 --adversary random --seed 1":
+        "071a34db496b35b1de2ec42bd4e7a29e3760e02b38489b88e9bcd74928a6e1d3",
+}
 
-def run(argv, text=True):
+# The report of `wftas lint-trace` on the stdout of a seeded simulation.
+PINNED_LINT = {
+    "wftas simulate --ops 2000 --adversary random --seed 1":
+        "linearizable: 5733 accesses, 2884 operations\n",
+}
+
+
+def run(argv, text=True, stdin=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *argv],
+        [sys.executable, *argv], input=stdin,
         capture_output=True, text=text, env=env, cwd=ROOT, timeout=120,
     )
 
@@ -89,6 +102,23 @@ def test_trace_file_pinned(cmd, tmp_path):
     out = run(["-c", CLI, *cmd.split()[1:], "--trace", str(path)], text=False)
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[cmd]
+
+
+@pytest.mark.parametrize("cmd", list(PINNED_STATS))
+def test_stats_file_pinned(cmd, tmp_path):
+    path = tmp_path / "stats.csv"
+    out = run(["-c", CLI, *cmd.split()[1:], "--stats", str(path)], text=False)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STATS[cmd]
+
+
+@pytest.mark.parametrize("cmd", list(PINNED_LINT))
+def test_lint_report_pinned(cmd):
+    trace = run(["-c", CLI, *cmd.split()[1:]])
+    assert trace.returncode == 0, trace.stderr
+    out = run(["-c", CLI, "lint-trace"], stdin=trace.stdout)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout == PINNED_LINT[cmd]
 
 
 def test_tournament_demo():
