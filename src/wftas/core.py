@@ -128,8 +128,8 @@ class Access(_Record):
     stays independent of the protocol module).  `action` is "r" or "w",
     `op` is "tas" or "reset".
 
-    Construction checks nothing: the engine builds accesses from the
-    compiled chart, and `from_json` checks every line read from outside.
+    Construction checks nothing: runs build accesses from the compiled
+    chart, and `from_json` checks every line read from outside.
     """
 
     __slots__ = ("t", "pid", "reg", "action", "value", "coin", "pre", "post", "events", "op_seq", "op")

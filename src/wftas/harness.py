@@ -1,10 +1,10 @@
-"""Adversary strategies and the randomized simulation engine.
+"""Adversaries, the simulation run loop and the Monte Carlo experiments.
 
-Drives two protocol instances against a scheduler, producing traces,
-operation records and statistics.  One run is deterministic given
-(workload, adversary, seed): all coins come from one seeded generator,
-and every coin outcome is recorded in the trace, so replay never needs
-the generator.
+`run` steps a configuration id of `checker.model()` through `_take`, as
+the tournament's nodes do, and produces traces, operation records and
+statistics.  One run is deterministic given (workload, adversary,
+seed): all coins come from one seeded generator, and every coin outcome
+is recorded in the trace, so replay never needs the generator.
 """
 
 from __future__ import annotations
@@ -83,33 +83,6 @@ _B = TypeVar("_B")
 def _take(b: tuple[_B, ...], coin: Callable[[], float]) -> _B:
     """The branch taken: a coin read draws one coin(), heads below 1/2."""
     return b[1] if len(b) == 2 and coin() >= 0.5 else b[0]
-
-
-class _Engine:
-    """Mutable two-process system: configuration id and operations.  Its
-    coins come from `coin()`, a float in [0, 1) per coin read.  Each
-    tournament node is one; `run` keeps the same state in locals."""
-
-    def __init__(self, coin: Callable[[], float]):
-        self.coin = coin
-        self.model = model()
-        self.cid = 0  # (rst, rst)
-        self.op_seq = [-1, -1]
-
-    @property
-    def config(self) -> Config:
-        return self.model.configs[self.cid]
-
-    def step_pid(self, pid: int) -> tuple[tuple, int, str]:
-        """Execute one access of `pid`, invoking its next op if idle, and
-        return it raw: the model's tuple of its fields from `reg` to
-        `events`, its op_seq and its op."""
-        k = 2 * self.cid + pid
-        op, starts = self.model.ops[k]
-        if starts:
-            self.op_seq[pid] += 1
-        self.cid, fields, _ = _take(self.model.branches[k], self.coin)
-        return fields, self.op_seq[pid], op
 
 
 def run(

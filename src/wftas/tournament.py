@@ -1,7 +1,8 @@
 """The naive n-process tournament-tree extension and its failure.
 
 Each internal node of a complete binary tree hosts an independent
-two-process instance of the protocol.  A process ascends from its leaf,
+two-process instance of the protocol, held as a configuration id of
+`checker.model()`.  A process ascends from its leaf,
 playing role 0 at a node when it arrives from the left child and role 1
 from the right.  Winning the root means returning 0; the first loss
 makes the process descend, resetting the nodes it won, and return 1.
@@ -19,8 +20,9 @@ import random
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linearize, protocol
+from .checker import model
 from .core import Access, OpRecord, Trace
-from .harness import _Engine, _randrange_blocks
+from .harness import _randrange_blocks, _take
 
 
 class NotOwner(Exception):
@@ -90,18 +92,20 @@ class TournamentTree:
     def __init__(self, n: int, coin: Callable[[], float]):
         _check_size(n)
         self.n = n
-        # One two-process protocol instance per node; chart states persist
+        # Each node's configuration id in the model; chart states persist
         # across operations, and every node draws its coins from `coin`,
         # in the order of the tree's accesses.
-        self.nodes: dict[int, _Engine] = {
-            v: _Engine(coin) for v in range(1, 2 if n == 2 else 4)
-        }
+        self.nodes: dict[int, int] = dict.fromkeys(range(1, 2 if n == 2 else 4), 0)
+        self.coin = coin
+        m = model()
+        self._ops, self._branches = m.ops, m.branches
         self.procs: dict[int, _Proc] = {
             pid: _Proc(hops) for pid, hops in enumerate(_hops(n))
         }
         self.t = 0
-        # One (t, pid, node, role, fields, op_seq, op) per access, `fields`
-        # being the model's tuple; `accesses` builds the objects.
+        # One (pid, node, role, fields, (op, starts)) per access, the
+        # entry's index being its time and `fields` the model's tuple;
+        # `_built` builds the objects.
         self._log: list[tuple] = []
 
     # -- operation control -------------------------------------------------
@@ -138,18 +142,18 @@ class TournamentTree:
         if rec is None:
             raise ValueError(f"P{pid} has no operation in progress")
         node_id, role = p.hops[p.level - 1 if p.descending else p.level]
-        nd = self.nodes[node_id]
-        fields, op_seq, op = nd.step_pid(role)
-        self._log.append((self.t, pid, node_id, role, fields, op_seq, op))
+        k = 2 * self.nodes[node_id] + role
+        self.nodes[node_id], fields, move = _take(self._branches[k], self.coin)
+        self._log.append((pid, node_id, role, fields, self._ops[k]))
         self.t += 1
         rec.accesses += 1
-        if not nd.model.ops[2 * nd.cid + role][1]:
+        if not move.finishes:
             return  # the node-level operation is still in progress
         if p.descending:
             p.level -= 1  # released this node
             if not p.level:
                 self._finish(p, 1 if rec.kind == "tas" else None)
-        elif protocol.returns_value(nd.config[role]) == 0:
+        elif protocol.returns_value(move.post) == 0:
             p.level += 1  # won this node
             if p.level == len(p.hops):
                 self._finish(p, 0)
@@ -183,11 +187,21 @@ class TournamentTree:
 
     @property
     def accesses(self) -> list[NodeAccess]:
-        """Every access so far, in order, built from the log."""
-        return [
-            NodeAccess(t, pid, node, role, Access(t, role, *fields, op_seq, op))
-            for t, pid, node, role, fields, op_seq, op in self._log
-        ]
+        """Every access so far, in order."""
+        return self._built()
+
+    def _built(self, only: Optional[int] = None) -> list[NodeAccess]:
+        """The accesses of node `only`, or of every node, in order, built
+        from the log; each role's operations at each node are numbered
+        from 0."""
+        op_seq = {v: [-1, -1] for v in self.nodes}
+        out = []
+        for t, (pid, node, role, fields, (op, starts)) in enumerate(self._log):
+            if only is None or node == only:
+                seq = op_seq[node]
+                seq[role] += starts
+                out.append(NodeAccess(t, pid, node, role, Access(t, role, *fields, seq[role], op)))
+        return out
 
     def history(self) -> list[OpRecord]:
         recs: list[OpRecord] = []
@@ -200,11 +214,7 @@ class TournamentTree:
 
     def node_trace(self, node_id: int) -> Trace:
         """The two-process trace of one node (pids are the roles)."""
-        return Trace(
-            Access(t, role, *fields, op_seq, op)
-            for t, _, node, role, fields, op_seq, op in self._log
-            if node == node_id
-        )
+        return Trace(na.access for na in self._built(node_id))
 
 
 class ViolationReport(NamedTuple):
@@ -245,7 +255,7 @@ def _run_schedule(n: int, schedule: Sequence[int], coins: Sequence[float]) -> To
 # `ends[pid]` the time of pid's last one, and `history` is the run's
 # finished history.
 _FINISHED = object()
-_PID = operator.itemgetter(1)  # the pid of a `TournamentTree._log` entry
+_PID = operator.itemgetter(0)  # the pid of a `TournamentTree._log` entry
 # Nodes and leaves one trie may hold.  A full trie keeps the paths it
 # has and records no more, which bounds both its memory and the work
 # that a search whose paths never repeat (n=4) spends recording them.

@@ -149,6 +149,41 @@ def test_anchor_letters(check_report, fa3):
     assert labels.mapping["d"] == fa3.initial
 
 
+# Non-anchor states: two of the 0-bit-free owner and one of P0's.
+_BOT_I1_S = Fa3State(Owner.BOT, Fa2State.I1, Fa2State.S)
+_BOT_I1_T1 = Fa3State(Owner.BOT, Fa2State.I1, Fa2State.T1)
+_P0_I0_I1 = Fa3State(Owner.P0, Fa2State.I0, Fa2State.I1)
+_D, _G = automata.ANCHORS["d"], automata.ANCHORS["g"]
+
+
+@pytest.mark.parametrize("anchors, cells, rep_sets, message", [
+    pytest.param({"d": _P0_I0_I1}, {}, {},
+                 "anchor d outside its owner range", id="anchor"),
+    pytest.param(None, {"x": frozenset("d")}, {},
+                 "golden cell x not reachable", id="unreachable"),
+    pytest.param(None, {"x": frozenset("d")}, {"x": frozenset()},
+                 "cell x: 1 letters vs 0 states", id="count"),
+    pytest.param(None, {"x": frozenset("d")}, {"x": frozenset({_G})},
+                 "letter d eliminated at x", id="eliminated"),
+    # a, like the anchor d, can only be d's state, the one it shares with P0's
+    pytest.param(None, {"x": frozenset("ad")}, {"x": frozenset({_D, _P0_I0_I1})},
+                 "letter d eliminated by pinning a", id="pinning"),
+    # three letters with only two states of their owner in the cell
+    pytest.param(None, {"x": frozenset("abc")},
+                 {"x": frozenset({_BOT_I1_S, _BOT_I1_T1, _P0_I0_I1})},
+                 f"letters ['a', 'b', 'c'] share candidate states {(_BOT_I1_S, _BOT_I1_T1)}",
+                 id="share"),
+])
+def test_assign_labels_names_each_inconsistency(monkeypatch, anchors, cells, rep_sets, message):
+    """Each input reaches one `NoConsistentBijection` first, and its
+    message names what is inconsistent."""
+    if anchors is not None:
+        monkeypatch.setattr(automata, "ANCHORS", anchors)
+    with pytest.raises(automata.NoConsistentBijection) as exc:
+        automata.assign_labels(cells, rep_sets)
+    assert str(exc.value) == message
+
+
 def test_fa3_dump_shape(check_report, fa3):
     dump = automata.fa3_dump(check_report.labels)
     assert len(dump["states"]) == 20

@@ -79,7 +79,7 @@ FIELD_ORDER = [
 
 
 def _chart_accesses():
-    """One access per chart entry and pid, as the engine builds it."""
+    """One access per chart entry and pid, as a run builds it."""
     for (_, _, coin), move in protocol.CHART.items():
         for pid in (0, 1):
             yield Access(

@@ -30,6 +30,36 @@ def test_letter_mirror_symmetry(golden_table):
     assert goldens.check_letter_mirror_symmetry(golden_table) == []
 
 
+def _with_me_rst(table, cell):
+    """`table` with its (me,rst) cell replaced by `cell`."""
+    cells = dict(table.cells)
+    cells[("me", "rst")] = cell
+    return GoldenTable(cells)
+
+
+def test_letter_mirror_names_inconsistent_letters(golden_table):
+    """(me,rst) forged from gp to gq: the letters of the transposed
+    pairs admit no consistent involution, and the check stops before it
+    compares the cells through one."""
+    table = _with_me_rst(golden_table, goldens.Cell(frozenset("gq"), 9))
+    assert goldens.check_letter_mirror_symmetry(table) == [
+        "letter k: no consistent mirror image",
+        "mirror relation not symmetric at m->q",
+        "mirror relation not symmetric at p->k",
+        "letter q: no consistent mirror image",
+    ]
+
+
+def test_letter_mirror_stops_at_reachability_asymmetry(golden_table):
+    """(me,rst) forged unreachable: only the two asymmetric cells are
+    named, and the letters are not read."""
+    table = _with_me_rst(golden_table, None)
+    assert goldens.check_letter_mirror_symmetry(table) == [
+        "reachability asymmetry at (rst,me)",
+        "reachability asymmetry at (me,rst)",
+    ]
+
+
 def test_known_cells(golden_table):
     from wftas.protocol import ProcState as S
 

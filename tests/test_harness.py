@@ -116,16 +116,20 @@ def test_loop_experiment_small():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32), st.lists(st.integers(0, 1), max_size=300))
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 1), min_size=1, max_size=300))
 def test_engine_steps_like_the_model(seed, schedule):
-    """Each raw step the engine returns is the access an idle-op lookup
-    and a branch of `model()` give, with the coins of the same generator."""
+    """Each access `run` makes under a scripted schedule is the access
+    an idle-op lookup and a branch of `model()` give, with the coins of
+    the same generator, and each decision is shown the configuration
+    that those branches reach, in which the model's idle pids are those
+    with no operation open."""
     m = model()
-    eng = harness._Engine(random.Random(seed).random)
     rng = random.Random(seed)
     cid, op_seq, mid_op = 0, [-1, -1], [None, None]
-    trace = Trace()
+    expected, shown, idle = [], [], []
     for t, pid in enumerate(schedule):
+        shown.append(m.configs[cid])
+        idle.append([mid_op[p] is None for p in (0, 1)])
         if mid_op[pid] is None:
             op_seq[pid] += 1
             mid_op[pid] = IDLE_OP[m.configs[cid][pid]]
@@ -135,7 +139,7 @@ def test_engine_steps_like_the_model(seed, schedule):
         j = harness._take(range(len(b)), rng.random)
         coin = (True, False)[j] if len(b) == 2 else None
         cid, _, move = b[j]
-        expected = Access(
+        expected.append(Access(
             t=t,
             pid=pid,
             reg=pid if move.action == "w" else 1 - pid,
@@ -147,36 +151,40 @@ def test_engine_steps_like_the_model(seed, schedule):
             events=move.events[pid],
             op_seq=op_seq[pid],
             op=mid_op[pid],
-        )
+        ))
         if move.finishes:
             mid_op[pid] = None
-        fields, seq, op = eng.step_pid(pid)
-        a = Access(t, pid, *fields, seq, op)
-        assert a == expected
+    log = []
+    # Each process's budget outlasts the schedule, so every pid stays
+    # schedulable and the run stops at the schedule's end.
+    trace, _, _ = harness.run(Workload((len(schedule), len(schedule))),
+                              _logged(harness.script(schedule), log),
+                              seed, max_steps=len(schedule))
+    assert trace.accesses == expected
+    for a, e in zip(trace, expected):
         assert [type(getattr(a, f)) for f in Access.__slots__] == [
-            type(getattr(expected, f)) for f in Access.__slots__
+            type(getattr(e, f)) for f in Access.__slots__
         ]
-        assert (eng.cid, eng.op_seq) == (cid, op_seq)
-        idle = [m.ops[2 * eng.cid + p][1] for p in (0, 1)]
-        assert idle == [mid_op[p] is None for p in (0, 1)]
-        trace.append(a)
+    assert [config for _, config, _ in log] == shown
+    assert [[m.ops[2 * m.index[c] + p][1] for p in (0, 1)] for c in shown] == idle
     assert linearize.lint(trace).ok
 
 
 def _run_reference(workload, adversary, seed, max_steps):
     """A plain version of `harness.run`'s loop, which reads the
     schedulable pids from the model's ops entry by entry."""
-    eng = harness._Engine(random.Random(seed).random)
-    ops, configs = model().ops, model().configs
+    coin = random.Random(seed).random
+    ops, branches, configs = model().ops, model().branches, model().configs
     remaining = list(workload.tas_ops)
     trace = Trace()
     accesses = trace.accesses
+    cid, op_seq = 0, [-1, -1]
     t = 0
     truncated = False
     while True:
         schedulable = []
         for pid in (0, 1):
-            op, starts = ops[2 * eng.cid + pid]
+            op, starts = ops[2 * cid + pid]
             if not starts or op == "reset" or remaining[pid] > 0:
                 schedulable.append(pid)
         if not schedulable:
@@ -184,14 +192,16 @@ def _run_reference(workload, adversary, seed, max_steps):
         if t >= max_steps:
             truncated = True
             break
-        pid = adversary(accesses, configs[eng.cid], tuple(schedulable))
+        pid = adversary(accesses, configs[cid], tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
-        op, starts = ops[2 * eng.cid + pid]
-        if starts and op == "tas":
-            remaining[pid] -= 1
-        fields, op_seq, op = eng.step_pid(pid)
-        accesses.append(Access(t, pid, *fields, op_seq, op))
+        op, starts = ops[2 * cid + pid]
+        if starts:
+            op_seq[pid] += 1
+            if op == "tas":
+                remaining[pid] -= 1
+        cid, fields, _ = harness._take(branches[2 * cid + pid], coin)
+        accesses.append(Access(t, pid, *fields, op_seq[pid], op))
         t += 1
     records = trace.op_records()
     return trace, records, harness.RunStats.from_records(records, truncated)

@@ -44,9 +44,13 @@ PINNED = {
 
 # SHA-256 of the `--trace` file of a seeded tournament search: every
 # node access, rebuilt from the tree's log, in the file's line format.
+# The n=3 run is the guided schedule, in which a loser resets the node
+# it won, so a role's second operation at a node is numbered too.
 PINNED_TRACES = {
     "wftas tournament --n 4 --seed 2":
         "b6471a681ba0b1c2eb4fe51ead876a2252e0299e4e8b25b58eebf32a4e9a6767",
+    "wftas tournament --n 3":
+        "78ac88dacd0b2e12a9f8e8d804701c199628a1ef137ae9f189a3494aa7f2d56a",
 }
 
 # SHA-256 of the `--stats` CSV of a seeded simulation: one row per

@@ -23,8 +23,8 @@ def test_solo_win_n4():
     rec = tree.procs[0].records[-1]
     assert rec.accesses == 4  # two uncontended node wins, 2 accesses each
     tree.n_reset(0)
-    for node in tree.nodes.values():
-        assert all(GROUP[s].value == "rst" for s in node.config)
+    for cid in tree.nodes.values():
+        assert all(GROUP[s].value == "rst" for s in model().configs[cid])
 
 
 def test_n2_matches_plain_object():
@@ -54,8 +54,8 @@ def test_loser_resets_won_nodes():
     tree = TournamentTree(3, random.Random(0).random)
     assert tree.n_tas(2) == 0  # P2 wins solo
     assert tree.n_tas(0) == 1  # P0 wins its leaf node, loses the root
-    left = tree.nodes[2]
-    assert all(GROUP[s].value == "rst" for s in left.config)
+    left = model().configs[tree.nodes[2]]
+    assert all(GROUP[s].value == "rst" for s in left)
 
 
 def test_guided_violation():
@@ -165,7 +165,7 @@ def test_trie_serves_only_paths_run_to_the_end(monkeypatch, n):
     served = []
     for _ in range(300):
         tree = tournament._run_schedule(n, next(schedules), coins)
-        path = [entry[1] for entry in tree._log]
+        path = [entry[0] for entry in tree._log]
         history = [r for r in tree.history() if r.finished]
         seen = trie.lookup(path)
         if seen is not None:
@@ -433,7 +433,7 @@ def _assert_same_tree(tree, oracle):
     assert list(tree.nodes) == list(oracle.nodes)
     for v in tree.nodes:
         assert tree.node_trace(v).accesses == oracle.node_trace(v).accesses
-        assert tree.nodes[v].config == oracle.nodes[v].config
+        assert model().configs[tree.nodes[v]] == oracle.nodes[v].config
 
 
 @settings(max_examples=150, deadline=None)
