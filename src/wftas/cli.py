@@ -1,18 +1,25 @@
 """Command-line entry point.
 
+The command line is read against one table, `_COMMANDS`, by
+`parse_args`, which also builds the help; `main` runs the `cmd_*`
+function of the subcommand.  No parser object is built and no
+argument-parsing module is imported, so a process pays nothing for
+either at start-up.
+
 Exit codes: 0 success / all phases PASS, or --help; 1 verification
 failure, no tournament violation found, or stdout closed by its reader;
 2 linearizability violation (lint-trace); 3 input errors, usage errors
-(an unknown subcommand, option or choice, a missing argument) included.
+(an unknown subcommand, option or choice, a missing argument) and a
+lint-trace FILE that cannot be opened included.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
 from . import (
@@ -37,7 +44,7 @@ def _phase(name: str, problems: list[str]) -> bool:
     return ok
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     table = goldens.load_golden_table()
     report = checker.verify_against_table(table)
     expected_reachable = len(table.reachable_cells())
@@ -76,7 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_expect(args: argparse.Namespace) -> int:
+def cmd_expect(args: SimpleNamespace) -> int:
     result = expectation.solve(0)
     width = max(len(s) for s in STATE_ORDER) + 1
     print("".ljust(width) + "".join(s.ljust(width) for s in STATE_ORDER))
@@ -117,7 +124,7 @@ def _make_adversary(spec: str, seed: int) -> harness.Adversary:
     return harness.adversary(spec, seed)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     if args.ops < 1:
         return _input_error(f"--ops must be at least 1, got {args.ops}")
     try:
@@ -154,13 +161,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint_trace(args: argparse.Namespace) -> int:
+def cmd_lint_trace(args: SimpleNamespace) -> int:
+    fh = None
+    if args.file and args.file != "-":
+        try:
+            fh = open(args.file)
+        except OSError as exc:
+            # A FILE that cannot be opened is bad input, not a bad line.
+            return _input_error(exc)
     try:
-        if args.file and args.file != "-":
-            with open(args.file) as fh:
-                trace = core.Trace.load_jsonl(fh)
-        else:
+        if fh is None:
             trace = core.Trace.load_jsonl(sys.stdin)
+        else:
+            with fh:
+                trace = core.Trace.load_jsonl(fh)
         # Parse, chart, register-model and event-classification errors
         # are "corrupt" (exit 3); a trace that follows the chart and the
         # register model but is rejected by the acceptance automaton is
@@ -177,7 +191,7 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
     return 2
 
 
-def cmd_tournament(args: argparse.Namespace) -> int:
+def cmd_tournament(args: SimpleNamespace) -> int:
     if args.budget < 1:
         return _input_error(f"--budget must be at least 1, got {args.budget}")
     try:
@@ -204,7 +218,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     return 0 if (not rep.verdict.ok and nodes_ok) else 1
 
 
-def cmd_dump_fa3(args: argparse.Namespace) -> int:
+def cmd_dump_fa3(args: SimpleNamespace) -> int:
     report = checker.verify_against_table()
     dump = automata.fa3_dump(report.labels)
     print(json.dumps(dump, indent=2))
@@ -215,54 +229,206 @@ class _UsageError(Exception):
     """A command line the parser refuses."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on a usage error, the code lint-trace gives a
-    # violation; raising lets `main` exit 3, as for any input error.
-    def error(self, message: str) -> NoReturn:
-        raise _UsageError(f"{self.prog}: {message}")
+# The command table: per subcommand, its help line, its options and the
+# positional it takes (lint-trace's FILE, the only one), as (name, help).
+# An option is (name, type, default, choices, help): a `bool` option is a
+# flag, set by its name alone; an `int` or `str` option takes one value.
+# Its attribute on the parsed namespace is its name without the dashes.
+_COMMANDS: dict[str, tuple] = {
+    "check": ("verify the model against the shipped table", (
+        ("--json", bool, False, None, "emit the computed table"),
+    ), None),
+    "expect": ("print the expected-access table", (
+        ("--verify", bool, False, None, "diff against the shipped table"),
+        ("--policy", bool, False, None, "dump the optimal adversary"),
+    ), None),
+    "simulate": ("run the two-process simulation", (
+        ("--ops", int, 100, None, "total tas operations"),
+        ("--adversary", str, "round-robin", None, "round-robin | random | optimal | script:FILE"),
+        ("--seed", int, 0, None, None),
+        ("--trace", str, None, None, "write the JSONL trace here (default: stdout)"),
+        ("--stats", str, None, None, "write the per-op CSV here"),
+    ), None),
+    "lint-trace": ("validate and linearize a JSONL trace", (),
+                   ("file", "trace file (default: stdin)")),
+    "tournament": ("search for the n-process violation", (
+        ("--n", int, 3, (2, 3, 4), None),
+        ("--budget", int, 2000, None, None),
+        ("--seed", int, 0, None, None),
+        ("--trace", str, None, None, "write the node-tagged JSONL trace here"),
+    ), None),
+    "dump-fa3": ("emit the specification automaton as JSON", (), None),
+}
+_HELP = {"-h": None, "--help": None}
+# An argument that looks like this is a value, not an option.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `wftas` parser, built on first use and shared by every call;
-    `main` runs the `cmd_*` function the subcommand names."""
-    p = _Parser(prog="wftas")
-    sub = p.add_subparsers(dest="command", required=True)
+def _help(name: Optional[str]) -> str:
+    """Help for `wftas` (`name` None) or one subcommand, built from the
+    command table and laid out for an 80-column terminal."""
+    rows = [(2, "-h, --help", "show this help message and exit")]
+    if name is None:
+        choices = "{" + ",".join(_COMMANDS) + "}"
+        usage = ["wftas", "[-h]", choices, "..."]
+        positional = [(2, choices, None)] + [(4, c, spec[0]) for c, spec in _COMMANDS.items()]
+    else:
+        _, options, pos = _COMMANDS[name]
+        usage = ["wftas " + name, "[-h]"]
+        for opt, type_, _, choices, text in options:
+            if type_ is not bool:
+                opt += " " + ("{" + ",".join(map(str, choices)) + "}" if choices
+                              else opt[2:].upper())
+            usage.append(f"[{opt}]")
+            rows.append((2, opt, text))
+        positional = [(2, *pos)] if pos else []
+        usage += [f"[{pos[0]}]"] if pos else []
+    lines = ["usage: " + usage[0]]
+    for part in usage[1:]:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * (len(usage[0]) + 8) + part)
+        else:
+            lines[-1] += " " + part
+    col = min(24, max(indent + len(inv) for indent, inv, _ in positional + rows) + 2)
 
-    c = sub.add_parser("check", help="verify the model against the shipped table")
-    c.add_argument("--json", action="store_true", help="emit the computed table")
+    def section(title, entries):
+        out = ["", title]
+        for indent, inv, text in entries:
+            head = " " * indent + inv
+            if text is None:
+                out.append(head)
+            elif len(head) <= col - 2:
+                out.append(head.ljust(col) + text)
+            else:
+                out += [head, " " * col + text]
+        return out
 
-    e = sub.add_parser("expect", help="print the expected-access table")
-    e.add_argument("--verify", action="store_true", help="diff against the shipped table")
-    e.add_argument("--policy", action="store_true", help="dump the optimal adversary")
+    if positional:
+        lines += section("positional arguments:", positional)
+    return "\n".join(lines + section("options:", rows)) + "\n"
 
-    s = sub.add_parser("simulate", help="run the two-process simulation")
-    s.add_argument("--ops", type=int, default=100, help="total tas operations")
-    s.add_argument(
-        "--adversary",
-        default="round-robin",
-        help="round-robin | random | optimal | script:FILE",
-    )
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trace", help="write the JSONL trace here (default: stdout)")
-    s.add_argument("--stats", help="write the per-op CSV here")
 
-    l = sub.add_parser("lint-trace", help="validate and linearize a JSONL trace")
-    l.add_argument("file", nargs="?", help="trace file (default: stdin)")
+def _read(prog: str, arg: str, names: dict) -> Optional[tuple[str, Optional[str]]]:
+    """`arg` read against the option `names` of `prog`: None for a
+    positional, else (option, its `=` value or None), option "" for one
+    that `prog` does not have.  A unique prefix names its option."""
+    if not arg.startswith("-") or arg in ("-", "--"):
+        return None
+    if arg in names:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in names:
+        return name, value
+    if arg[1] == "-":
+        hits = [n for n in names if n.startswith(name)]
+        if len(hits) > 1:
+            raise _UsageError(f"{prog}: ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif arg[:2] in names:  # -hVALUE
+        return arg[:2], arg[2:]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return "", None
 
-    t = sub.add_parser("tournament", help="search for the n-process violation")
-    t.add_argument("--n", type=int, default=3, choices=(2, 3, 4))
-    t.add_argument("--budget", type=int, default=2000)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--trace", help="write the node-tagged JSONL trace here")
 
-    sub.add_parser("dump-fa3", help="emit the specification automaton as JSON")
-    return p
+def _help_option(name: Optional[str], option: str, value: Optional[str]) -> NoReturn:
+    # Short flags combine (-hh); no other value is accepted.
+    if value is None or option == "-h" and value and not value.strip("h"):
+        sys.stdout.write(_help(name))
+        raise SystemExit(0)
+    value = value.lstrip("h") if option == "-h" else value
+    prog = "wftas" if name is None else "wftas " + name
+    raise _UsageError(f"{prog}: argument -h/--help: ignored explicit argument {value!r}")
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+    """The `wftas` command line `argv` (default `sys.argv[1:]`) read
+    against the command table: a namespace of `command` and one attribute
+    per option and positional of that subcommand.
+
+    Accepts `--opt value` and `--opt=value`, a unique prefix of an option
+    name, a negative number as a value, and `--` to end the options.
+    Prints help and exits 0 at -h or --help; raises _UsageError for any
+    line it refuses, with the wording of the standard library's parser."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    extras: list[str] = []  # unknown arguments, reported once all are read
+    for i, arg in enumerate(argv):
+        opt = _read("wftas", arg, _HELP)
+        if opt is None:
+            break
+        if opt[0]:
+            _help_option(None, *opt)
+        extras.append(arg)
+    else:
+        raise _UsageError("wftas: the following arguments are required: command")
+    name, rest = argv[i], argv[i + 1 :]
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(
+            f"wftas: argument command: invalid choice: {name!r} (choose from {choices})")
+    prog = "wftas " + name
+    _, options, pos = _COMMANDS[name]
+    names = _HELP | {opt[0]: opt for opt in options}
+    ns = SimpleNamespace(command=name, **{opt[0][2:]: opt[2] for opt in options})
+    if pos:
+        setattr(ns, pos[0], None)
+    # Every option is read before any value is: an ambiguous prefix is
+    # refused first.  After `--` every argument is a positional; a command
+    # that takes none reports the `--` too.
+    end = rest.index("--") if "--" in rest else len(rest)
+    read = [_read(prog, arg, names) for arg in rest[:end]]
+    if end < len(rest):
+        del rest[end : end + bool(pos)]
+        read += [()] * (len(rest) - end)
+    slot = pos[0] if pos else None
+    k = 0
+    while k < len(rest):
+        arg, opt = rest[k], read[k]
+        k += 1
+        if not opt:
+            if slot:
+                setattr(ns, slot, arg)
+                slot = None
+            else:
+                extras.append(arg)
+            continue
+        option, value = opt
+        if not option:
+            extras.append(arg)
+            continue
+        if option in _HELP:
+            _help_option(name, option, value)
+        _, type_, _, choices, _ = names[option]
+        if type_ is bool:
+            if value is not None:
+                raise _UsageError(
+                    f"{prog}: argument {option}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if k == len(rest) or read[k] is not None:
+                    raise _UsageError(f"{prog}: argument {option}: expected one argument")
+                value, k = rest[k], k + 1
+            if type_ is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(
+                        f"{prog}: argument {option}: invalid int value: {value!r}") from None
+            if choices and value not in choices:
+                raise _UsageError(
+                    f"{prog}: argument {option}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, choices))})")
+        setattr(ns, option[2:], value)
+    if extras:
+        raise _UsageError("wftas: unrecognized arguments: " + " ".join(extras))
+    return ns
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except _UsageError as exc:
         return _input_error(exc)
     # Looked up per call, so a command replaced on the module (a test's

@@ -42,6 +42,37 @@ def test_import_loads_no_heavy_modules():
     assert {f"wftas.{n}" for n in got["submodules"]} <= set(got["loaded"])
 
 
+def test_commands_load_no_argparse_gettext_or_locale(tmp_path):
+    """`main` of every subcommand, each with --help and with tiny
+    arguments, imports none of `argparse`, `gettext` (which `argparse`
+    imports) and `locale` (which `gettext` imports)."""
+    import wftas
+
+    src = str(Path(wftas.__file__).resolve().parents[1])
+    trace = str(tmp_path / "t.jsonl")
+    runs = [["--help"]] + [[name, "--help"] for name in cli._COMMANDS] + [
+        ["check"], ["expect"], ["simulate", "--ops", "1", "--trace", trace],
+        ["lint-trace", trace], ["tournament", "--n", "2", "--budget", "1"], ["dump-fa3"],
+    ]
+    code = (
+        "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1]); "
+        "import wftas.cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            codes.append(wftas.cli.main(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "print(json.dumps({'codes': codes, 'loaded': sorted(sys.modules)}))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, src, json.dumps(runs)],
+                         capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert got["codes"] == [0] * 11 + [1, 0]  # n=2 has no violation to find
+    assert {"argparse", "gettext", "locale"} & set(got["loaded"]) == set()
+
+
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
@@ -186,8 +217,8 @@ def test_unknown_adversary(capsys):
 
 def assert_input_error(capsys, *argv):
     rc = cli.main(list(argv))
-    err = capsys.readouterr().err
-    assert (rc, err.startswith("error: ")) == (3, True), err
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err.startswith("error: ")) == (3, "", True), out
 
 
 @pytest.mark.parametrize("script", ["0\n", "1 0 0 0\n"])
@@ -250,6 +281,12 @@ def test_lint_trace_corrupt(capsys, tmp_path):
         bad.write_text(text)
         rc, out = run_cli(capsys, "lint-trace", str(bad))
         assert (rc, out.startswith("corrupt trace")) == (3, True), name
+
+
+@pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+def test_lint_trace_unopenable_file_is_an_input_error(capsys, tmp_path, name):
+    # Not "corrupt trace" on stdout: no line of it was read.
+    assert_input_error(capsys, "lint-trace", str(tmp_path / name))
 
 
 def test_lint_trace_violation(capsys, tmp_path):
@@ -418,29 +455,9 @@ def test_dump_fa3(capsys):
     assert len(payload["states"]) == 20
 
 
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    # Building the parser adds its subcommands once.
-    built = []
-    add_subparsers = argparse.ArgumentParser.add_subparsers
-
-    def counted(self, **kwargs):
-        built.append(self.prog)
-        return add_subparsers(self, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
-    cli.build_parser.cache_clear()
-    try:
-        for _ in range(3):
-            assert run_cli(capsys, "tournament", "--n", "3", "--budget", "10")[0] == 0
-        assert cli.build_parser() is cli.build_parser()
-    finally:
-        cli.build_parser.cache_clear()
-    assert built == ["wftas"]
-
-
 def test_patched_command_runs_after_first_call(capsys, monkeypatch):
-    # A tracer or a test replaces `cmd_*` on the module after the shared
-    # parser exists; `main` must run the replacement.
+    # A tracer or a test replaces `cmd_*` on the module after a first
+    # call; `main` must run the replacement.
     assert run_cli(capsys, "simulate", "--ops", "1")[0] == 0
     seen = []
     monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.ops) or 7)
@@ -448,16 +465,22 @@ def test_patched_command_runs_after_first_call(capsys, monkeypatch):
     assert seen == [5]
 
 
-@pytest.mark.parametrize("argv, fragment", [
-    (["check", "--bogus"], "wftas: unrecognized arguments: --bogus"),
-    (["expect", "--verify", "1"], "wftas: unrecognized arguments: 1"),
-    (["simulate", "--ops", "x"], "wftas simulate: argument --ops: invalid int value: 'x'"),
-    (["lint-trace", "--bogus"], "wftas: unrecognized arguments: --bogus"),
-    (["tournament", "--n", "5"], "wftas tournament: argument --n: invalid choice: 5"),
-    (["dump-fa3", "extra"], "wftas: unrecognized arguments: extra"),
-    ([], "wftas: the following arguments are required: command"),
-], ids=["check", "expect", "simulate", "lint-trace", "tournament", "dump-fa3",
-        "no-subcommand"])
+# The usage errors whose wording is pinned, by test id.
+_USAGE_ERRORS = {
+    "check": (["check", "--bogus"], "wftas: unrecognized arguments: --bogus"),
+    "expect": (["expect", "--verify", "1"], "wftas: unrecognized arguments: 1"),
+    "simulate": (["simulate", "--ops", "x"],
+                 "wftas simulate: argument --ops: invalid int value: 'x'"),
+    "lint-trace": (["lint-trace", "--bogus"], "wftas: unrecognized arguments: --bogus"),
+    "tournament": (["tournament", "--n", "5"],
+                   "wftas tournament: argument --n: invalid choice: 5"),
+    "dump-fa3": (["dump-fa3", "extra"], "wftas: unrecognized arguments: extra"),
+    "no-subcommand": ([], "wftas: the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", list(_USAGE_ERRORS.values()),
+                         ids=list(_USAGE_ERRORS))
 def test_usage_error_exits_3(capsys, argv, fragment):
     # argparse's own exit code, 2, would read as "not linearizable".
     rc = cli.main(argv)
@@ -466,7 +489,9 @@ def test_usage_error_exits_3(capsys, argv, fragment):
     assert out.err.startswith(f"error: {fragment}") and out.err.count("\n") == 1, out.err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["lint-trace", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["lint-trace", "--help"]] + [
+    [name, "--help"] for name in ("check", "expect", "simulate", "tournament", "dump-fa3")
+])
 def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -482,3 +507,136 @@ def test_usage_error_is_the_process_exit_code():
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: wftas: unrecognized arguments: --bogus\n"
+
+
+class _OracleError(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _OracleError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def build_parser():
+    """The argparse parser that `wftas` used before its command table: the
+    reference that `cli.parse_args` must agree with."""
+    p = _OracleParser(prog="wftas")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("check", help="verify the model against the shipped table")
+    c.add_argument("--json", action="store_true", help="emit the computed table")
+
+    e = sub.add_parser("expect", help="print the expected-access table")
+    e.add_argument("--verify", action="store_true", help="diff against the shipped table")
+    e.add_argument("--policy", action="store_true", help="dump the optimal adversary")
+
+    s = sub.add_parser("simulate", help="run the two-process simulation")
+    s.add_argument("--ops", type=int, default=100, help="total tas operations")
+    s.add_argument(
+        "--adversary",
+        default="round-robin",
+        help="round-robin | random | optimal | script:FILE",
+    )
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--trace", help="write the JSONL trace here (default: stdout)")
+    s.add_argument("--stats", help="write the per-op CSV here")
+
+    l = sub.add_parser("lint-trace", help="validate and linearize a JSONL trace")
+    l.add_argument("file", nargs="?", help="trace file (default: stdin)")
+
+    t = sub.add_parser("tournament", help="search for the n-process violation")
+    t.add_argument("--n", type=int, default=3, choices=(2, 3, 4))
+    t.add_argument("--budget", type=int, default=2000)
+    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--trace", help="write the node-tagged JSONL trace here")
+
+    sub.add_parser("dump-fa3", help="emit the specification automaton as JSON")
+    return p
+
+
+_INTS = st.one_of(st.integers(-10**6, 10**6).map(str), st.sampled_from(["+5", "007", " 3"]))
+# A value written after its option: one that does not start with "-" is
+# never read as an option, nor are "-" and a negative number.
+_WORD = st.one_of(
+    st.text("abz09_./:=", max_size=6).filter(lambda v: not v.startswith("-")),
+    st.sampled_from(["-", "-5", "-.5", "-0.25"]),
+)
+# Each subcommand's options and the values they take (None: a flag).
+_OPTIONS = {
+    "check": {"--json": None},
+    "expect": {"--verify": None, "--policy": None},
+    "simulate": {"--ops": _INTS, "--adversary": _WORD, "--seed": _INTS,
+                 "--trace": _WORD, "--stats": _WORD},
+    "lint-trace": {},
+    "tournament": {"--n": st.sampled_from(["2", "3", "4", "+3", "04"]),
+                   "--budget": _INTS, "--seed": _INTS, "--trace": _WORD},
+    "dump-fa3": {},
+}
+
+
+def _spellings(command, name):
+    """`name` and each of its prefixes that no other option of `command`
+    (--help included) starts with."""
+    others = [o for o in [*_OPTIONS[command], "--help"] if o != name]
+    return [name[:k] for k in range(3, len(name) + 1)
+            if not any(o.startswith(name[:k]) for o in others)]
+
+
+@st.composite
+def _accepted_lines(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command]
+    names = draw(st.lists(st.sampled_from(sorted(options)), max_size=6)) if options else []
+    for name in names:
+        spelling = draw(st.sampled_from(_spellings(command, name)))
+        values = options[name]
+        if values is None:
+            argv.append(spelling)
+        elif draw(st.booleans()):
+            argv += [spelling, draw(values)]
+        else:
+            # After "=", a text value may start with "-".  argparse read
+            # `--opt=--` as an empty list, which no command could take.
+            if values is _WORD:
+                values = st.one_of(values, st.text("-az=", max_size=4).filter(
+                    lambda v: v != "--"))
+            argv.append(f"{spelling}={draw(values)}")
+    if command == "lint-trace":
+        argv += draw(st.one_of(
+            st.just([]),
+            _WORD.map(lambda f: [f]),
+            st.text("-az.", min_size=1, max_size=4).filter(lambda f: f != "--").map(
+                lambda f: ["--", f]),
+        ))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_accepted_lines())
+def test_parse_args_accepts_what_argparse_accepted(argv):
+    """Every subcommand, its options in any order and repeated, in the
+    space and `=` forms, abbreviated, with negative numbers as values."""
+    assert vars(cli.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _USAGE_ERRORS.values()] + [
+    ["simulate", "--ops"],  # a missing value
+    ["bogus"],  # an unknown subcommand
+    ["simulate", "--s", "1"],  # a prefix of --seed and --stats
+    ["check", "--json=1"],  # a flag given a value
+    ["lint-trace", "a", "b"],  # an extra positional
+])
+def test_parse_args_refuses_what_argparse_refused(capsys, argv):
+    with pytest.raises(_OracleError) as oracle:
+        build_parser().parse_args(argv)
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err.startswith("error: ")) == (3, "", True), out.err
+    # The wording differs across Python versions, except where it is pinned.
+    for pinned, fragment in _USAGE_ERRORS.values():
+        if argv == pinned:
+            assert out.err.startswith(f"error: {fragment}")
+            assert str(oracle.value).startswith(fragment)
