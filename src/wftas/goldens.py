@@ -83,9 +83,6 @@ def load_golden_table() -> GoldenTable:
     return GoldenTable.parse(text)
 
 
-# Letter mirror map: swapping the two processes maps each FA4 state onto
-# its role-swapped twin; derivable from the owner ranges plus the table's
-# diagonal symmetry.
 def validate_goldens(table: GoldenTable) -> list[str]:
     """Structural checks; returns a list of problems (empty when clean)."""
     problems: list[str] = []
@@ -127,6 +124,9 @@ def check_letter_mirror_symmetry(table: GoldenTable) -> list[str]:
             problems.append(f"letter-count asymmetry at ({r},{c})")
     if problems:
         return problems
+    # Letter mirror map: swapping the two processes maps each FA4 state onto
+    # its role-swapped twin; derivable from the owner ranges plus the table's
+    # diagonal symmetry.
     # Build the involution by propagation over singleton constraints.
     cand: dict[str, set[str]] = {}
     for (r, c), cell in table.cells.items():

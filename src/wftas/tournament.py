@@ -15,7 +15,6 @@ but the n-process histories it generates need not be linearizable.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -248,18 +247,15 @@ def _run_schedule(n: int, schedule: Sequence[int], coins: Sequence[float]) -> To
 
 
 # A `_StepTrie` node stands for the accesses that runs share so far and
-# is a list with one slot per pid: the node after pid's next access,
-# None while no run has taken that access, _FINISHED once pid's n-tas
-# has returned, or a leaf.  A leaf `(path, ends, history)` stands for the
-# rest of one run: `path` holds the pid of each of the run's accesses,
-# `ends[pid]` the time of pid's last one, and `history` is the run's
-# finished history.
+# is a list with one slot per pid: None while no run has taken pid's next
+# access, _FINISHED once pid's n-tas has returned, the node after pid's
+# next access, or, at a run's last access, the run's finished history as
+# a tuple.
 _FINISHED = object()
-_PID = operator.itemgetter(0)  # the pid of a `TournamentTree._log` entry
-# Nodes and leaves one trie may hold.  A full trie keeps the paths it
-# has and records no more, which bounds both its memory and the work
-# that a search whose paths never repeat (n=4) spends recording them.
-_TRIE_MAX = 512
+# Nodes one trie may hold.  A full trie keeps the paths it has and
+# records no more, which bounds both its memory and the work that a
+# search whose paths never repeat (n=4) spends recording them.
+_TRIE_MAX = 1536
 
 
 class _StepTrie:
@@ -278,34 +274,16 @@ class _StepTrie:
         self.root = [None] * n
         self.size = 1
 
-    def lookup(self, schedule: Sequence[int]) -> Optional[list[OpRecord]]:
+    def lookup(self, schedule: Sequence[int]) -> Optional[tuple[OpRecord, ...]]:
         """The finished history of the run under `schedule` if an
         earlier run took its step path, else None."""
         node = self.root
-        t = 0  # accesses taken
-        entries = iter(schedule)
-        for pid in entries:
+        for pid in schedule:
             child = node[pid]
-            if child is _FINISHED:
-                continue
-            if child is None:
-                return None
-            t += 1
             if type(child) is list:
                 node = child
-                continue
-            path, ends, history = child
-            end = len(path)
-            if t == end:
-                return history
-            for pid in entries:
-                if path[t] == pid:
-                    t += 1
-                    if t == end:
-                        return history
-                elif ends[pid] >= t:
-                    return None  # pid is running but did not take access t
-            break
+            elif child is not _FINISHED:
+                return child  # None off the trie, else the run's history
         return None  # the schedule ran out before every process returned
 
     def record(self, tree: TournamentTree, history: list[OpRecord]) -> None:
@@ -314,37 +292,19 @@ class _StepTrie:
         short by its schedule is not kept, nor a path that might not fit."""
         if len(history) < self.n or self.size + len(tree._log) > _TRIE_MAX:
             return
-        path = bytes(map(_PID, tree._log))
+        path = bytes(entry[0] for entry in tree._log)
         ends = [path.rindex(pid) for pid in range(self.n)]
-        self.size += 1
-        leaf = (path, ends, history)
-        node, t = self.root, 0
+        node = self.root
         # Neither of two different paths on which every process returns
-        # is a prefix of the other, so the walk leaves the trie before
-        # the path ends.
-        while True:
-            pid = path[t]
+        # is a prefix of the other, so the walk meets no history before
+        # the path's last access.
+        for t, pid in enumerate(path[:-1], 1):
             child = node[pid]
             if child is None:
-                node[pid] = leaf
-                return
-            t += 1
-            if type(child) is list:
-                node = child
-                continue
-            # Both runs took this access: give each access they share a
-            # node, down to the first where they differ.
-            other = child[0]
-            while True:
-                node[pid] = node = [_FINISHED if e < t else None for e in ends]
+                child = node[pid] = [_FINISHED if e < t else None for e in ends]
                 self.size += 1
-                if other[t] != path[t]:
-                    break
-                pid = path[t]
-                t += 1
-            node[other[t]] = child
-            node[path[t]] = leaf
-            return
+            node = child
+        node[path[-1]] = tuple(history)
 
 
 def _schedules(rng: random.Random, n: int) -> Iterator[bytes]:

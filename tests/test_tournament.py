@@ -156,7 +156,7 @@ def test_trie_serves_only_paths_run_to_the_end(monkeypatch, n):
     """The trie gives a history only for a step path that an earlier run
     took until every process returned, skips the entries of a schedule
     that name a process that has returned, and still serves a path
-    after other runs branch off it."""
+    after other runs branch off it; `size` counts the trie's nodes."""
     monkeypatch.setattr(tournament, "_TRIE_MAX", 10**6)
     rng = random.Random(5)
     coins = [rng.random() for _ in range(40 * n)]
@@ -169,7 +169,7 @@ def test_trie_serves_only_paths_run_to_the_end(monkeypatch, n):
         history = [r for r in tree.history() if r.finished]
         seen = trie.lookup(path)
         if seen is not None:
-            assert seen == history
+            assert seen == tuple(history)
             continue
         short = tournament._run_schedule(n, path[:-1], coins)
         size = trie.size
@@ -177,21 +177,48 @@ def test_trie_serves_only_paths_run_to_the_end(monkeypatch, n):
         assert trie.size == size
         assert trie.lookup(path[:-1]) is None
         trie.record(tree, history)
+        stored = trie.lookup(path)
+        assert stored == tuple(history)
         # the process that returns first, named again before each later access
         first = min(tree.procs.values(), key=lambda p: p.records[0].finish).records[0]
         late = path[:first.finish + 1]
         for pid in path[first.finish + 1:]:
             late += [first.pid, pid]
-        served += [(path, history), (late, history)]
-    for schedule, history in served:
-        assert trie.lookup(schedule) is history
-    nodes, marked = [trie.root], 0
+        served += [(path, stored), (late, stored)]
+    for schedule, stored in served:
+        assert trie.lookup(schedule) is stored
+    nodes, count, marked = [trie.root], 0, 0
     while nodes:
         node = nodes.pop()
+        count += 1
         marked += tournament._FINISHED in node
         nodes += [c for c in node if type(c) is list]
+    assert count == trie.size
     # With n=2 a run's path branches no more once one process returned.
     assert marked or n == 2
+
+
+# `_run_schedule` calls of `find_violation(2, 2000, seed)` with the
+# trie of 512 nodes and leaves that preceded the per-access nodes.
+_N2_RUNS_BEFORE = {0: 256, 1: 230, 3: 224, 7: 256, 9: 267, 11: 218}
+
+
+@pytest.mark.parametrize("seed", sorted(_N2_RUNS_BEFORE))
+def test_n2_search_runs_no_more_schedules(monkeypatch, seed):
+    """The trie serves an n=2 search at least as many of its 2,000
+    schedules as before: the search runs no more of them."""
+    runs = 0
+    run = tournament._run_schedule
+
+    def count_run(n, schedule, coins):
+        nonlocal runs
+        runs += 1
+        return run(n, schedule, coins)
+
+    monkeypatch.setattr(tournament, "_run_schedule", count_run)
+    with pytest.raises(BudgetExceeded):
+        tournament.find_violation(2, 2000, seed)
+    assert runs <= _N2_RUNS_BEFORE[seed]
 
 
 def _report_fields(n, seed):
@@ -207,7 +234,7 @@ def _report_fields(n, seed):
 def test_capped_trie_gives_same_report(monkeypatch, seed):
     """With a trie cap that the search soon reaches, an n=4 search
     returns the same report, or runs out of budget the same way, and
-    the trie never holds more nodes and leaves than the cap."""
+    the trie never holds more nodes than the cap."""
     expected = _report_fields(4, seed)
     cap = 200
     sizes = []
