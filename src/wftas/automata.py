@@ -118,8 +118,31 @@ B_EVENTS = tuple(e for e in ALL_EVENTS if not e.is_eps)
 B_EVENT_ID = {e: i for i, e in enumerate(B_EVENTS)}
 
 
+def _ids(S: int) -> list[int]:
+    """The state ids in mask S, in increasing order."""
+    ids = []
+    while S:
+        low = S & -S
+        ids.append(low.bit_length() - 1)
+        S ^= low
+    return ids
+
+
+def _union(rows: tuple[int, ...], S: int) -> int:
+    """The union of the masks rows[x] over the state ids x in mask S."""
+    T = 0
+    while S:
+        low = S & -S
+        T |= rows[low.bit_length() - 1]
+        S ^= low
+    return T
+
+
 class Fa3:
-    """The reachable product automaton (FA3) and its FA4 view."""
+    """The reachable product automaton (FA3) and its FA4 view.
+
+    Sets of FA3 states are computed as int bit masks, bit x standing
+    for `by_id[x]`; the methods on frozensets convert at the boundary."""
 
     def __init__(self) -> None:
         init = FA3_INITIAL
@@ -133,45 +156,49 @@ class Fa3:
         self.initial = init
         self.states = frozenset(explore([init], enabled))
         self.moves = moves
-        # Epsilon-moves in EPS_EVENTS order, as (event, state).
-        self._eps_succ: dict[Fa3State, tuple[tuple[Event, Fa3State], ...]] = {
-            s: tuple((e, moves[(s, e)]) for e in EPS_EVENTS if (s, e) in moves)
-            for s in self.states
-        }
-        self._eps_only = frozenset(
-            s
-            for s in self.states
-            if self._eps_succ[s]
-            and all(e.is_eps for (t, e) in moves if t == s)
-        )
 
         # Integer tables for the trace checker.  FA3 state ids follow
         # sorted order; -1 marks a disabled move.
         self.by_id = tuple(sorted(self.states))
         ids = {s: i for i, s in enumerate(self.by_id)}
+        self._bit = {s: 1 << i for s, i in ids.items()}
         self.initial_id = ids[init]
         # Epsilon-successors in EPS_EVENTS order, as (event, state id).
         self.eps_moves = tuple(
-            tuple((e, ids[t]) for e, t in self._eps_succ[s]) for s in self.by_id
+            tuple((e, ids[moves[(s, e)]]) for e in EPS_EVENTS if (s, e) in moves)
+            for s in self.by_id
         )
         # The B-move of each state under each B_EVENTS column.
         self.b_moves = tuple(
             tuple(ids[moves[(s, e)]] if (s, e) in moves else -1 for e in B_EVENTS)
             for s in self.by_id
         )
+        # Mask tables, per state id: its epsilon-closure, that closure
+        # canonical, its mirror, and (per B_EVENTS column) the canonical
+        # image of its closure.
+        n = len(self.by_id)
+        trees = [explore([x], self.eps_moves.__getitem__) for x in range(n)]
+        self._closure = tuple(sum(1 << y for y in t) for t in trees)
+        eps_only = sum(1 << x for x in range(n) if self.eps_moves[x] and max(self.b_moves[x]) < 0)
+        self._eps_only = self.states_of(eps_only)
+        self._canon = tuple(c & ~eps_only for c in self._closure)
+        self._mirror = tuple(self._bit[s.mirror()] for s in self.by_id)
+        # Per column, the canonical closure of each state's move.
+        moved = [tuple(self._canon[z] if z >= 0 else 0 for z in col) for col in zip(*self.b_moves)]
+        self._after = tuple(tuple(_union(row, c) for c in self._closure) for row in moved)
         # FA4 as a DFA over the B_EVENTS columns: its states are the
         # non-empty canonical sets reachable from fa4_initial(), numbered
         # in breadth-first order (0 is the initial set); -1 is the empty
         # set, which rejects.
-        after: dict[frozenset[Fa3State], list[frozenset[Fa3State]]] = {}
+        after: dict[int, list[int]] = {}
 
-        def step(S: frozenset[Fa3State]) -> list[tuple[Event, frozenset[Fa3State]]]:
-            after[S] = [self.fa4_step(S, e) for e in B_EVENTS]
+        def step(S: int) -> list[tuple[Event, int]]:
+            after[S] = [_union(rows, S) for rows in self._after]
             return [(e, T) for e, T in zip(B_EVENTS, after[S]) if T]
 
-        sets = tuple(explore([self.fa4_initial()], step))
+        sets = tuple(explore([self._canon[self.initial_id]], step))
         set_ids = {S: q for q, S in enumerate(sets)}
-        self.fa4_sets = sets
+        self.fa4_sets = tuple(map(self.states_of, sets))
         self.fa4_dfa = tuple(tuple(set_ids.get(T, -1) for T in after[S]) for S in sets)
         # Witness back-pointers.  fa4_pred[q][col] maps each state id y
         # in the epsilon-closure of the col-image of C = closure(
@@ -179,7 +206,8 @@ class Fa3:
         # shortest epsilon-event path from that move's target to y (the
         # smallest x on ties).  fa4_end[q] is the smallest id in C with
         # no epsilon-move, where a run after q may end.
-        closures = [sorted(ids[s] for s in self.eps_closure(S)) for S in sets]
+        closures = [_ids(_union(self._closure, S)) for S in sets]
+        eps_paths = [{y: path(t, y) for y in t} for t in trees]
         pred: list[tuple[dict[int, tuple[int, tuple[Event, ...]]], ...]] = []
         for c in closures:
             cells = []
@@ -187,9 +215,7 @@ class Fa3:
                 back: dict[int, tuple[int, tuple[Event, ...]]] = {}
                 for x in c:
                     z = self.b_moves[x][col]
-                    tree = explore([z] if z >= 0 else [], self.eps_moves.__getitem__)
-                    for y in tree:
-                        eps = path(tree, y)
+                    for y, eps in eps_paths[z].items() if z >= 0 else ():
                         if y not in back or len(eps) < len(back[y][1]):
                             back[y] = (x, eps)
                 cells.append(back)
@@ -197,27 +223,40 @@ class Fa3:
         self.fa4_pred = tuple(pred)
         self.fa4_end = tuple(min(y for y in c if not self.eps_moves[y]) for c in closures)
 
-    # -- FA4 machinery -------------------------------------------------
+    # -- FA4 machinery: on masks, and on frozensets at the boundary -----
+
+    def mask(self, S: Iterable[Fa3State]) -> int:
+        bit = self._bit
+        m = 0
+        for s in S:
+            m |= bit[s]
+        return m
+
+    def states_of(self, S: int) -> frozenset[Fa3State]:
+        return frozenset(map(self.by_id.__getitem__, _ids(S)))
+
+    def canonical_mask(self, S: int) -> int:
+        return _union(self._canon, S)
+
+    def step_mask(self, S: int, col: int) -> int:
+        """The canonical FA4 successor of S under B_EVENTS[col]."""
+        return _union(self._after[col], S)
+
+    def mirror_mask(self, S: int) -> int:
+        return _union(self._mirror, S)
 
     def eps_closure(self, S: Iterable[Fa3State]) -> frozenset[Fa3State]:
-        return frozenset(explore(S, self._eps_succ.__getitem__))
+        return self.states_of(_union(self._closure, self.mask(S)))
 
     def eps_only_states(self) -> frozenset[Fa3State]:
         return self._eps_only
 
     def canonical(self, S: Iterable[Fa3State]) -> frozenset[Fa3State]:
         """Epsilon-closure minus states with only epsilon-moves out."""
-        return frozenset(
-            s for s in self.eps_closure(S) if s not in self._eps_only
-        )
+        return self.states_of(self.canonical_mask(self.mask(S)))
 
     def fa4_step(self, S: Iterable[Fa3State], e: Event) -> frozenset[Fa3State]:
-        after = {
-            self.moves[(s, e)]
-            for s in self.eps_closure(S)
-            if (s, e) in self.moves
-        }
-        return self.canonical(after)
+        return self.states_of(self.step_mask(self.mask(S), B_EVENT_ID[e]))
 
     def fa4_initial(self) -> frozenset[Fa3State]:
         return self.canonical({self.initial})
@@ -277,14 +316,17 @@ def assign_labels(cells: dict, rep_sets: dict) -> LabelAssignment:
     set, which together with the owner ranges and the anchors determines
     the bijection up to the letters that occur in no cell.
     """
-    states = sorted(fa3_build().states)
-    candidates: dict[str, set[Fa3State]] = {
-        l: {s for s in states if l in OWNER_RANGE[s.owner]} for l in LETTERS
+    fa3 = fa3_build()
+    states = fa3.by_id
+    # Per letter, the mask of the states it can still stand for.
+    candidates = {
+        l: fa3.mask(s for s in states if l in OWNER_RANGE[s.owner]) for l in LETTERS
     }
     for l, s in ANCHORS.items():
-        if s not in candidates[l]:
+        bit = fa3.mask((s,))
+        if not candidates[l] & bit:
             raise NoConsistentBijection(f"anchor {l} outside its owner range")
-        candidates[l] = {s}
+        candidates[l] = bit
     for cfg, letters in cells.items():
         if cfg not in rep_sets:
             raise NoConsistentBijection(f"golden cell {cfg} not reachable")
@@ -293,11 +335,9 @@ def assign_labels(cells: dict, rep_sets: dict) -> LabelAssignment:
             raise NoConsistentBijection(
                 f"cell {cfg}: {len(letters)} letters vs {len(S)} states"
             )
+        S = fa3.mask(S)
         for l in LETTERS:
-            if l in letters:
-                candidates[l] &= S
-            else:
-                candidates[l] -= S
+            candidates[l] &= S if l in letters else ~S
             if not candidates[l]:
                 raise NoConsistentBijection(f"letter {l} eliminated at {cfg}")
     # Propagate singletons.
@@ -305,27 +345,27 @@ def assign_labels(cells: dict, rep_sets: dict) -> LabelAssignment:
     while changed:
         changed = False
         for l in LETTERS:
-            if len(candidates[l]) == 1:
-                s = next(iter(candidates[l]))
+            bit = candidates[l]
+            if bit & (bit - 1) == 0:
                 for m in LETTERS:
-                    if m != l and s in candidates[m]:
-                        candidates[m].discard(s)
+                    if m != l and candidates[m] & bit:
+                        candidates[m] &= ~bit
                         if not candidates[m]:
                             raise NoConsistentBijection(
                                 f"letter {m} eliminated by pinning {l}"
                             )
                         changed = True
     mapping = {
-        l: next(iter(c)) for l, c in candidates.items() if len(c) == 1
+        l: states[c.bit_length() - 1] for l, c in candidates.items() if c & (c - 1) == 0
     }
     # Group the rest into equivalence classes by candidate set.
-    ambiguous: dict[tuple[Fa3State, ...], list[str]] = {}
+    ambiguous: dict[int, list[str]] = {}
     for l in LETTERS:
         if l not in mapping:
-            key = tuple(sorted(candidates[l]))
-            ambiguous.setdefault(key, []).append(l)
+            ambiguous.setdefault(candidates[l], []).append(l)
     classes = []
-    for key, ls in sorted(ambiguous.items(), key=lambda kv: kv[1]):
+    for c, ls in sorted(ambiguous.items(), key=lambda kv: kv[1]):
+        key = tuple(sorted(fa3.states_of(c)))
         if len(ls) != len(key):
             raise NoConsistentBijection(
                 f"letters {ls} share candidate states {key}"
@@ -333,7 +373,7 @@ def assign_labels(cells: dict, rep_sets: dict) -> LabelAssignment:
         classes.append((tuple(ls), key))
     # Every state must be covered exactly once.
     used = list(mapping.values()) + [s for _, sts in classes for s in sts]
-    if sorted(used) != states:
+    if tuple(sorted(used)) != states:
         raise NoConsistentBijection("mapping does not cover all 20 states")
     return LabelAssignment(mapping=mapping, ambiguous=classes)
 
@@ -359,7 +399,7 @@ def fa3_dump(labels: Optional[LabelAssignment]) -> dict:
                 "label": inv.get(s),
                 "eps_only": s in eps_only,
             }
-            for s in sorted(fa3.states)
+            for s in fa3.by_id
         ],
         "transitions": sorted(
             (

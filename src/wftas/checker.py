@@ -81,12 +81,16 @@ def compile_model(chart: protocol.Chart) -> Model:
                       move.pre_name, move.post_name, move.events[pid])
             yield ((move.post, other) if pid == 0 else (other, move.post)), fields, move
 
-    reached = explore(
-        [INITIAL_CONFIG], lambda c: ((pid, d) for pid in (0, 1) for d, _, _ in successors(c, pid))
-    )
-    index = {c: i for i, c in enumerate(reached)}
+    # Each reached configuration's successors, per pid, kept for its branches.
+    succ: dict[Config, tuple[tuple, tuple]] = {}
+
+    def expand(c: Config):
+        succ[c] = out = (tuple(successors(c, 0)), tuple(successors(c, 1)))
+        return ((pid, d) for pid in (0, 1) for d, _, _ in out[pid])
+
+    index = {c: i for i, c in enumerate(explore([INITIAL_CONFIG], expand))}
     branches = tuple(
-        tuple((index[dst], fields, move) for dst, fields, move in successors(c, pid))
+        tuple((index[dst], fields, move) for dst, fields, move in succ[c][pid])
         for c in index
         for pid in (0, 1)
     )
@@ -226,8 +230,12 @@ def _cfg_name(c: Config) -> str:
     return f"({c[0].value},{c[1].value})"
 
 
+# Each chart state's position in the table's row and column order.
+_POSITION = {ProcState(v): i for i, v in enumerate(STATE_ORDER)}
+
+
 def _cfg_key(c: Config) -> tuple[int, int]:
-    return (STATE_ORDER.index(c[0].value), STATE_ORDER.index(c[1].value))
+    return (_POSITION[c[0]], _POSITION[c[1]])
 
 
 def verify_against_table(
@@ -240,32 +248,26 @@ def verify_against_table(
     if table is None:
         table = load_golden_table()
     m = model() if step_fn is protocol.step else compile_model(protocol.compile_chart(step_fn))
+    fa3 = fa3_build()
     rep = representative_sets(m)
-    mismatches: list[str] = []
-    for c in sorted(rep, key=_cfg_key):
-        if not rep[c]:
-            mismatches.append(
-                f"config {_cfg_name(c)} has an empty representative set"
-            )
+    order = sorted(rep, key=_cfg_key)
+    masks = {c: fa3.mask(rep[c]) for c in order}
+    keys = {c: (c[0].value, c[1].value) for c in order}
+    mismatches = [
+        f"config {_cfg_name(c)} has an empty representative set" for c in order if not masks[c]
+    ]
 
-    reach_keys = {(c[0].value, c[1].value) for c in rep}
+    reach_keys = set(keys.values())
     golden_reach = set(table.reachable_cells())
     for key in sorted(golden_reach - reach_keys):
         mismatches.append(f"cell {key}: in table but not reachable")
     for key in sorted(reach_keys - golden_reach):
         mismatches.append(f"cell {key}: reachable but '*' in table")
 
-    verified_unreachable = sum(
-        1 for key in table.unreachable_keys()
-        if (ProcState(key[0]), ProcState(key[1])) not in rep
-    )
+    verified_unreachable = sum(key not in reach_keys for key in table.unreachable_keys())
 
     # Solve the letter bijection from the table plus the computed sets.
-    cells = {
-        (ProcState(r), ProcState(c)): cell.letters
-        for (r, c), cell in table.reachable_cells().items()
-        if (ProcState(r), ProcState(c)) in rep
-    }
+    cells = {c: table.cells[keys[c]].letters for c in order if keys[c] in golden_reach}
     try:
         labels = assign_labels(cells, rep)
     except NoConsistentBijection as exc:
@@ -274,28 +276,22 @@ def verify_against_table(
 
     verified_cells = 0
     inv = {v: k for k, v in labels.mapping.items()}
-    for c in sorted(rep, key=_cfg_key):
-        key = (c[0].value, c[1].value)
-        cell = table.cells.get(key)
-        if cell is None:
-            continue  # already reported above
+    for c, letters in cells.items():
         got = {inv.get(s) for s in rep[c]}
-        if None in got or got != set(cell.letters):
+        if None in got or got != letters:
             mismatches.append(
-                f"cell {key}: table letters {''.join(sorted(cell.letters))} "
+                f"cell {keys[c]}: table letters {''.join(sorted(letters))} "
                 f"!= computed {sorted(map(str, got))}"
             )
         else:
             verified_cells += 1
 
     # Semantic mirror symmetry of the computed sets.
-    for c in sorted(rep, key=_cfg_key):
-        S = rep[c]
+    for c in order:
         mc = (c[1], c[0])
-        if mc not in rep:
+        if mc not in masks:
             mismatches.append(f"mirror of {_cfg_name(c)} unreachable")
-            continue
-        if frozenset(s.mirror() for s in S) != rep[mc]:
+        elif fa3.mirror_mask(masks[c]) != masks[mc]:
             mismatches.append(
                 f"mirror symmetry broken between {_cfg_name(c)} and {_cfg_name(mc)}"
             )
@@ -311,20 +307,21 @@ def claim_induction_check(
     of the predecessor's set via the access's B-events plus
     epsilon-moves."""
     fa3 = fa3_build()
+    masks = {c: fa3.mask(S) for c, S in rep.items()}
     problems: list[str] = []
     for c in sorted(rep, key=_cfg_key):
         i = m.index[c]
         for pid in (0, 1):
             for d, _, move in m.branches[2 * i + pid]:
-                T = rep[c]
+                T = masks[c]
                 for ev in move.events[pid]:
-                    T = fa3.fa4_step(T, ev)
-                T = fa3.canonical(T)
+                    T = fa3.step_mask(T, B_EVENT_ID[ev])
+                T = fa3.canonical_mask(T)
                 dst = m.configs[d]
-                for y in rep[dst]:
-                    if y not in T:
-                        problems.append(
-                            f"{_cfg_name(c)} -> {_cfg_name(dst)}: state {y!r} "
-                            f"not derivable"
-                        )
+                if masks[dst] & ~T:
+                    problems += [
+                        f"{_cfg_name(c)} -> {_cfg_name(dst)}: state {y!r} not derivable"
+                        for y in rep[dst]
+                        if not fa3.mask((y,)) & T
+                    ]
     return problems

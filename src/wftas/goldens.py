@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import pkgutil
 import re
 from typing import NamedTuple, Optional
@@ -76,7 +77,10 @@ class GoldenTable:
         return GoldenTable(cells)
 
 
+@functools.cache
 def load_golden_table() -> GoldenTable:
+    """The shipped table, parsed on first use and shared by every
+    caller, who must not modify it."""
     # pkgutil, not importlib.resources, whose import loads pathlib, zipfile
     # and tempfile (and, from Python 3.12, inspect) at every start-up.
     text = pkgutil.get_data("wftas", "data/golden_table.txt").decode()

@@ -1,8 +1,9 @@
 import pytest
 
-from wftas import automata
+from wftas import automata, checker, protocol
 from wftas.automata import B_EVENTS, EPS_EVENTS, Fa2State, Fa3State, Owner, fa3_build
-from wftas.core import Event
+from wftas.core import Event, RegValue
+from wftas.protocol import ProcState
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,210 @@ def test_fa4_pred_table(fa3):
                 assert z == y
             assert nq < 0 or closures[nq] <= back.keys()
     assert entries == 78
+
+
+# -- A frozenset oracle for the mask kernel ------------------------------
+# The plain set algebra of FA4, written over `fa3.moves` alone, against
+# which the bit-mask tables of `Fa3` are checked.
+
+
+def _closure(fa3, S):
+    """The epsilon-closure of S: a depth-first search over fa3.moves."""
+    out, todo = set(S), list(S)
+    while todo:
+        s = todo.pop()
+        for e in EPS_EVENTS:
+            t = fa3.moves.get((s, e))
+            if t is not None and t not in out:
+                out.add(t)
+                todo.append(t)
+    return frozenset(out)
+
+
+def _eps_only(fa3):
+    """The states whose outgoing moves are all epsilon-moves (and exist)."""
+    return {s for s in fa3.states if {e.is_eps for t, e in fa3.moves if t == s} == {True}}
+
+
+def _canonical(fa3, S):
+    return _closure(fa3, S) - _eps_only(fa3)
+
+
+def _step(fa3, S, e):
+    return _canonical(fa3, {fa3.moves[(s, e)] for s in _closure(fa3, S) if (s, e) in fa3.moves})
+
+
+def _mutant_rep_sets(state, value, post):
+    """The representative sets of the chart with the read of `value`
+    from `state` redirected to `post`."""
+
+    def step(s, observed=None, coin=None):
+        return post if s is state and observed is value else protocol.step(s, observed, coin)
+
+    return checker.representative_sets(checker.compile_model(protocol.compile_chart(step)))
+
+
+def test_mask_kernel_matches_frozenset_oracle(fa3, rep_sets):
+    """Closure, canonical form, mirror and every B-step agree with the
+    oracle on every FA4 state, every representative set of the chart
+    and of the two mutants whose induction test_checker walks, and every
+    single FA3 state (the epsilon-only one is in no canonical set)."""
+    assert fa3.eps_only_states() == _eps_only(fa3)
+    sets = set(fa3.fa4_sets) | set(rep_sets.values()) | {frozenset({s}) for s in fa3.states}
+    for mutant in ((ProcState.HE, RegValue.HE, ProcState.TST1),
+                   (ProcState.ME, RegValue.ME, ProcState.TST0)):
+        sets |= set(_mutant_rep_sets(*mutant).values())
+    assert len(sets) > len(fa3.fa4_sets)
+    for S in sets:
+        assert fa3.eps_closure(S) == _closure(fa3, S)
+        assert fa3.canonical(S) == _canonical(fa3, S)
+        assert fa3.states_of(fa3.mirror_mask(fa3.mask(S))) == {s.mirror() for s in S}
+        for e in B_EVENTS:
+            assert fa3.fa4_step(S, e) == _step(fa3, S, e)
+
+
+def test_fa4_tables_match_frozenset_rebuild(fa3):
+    """The subset construction, rebuilt breadth-first on the oracle's
+    frozensets, gives the same DFA states, moves, back-pointers (each
+    shortest epsilon path found breadth-first in EPS_EVENTS order, the
+    smallest source id on ties) and end states."""
+    sets, dfa = [_canonical(fa3, {fa3.initial})], []
+    for S in sets:  # grows while it is read: a breadth-first search
+        row = []
+        for e in B_EVENTS:
+            T = _step(fa3, S, e)
+            if T and T not in sets:
+                sets.append(T)
+            row.append(sets.index(T) if T else -1)
+        dfa.append(tuple(row))
+    assert fa3.fa4_sets == tuple(sets)
+    assert fa3.fa4_dfa == tuple(dfa)
+
+    ids = {s: x for x, s in enumerate(fa3.by_id)}
+    pred, end = [], []
+    for S in sets:
+        closure = sorted(_closure(fa3, S), key=ids.__getitem__)
+        cells = []
+        for e in B_EVENTS:
+            back = {}
+            for s in closure:
+                if (s, e) not in fa3.moves:
+                    continue
+                paths = {fa3.moves[(s, e)]: ()}
+                queue = list(paths)
+                for t in queue:
+                    for eps in EPS_EVENTS:
+                        u = fa3.moves.get((t, eps))
+                        if u is not None and u not in paths:
+                            paths[u] = paths[t] + (eps,)
+                            queue.append(u)
+                for t, p in paths.items():
+                    if ids[t] not in back or len(p) < len(back[ids[t]][1]):
+                        back[ids[t]] = (ids[s], p)
+            cells.append(back)
+        pred.append(tuple(cells))
+        end.append(min(ids[s] for s in closure
+                       if not any((s, eps) in fa3.moves for eps in EPS_EVENTS)))
+    assert fa3.fa4_pred == tuple(pred)
+    assert fa3.fa4_end == tuple(end)
+
+
+# -- FA4 against the sequential specification ---------------------------
+# Restated here, not imported from linearize, so that one bug cannot hide
+# in both: from the free object (owner None) a test-and-set returns 0 and
+# takes the object, under the other process's ownership it returns 1,
+# and a reset by the owner frees the object.
+
+_ILLEGAL = "illegal"
+
+
+def _seq_spec(owner, pid, kind, ret=None):
+    if kind == "reset":
+        return None if owner == pid else _ILLEGAL
+    if ret == 0:
+        return pid if owner is None else _ILLEGAL
+    return owner if owner not in (None, pid) else _ILLEGAL
+
+
+def _linearize(states):
+    """Close a set of (owner, status of P0, status of P1) under
+    linearizing a pending test-and-set ("pending") with either return
+    value allowed from its owner, recorded as that value."""
+    out, todo = set(states), list(states)
+    while todo:
+        owner, *status = todo.pop()
+        for pid in (0, 1):
+            if status[pid] != "pending":
+                continue
+            for ret in (0, 1):
+                after = _seq_spec(owner, pid, "tas", ret)
+                if after != _ILLEGAL:
+                    t = (after, *(ret if p == pid else status[p] for p in (0, 1)))
+                    if t not in out:
+                        out.add(t)
+                        todo.append(t)
+    return frozenset(out)
+
+
+def _spec_move(states, e, holder_resets):
+    """The specification DFA's move on B-event e: sTas invokes a
+    test-and-set, fTas0/fTas1 return a linearized one with that value,
+    and rstOp is a whole reset.  With `holder_resets`, a process that
+    holds the 0 cannot start a test-and-set before its reset."""
+    out = set()
+    for owner, *status in states:
+        pid, owner_after, me = e.pid, owner, status[e.pid]
+        if e.kind == "sTas" and me == "idle" and not (holder_resets and owner == pid):
+            status[pid] = "pending"
+        elif e.kind in ("fTas0", "fTas1") and me == int(e.kind[-1]):
+            status[pid] = "idle"
+        elif e.kind == "rstOp" and me == "idle" and _seq_spec(owner, pid, "reset") != _ILLEGAL:
+            owner_after = None
+        else:
+            continue
+        out.add((owner_after, *status))
+    return _linearize(out)
+
+
+def _spec_product(fa3, holder_resets):
+    """The reachable pairs of (FA4 DFA state, specification DFA state),
+    and the (pair, event) moves on which exactly one of them rejects."""
+    start = (0, _linearize({(None, "idle", "idle")}))
+    pairs, disagreements = [start], []
+    for q, A in pairs:
+        for col, e in enumerate(B_EVENTS):
+            nq, B = fa3.fa4_dfa[q][col], _spec_move(A, e, holder_resets)
+            if (nq >= 0) != bool(B):
+                disagreements.append((q, A, e, nq >= 0))
+            elif B and (nq, B) not in pairs:
+                pairs.append((nq, B))
+    return pairs, disagreements
+
+
+def test_fa4_is_the_sequential_specification_with_holder_resets(fa3):
+    """FA4's DFA and the specification DFA, with the rule that a holder
+    of the 0 resets before its next test-and-set, pair up one to one on
+    16 states and accept or reject every B-event together."""
+    pairs, disagreements = _spec_product(fa3, holder_resets=True)
+    assert disagreements == []
+    assert len(pairs) == 16
+    assert {q for q, _ in pairs} == set(range(len(fa3.fa4_dfa)))
+    assert len({A for _, A in pairs}) == 16
+
+
+def test_fa4_refuses_only_a_holders_test_and_set(fa3):
+    """Without the rule, the two first differ at exactly 4 moves, one
+    from each FA4 state with an idle holder of the 0: a test-and-set
+    started by that holder, which FA4 rejects and the plain
+    specification accepts (the operation stays pending, never
+    linearizable).  The pairs reached are those of the rule."""
+    pairs, disagreements = _spec_product(fa3, holder_resets=False)
+    assert pairs == _spec_product(fa3, holder_resets=True)[0]
+    assert sorted((q, str(e)) for q, _, e, _ in disagreements) == [
+        (4, "sTas(0)"), (5, "sTas(1)"), (6, "sTas(0)"), (7, "sTas(1)")]
+    for q, A, e, fa4_accepts in disagreements:
+        assert not fa4_accepts
+        assert {(owner, status[e.pid]) for owner, *status in A} == {(e.pid, "idle")}
 
 
 def test_label_assignment(check_report):

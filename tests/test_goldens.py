@@ -121,3 +121,29 @@ def test_parse_names_each_malformation(lines, message):
     assert GoldenTable.parse("\n".join(_table_lines())).cells  # the source parses
     with pytest.raises(GoldenTableError, match=f"^{re.escape(message)}$"):
         GoldenTable.parse("\n".join(lines))
+
+
+def test_table_parsed_once_per_process(monkeypatch, capsys):
+    """`check --json`, `expect --verify` and a mutant's table check share
+    one parse of the shipped table."""
+    from wftas import checker, cli, protocol
+
+    goldens.load_golden_table.cache_clear()
+    parses = []
+    parse = GoldenTable.parse
+
+    def counting_parse(text):
+        parses.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(GoldenTable, "parse", staticmethod(counting_parse))
+    assert cli.main(["check", "--json"]) == 0
+    assert cli.main(["expect", "--verify"]) == 0
+
+    def mutant(s, observed=None, coin=None):
+        return protocol.step(s, observed, coin)
+
+    assert checker.verify_against_table(step_fn=mutant).ok
+    capsys.readouterr()
+    assert len(parses) == 1
+    assert goldens.load_golden_table() is goldens.load_golden_table()
