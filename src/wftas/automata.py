@@ -294,13 +294,15 @@ class NoConsistentBijection(Exception):
 
 
 class LabelAssignment(NamedTuple):
-    """Letter -> FA3 state mapping plus the unresolved equivalence classes."""
+    """Letter -> FA3 state mapping plus the unresolved equivalence
+    classes; `inverse` is `mapping` read from state to letter."""
 
     mapping: dict[str, Fa3State]
     ambiguous: list[tuple[tuple[str, ...], tuple[Fa3State, ...]]]
+    inverse: dict[Fa3State, str]
 
     def letters_for(self, S: frozenset[Fa3State]) -> str:
-        inv = {v: k for k, v in self.mapping.items()}
+        inv = self.inverse
         missing = [s for s in S if s not in inv]
         if missing:
             raise NoConsistentBijection(f"unlabeled states in set: {missing}")
@@ -375,7 +377,7 @@ def assign_labels(cells: dict, rep_sets: dict) -> LabelAssignment:
     used = list(mapping.values()) + [s for _, sts in classes for s in sts]
     if tuple(sorted(used)) != states:
         raise NoConsistentBijection("mapping does not cover all 20 states")
-    return LabelAssignment(mapping=mapping, ambiguous=classes)
+    return LabelAssignment(mapping, classes, {v: k for k, v in mapping.items()})
 
 
 def fa3_dump(labels: Optional[LabelAssignment]) -> dict:
@@ -385,7 +387,7 @@ def fa3_dump(labels: Optional[LabelAssignment]) -> dict:
     eps_only = fa3.eps_only_states()
     inv: dict[Fa3State, str] = {}
     if labels is not None:
-        inv = {v: k for k, v in labels.mapping.items()}
+        inv = dict(labels.inverse)
         for ls, sts in labels.ambiguous:
             for s in sts:
                 inv[s] = "/".join(ls)

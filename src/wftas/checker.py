@@ -33,7 +33,7 @@ StepFn = Callable[..., ProcState]
 
 # (destination id, fields, Move) of one outcome of a scheduled access:
 # `fields` are what the access records from `reg` to `events`, the coin
-# being `fields[3]`.
+# being `fields[3]`; every `Access` that takes the branch holds this tuple.
 Branch = tuple[int, tuple, Move]
 
 
@@ -275,7 +275,7 @@ def verify_against_table(
         return CheckReport(len(rep), 0, verified_unreachable, mismatches, None, rep)
 
     verified_cells = 0
-    inv = {v: k for k, v in labels.mapping.items()}
+    inv = labels.inverse
     for c, letters in cells.items():
         got = {inv.get(s) for s in rep[c]}
         if None in got or got != letters:
@@ -305,7 +305,8 @@ def claim_induction_check(
     """Edge-wise induction over the representative sets `rep` of `m`:
     every state in the successor's set must be reachable from some state
     of the predecessor's set via the access's B-events plus
-    epsilon-moves."""
+    epsilon-moves.  Each edge's underivable states are listed in order
+    (`Fa3State.__lt__`), so the report is the same in every process."""
     fa3 = fa3_build()
     masks = {c: fa3.mask(S) for c, S in rep.items()}
     problems: list[str] = []
@@ -321,7 +322,6 @@ def claim_induction_check(
                 if masks[dst] & ~T:
                     problems += [
                         f"{_cfg_name(c)} -> {_cfg_name(dst)}: state {y!r} not derivable"
-                        for y in rep[dst]
-                        if not fa3.mask((y,)) & T
+                        for y in sorted(fa3.states_of(masks[dst] & ~T))
                     ]
     return problems

@@ -7,7 +7,9 @@ every access happens at its own step.
 `Event(kind, pid)` is the one immutable instance for its pair, so events
 compare and hash by identity.  `Access` and `OpRecord`, made once per
 access and per operation, are mutable slotted records that compare by
-their fields.
+their fields.  What an access records besides its step, process and
+operation is one tuple, `Access.fields`, which a run shares with the
+model branch it took; its seven field names are read-only.
 
 A trace is stored as JSON lines, one access per line.  `Access.to_json`
 and `Access.from_json` are the plain codec of one line; `Trace.dump_jsonl`
@@ -118,36 +120,46 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
+def _field(i: int, doc: str) -> property:
+    """The read-only property of `Access.fields[i]`."""
+    return property(lambda a: a.fields[i], doc=doc)
+
+
 class Access(_Record):
-    """One atomic shared-memory step.
+    """One atomic shared-memory step: `Access(t, pid, fields, op_seq, op)`.
 
-    `value` is the written value for writes and the observed value for
-    reads.  `coin` is present exactly when the access is a read of CHOOSE
-    performed from the CHOOSE state.  `pre`/`post` are the chart states of
-    the acting process (stored as their serialized names so this module
-    stays independent of the protocol module).  `action` is "r" or "w",
-    `op` is "tas" or "reset".
+    `fields` is the tuple `(reg, action, value, coin, pre, post, events)`
+    and is read through those seven names.  `value` is the written value
+    for writes and the observed value for reads.  `coin` is present
+    exactly when the access is a read of CHOOSE performed from the CHOOSE
+    state.  `pre`/`post` are the chart states of the acting process
+    (stored as their serialized names so this module stays independent
+    of the protocol module).  `action` is "r" or "w", `op` is "tas" or
+    "reset".
 
-    Construction checks nothing: runs build accesses from the compiled
-    chart, and `from_json` checks every line read from outside.
+    Construction checks nothing and copies nothing: a run passes the
+    `fields` of the model branch it took, so its accesses share a few
+    tuples, and `from_json` checks every line read from outside.
     """
 
-    __slots__ = ("t", "pid", "reg", "action", "value", "coin", "pre", "post", "events", "op_seq", "op")
+    __slots__ = ("t", "pid", "fields", "op_seq", "op")
 
-    def __init__(self, t: int, pid: int, reg: int, action: str, value: RegValue,
-                 coin: Optional[bool], pre: str, post: str, events: tuple[Event, ...],
+    def __init__(self, t: int, pid: int,
+                 fields: tuple[int, str, RegValue, Optional[bool], str, str, tuple[Event, ...]],
                  op_seq: int, op: str) -> None:
         self.t = t
         self.pid = pid
-        self.reg = reg
-        self.action = action
-        self.value = value
-        self.coin = coin
-        self.pre = pre
-        self.post = post
-        self.events = events
+        self.fields = fields
         self.op_seq = op_seq
         self.op = op
+
+    reg = _field(0, "The register accessed, 0 or 1.")
+    action = _field(1, '"r" or "w".')
+    value = _field(2, "The value written or observed.")
+    coin = _field(3, "The coin of a CHOOSE read from CHOOSE, else None.")
+    pre = _field(4, "The acting process's chart state before the access.")
+    post = _field(5, "The acting process's chart state after the access.")
+    events = _field(6, "The B-events the access carries, in order.")
 
     def to_json(self) -> str:
         """The canonical line: `json.dumps` of the fields in the order
@@ -155,18 +167,19 @@ class Access(_Record):
         return json.dumps(self._fields())
 
     def _fields(self) -> dict:
+        reg, action, value, coin, pre, post, events = self.fields
         return {
             "t": self.t,
             "pid": self.pid,
             "op_seq": self.op_seq,
             "op": self.op,
-            "action": self.action,
-            "reg": f"R{self.reg}",
-            "value": self.value.value,
-            "coin": self.coin,
-            "pre": self.pre,
-            "post": self.post,
-            "events": [e.kind for e in self.events],
+            "action": action,
+            "reg": f"R{reg}",
+            "value": value.value,
+            "coin": coin,
+            "pre": pre,
+            "post": post,
+            "events": [e.kind for e in events],
         }
 
     @staticmethod
@@ -188,20 +201,17 @@ class Access(_Record):
                 raise CorruptTrace(f"bad coin {coin!r}")
             if type(events) is not list or any(type(k) is not str for k in events):
                 raise CorruptTrace(f"bad events {events!r}")
-            a = Access(
-                t=t,
-                pid=pid,
-                reg=int(reg[1]),
-                action=obj["action"],
-                value=RegValue(obj["value"]),
-                coin=coin,
-                pre=obj["pre"],
-                post=obj["post"],
+            fields = (
+                int(reg[1]),
+                obj["action"],
+                RegValue(obj["value"]),
+                coin,
+                obj["pre"],
+                obj["post"],
                 # Only B-events are keys: an epsilon event is a KeyError.
-                events=tuple(SHARED_EVENTS[k, pid] for k in events),
-                op_seq=op_seq,
-                op=obj["op"],
+                tuple(SHARED_EVENTS[k, pid] for k in events),
             )
+            a = Access(t, pid, fields, op_seq, obj["op"])
         except (KeyError, ValueError, IndexError, TypeError, RecursionError) as exc:
             raise CorruptTrace(f"bad trace line: {exc}") from exc
         if a.action not in ("r", "w"):
@@ -275,21 +285,22 @@ class Trace:
         last_t = -1
         regs = [RegValue.RST, RegValue.RST]
         for a in self.accesses:
-            t, pid, reg = a.t, a.pid, a.reg
+            t, pid, fields = a.t, a.pid, a.fields
+            reg = fields[0]
             if t <= last_t:
                 raise CorruptTrace("step indices must strictly increase")
             last_t = t
             if pid not in (0, 1):
                 raise CorruptTrace(f"step {t}: bad pid {pid}")
-            if a.action == "w":
+            if fields[1] == "w":
                 if reg != pid:
                     raise CorruptTrace(f"step {t}: P{pid} writing R{reg}")
-                regs[pid] = a.value
+                regs[pid] = fields[2]
             elif reg != 1 - pid:
                 raise CorruptTrace(f"step {t}: P{pid} reading R{reg}")
-            elif regs[reg] is not a.value:
+            elif regs[reg] is not fields[2]:
                 raise CorruptTrace(
-                    f"step {t}: P{pid} observed {a.value.value}, "
+                    f"step {t}: P{pid} observed {fields[2].value}, "
                     f"register holds {regs[reg].value}"
                 )
         return regs[0], regs[1]
@@ -316,9 +327,10 @@ class Trace:
                     f"while op {rec.op_seq} is open"
                 )
             rec.accesses += 1
-            if a.post == "choose":
+            fields = a.fields
+            if fields[5] == "choose":
                 rec.choose_visits += 1
-            events = a.events
+            events = fields[6]
             if events and events[-1].kind in _FINISH:
                 rec.ret = _FINISH[events[-1].kind]
                 rec.finish = a.t
@@ -328,22 +340,20 @@ class Trace:
     def dump_jsonl(self, fh) -> None:
         """Write `to_json` of each access as one line.  The part of a
         canonical line after `op`, its tail, is encoded once per distinct
-        tail in the trace (a simulated one has at most 48)."""
+        `fields` object in the trace (a simulated one has at most 48)."""
         write = fh.write
-        tails: dict[tuple, str] = {}
+        # Keyed by id: the trace holds every fields object for the whole
+        # call, so no two of them have the same id, and tuples that are
+        # equal but encode apart (coin 1 and True) get their own tails.
+        tails: dict[int, str] = {}
         for a in self.accesses:
-            t, pid, op_seq, op, reg, coin = a.t, a.pid, a.op_seq, a.op, a.reg, a.coin
-            # The types are part of the key: True == 1, but they encode apart.
-            key = (reg, a.action, a.value, coin, a.pre, a.post, a.events, type(reg), type(coin))
-            try:
-                tail = tails[key]
-            except KeyError:
-                fields = a._fields()
-                tail = tails[key] = json.dumps({k: fields[k] for k in _TAIL_KEYS})[1:]
-            except TypeError:  # an unhashable field, e.g. events as a list
-                tail = None
-            if (tail is not None and type(t) is int and type(pid) is int
-                    and type(op_seq) is int and op in _OPS):
+            t, pid, op_seq, op = a.t, a.pid, a.op_seq, a.op
+            if type(t) is int and type(pid) is int and type(op_seq) is int and op in _OPS:
+                key = id(a.fields)
+                tail = tails.get(key)
+                if tail is None:
+                    fields = a._fields()
+                    tail = tails[key] = json.dumps({k: fields[k] for k in _TAIL_KEYS})[1:]
                 write(f'{{"t": {t}, "pid": {pid}, "op_seq": {op_seq}, "op": "{op}", {tail}\n')
             else:
                 write(a.to_json() + "\n")
@@ -355,13 +365,13 @@ class Trace:
         adds it, so the first bad line raises CorruptTrace.
 
         A line with the canonical head `{"t": N, "pid": P, "op_seq": N,
-        "op": "tas"|"reset", ` reuses the fields decoded from its tail,
-        the rest of the line, when an earlier line of the trace had the
-        same pid and tail."""
+        "op": "tas"|"reset", ` shares the `fields` tuple decoded from its
+        tail, the rest of the line, when an earlier line of the trace had
+        the same pid and tail."""
         tr = Trace()
         accesses = tr.accesses
         append, match, from_json = accesses.append, _HEAD.match, Access.from_json
-        tails: dict[tuple[str, str], tuple] = {}
+        tails: dict[tuple[str, str], tuple[int, tuple]] = {}
         last_t = 0
         for line in fh:
             line = line.strip()
@@ -373,17 +383,16 @@ class Trace:
                 t = a.t
             else:
                 t, pid, op_seq, op, tail = m.groups()
-                fields = tails.get((pid, tail))
-                if fields is not None:
+                known = tails.get((pid, tail))
+                if known is not None:
                     t = int(t)
-                    a = Access(t, *fields, int(op_seq), op)
+                    a = Access(t, known[0], known[1], int(op_seq), op)
                 else:
                     a = from_json(line)
                     t = a.t
                     # A tail that repeats a head key overrides the head: never store it.
                     if tuple(json.loads("{" + tail)) == _TAIL_KEYS:
-                        tails[pid, tail] = (
-                            a.pid, a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
+                        tails[pid, tail] = (a.pid, a.fields)
             if accesses and t <= last_t:
                 raise CorruptTrace("step indices must strictly increase")
             append(a)

@@ -130,7 +130,7 @@ def run(
         if starts:
             op_seq[pid] += 1
         cid, fields, _ = _take(branches[k], coin)
-        append(Access(t, pid, *fields, op_seq[pid], op))
+        append(Access(t, pid, fields, op_seq[pid], op))
         t += 1
     records = trace.op_records()
     return trace, records, RunStats.from_records(records, truncated)

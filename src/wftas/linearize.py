@@ -43,7 +43,7 @@ def project_b(trace: Trace) -> list[tuple[int, Event]]:
     """h|B as (access position, event) pairs, after the register replay;
     a composite access contributes its events in order at its position."""
     trace.replay()
-    return [(i, e) for i, a in enumerate(trace.accesses) for e in a.events]
+    return [(i, e) for i, a in enumerate(trace.accesses) for e in a.fields[6]]
 
 
 # The sequential test-and-set: `owner` is the pid that holds the 0, or
@@ -236,9 +236,7 @@ def lint(trace: Trace) -> Verdict:
             op_seq[pid] += 1
         n = op_seq[pid]
         # No branch matches an access of another op or op_seq.
-        got = None
-        if a.op == op and a.op_seq == n:
-            got = (a.reg, a.action, a.value, a.coin, a.pre, a.post, a.events)
+        got = a.fields if a.op == op and a.op_seq == n else None
         for d, fields, _ in branches[k]:
             if fields == got:
                 break

@@ -199,7 +199,7 @@ class TournamentTree:
             if only is None or node == only:
                 seq = op_seq[node]
                 seq[role] += starts
-                out.append(NodeAccess(t, pid, node, role, Access(t, role, *fields, seq[role], op)))
+                out.append(NodeAccess(t, pid, node, role, Access(t, role, fields, seq[role], op)))
         return out
 
     def history(self) -> list[OpRecord]:

@@ -18,13 +18,20 @@ from wftas import (
     protocol,
     tournament,
 )
-from wftas.core import Event, RegValue, Trace
+from wftas.core import Access, Event, RegValue, Trace
 from wftas.harness import Workload
 from wftas.protocol import ProcState as S
 
 
+# An `Access`'s field names, in the order of its `fields` tuple.
+_ACCESS_FIELDS = ("reg", "action", "value", "coin", "pre", "post", "events")
+
+
 def _replace(record, **changes):
-    """`record` rebuilt from its fields, with `changes` applied."""
+    """`record` rebuilt from its fields, with `changes` applied; an
+    `Access`'s `fields` tuple is rebuilt from its field names."""
+    if type(record) is Access:
+        changes["fields"] = tuple(changes.pop(f, getattr(record, f)) for f in _ACCESS_FIELDS)
     return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
 
 

@@ -349,6 +349,17 @@ def test_label_assignment(check_report):
     assert set("abcdefghijklmnopqrst") == used | amb_letters
 
 
+def test_label_inverse(check_report, rep_sets):
+    """`inverse` reads `mapping` backwards, and `letters_for` still
+    refuses a set holding a state that only an ambiguous class names."""
+    labels = check_report.labels
+    assert labels.inverse == {s: l for l, s in labels.mapping.items()}
+    (_, unlabeled), = labels.ambiguous
+    with pytest.raises(automata.NoConsistentBijection, match="unlabeled states in set"):
+        labels.letters_for(frozenset(unlabeled))
+    assert labels.letters_for(rep_sets[(ProcState.RST, ProcState.RST)]) == "d"
+
+
 def test_anchor_letters(check_report, fa3):
     labels = check_report.labels
     assert labels.mapping["d"] == fa3.initial

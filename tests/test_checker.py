@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from wftas import checker, cli, expectation, protocol
@@ -122,6 +124,22 @@ def test_claim_induction_names_underivable_state(rep_sets):
     assert f"(rst,me) -> (me,me): state {extra!r} not derivable" in problems
     assert all(p.endswith(f"-> (me,me): state {extra!r} not derivable")
                for p in problems)
+
+
+def test_claim_induction_lists_underivable_states_in_order(rep_sets):
+    """Three forged P0 states in (me,me) are named on every edge into
+    it, in `Fa3State` order, whatever order the forged set iterates in."""
+    me_me = (S.ME, S.ME)
+    extras = {Fa3State(Owner.P0, Fa2State.I0, x) for x in (Fa2State.S, Fa2State.T1, Fa2State.I1)}
+    assert not extras & rep_sets[me_me]
+    forged = {**rep_sets, me_me: rep_sets[me_me] | extras}
+    by_repr = {repr(s): s for s in extras}
+    per_edge = {}
+    for p in checker.claim_induction_check(forged, model()):
+        edge, state = re.fullmatch(r"(.* -> \(me,me\)): state (.*) not derivable", p).groups()
+        per_edge.setdefault(edge, []).append(by_repr[state])
+    assert len(per_edge) == 6
+    assert all(states == sorted(extras) for states in per_edge.values())
 
 
 def test_step_fn_called_once_per_chart_entry():

@@ -13,8 +13,15 @@ from wftas import cli, core, harness, protocol
 from wftas.core import Access, CorruptTrace, Event, RegValue, Trace
 
 
+# An `Access`'s field names, in the order of its `fields` tuple.
+_ACCESS_FIELDS = ("reg", "action", "value", "coin", "pre", "post", "events")
+
+
 def _replace(record, **changes):
-    """`record` rebuilt from its fields, with `changes` applied."""
+    """`record` rebuilt from its fields, with `changes` applied; an
+    `Access`'s `fields` tuple is rebuilt from its field names."""
+    if type(record) is Access:
+        changes["fields"] = tuple(changes.pop(f, getattr(record, f)) for f in _ACCESS_FIELDS)
     return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
 
 
@@ -83,10 +90,10 @@ def _chart_accesses():
     for (_, _, coin), move in protocol.CHART.items():
         for pid in (0, 1):
             yield Access(
-                t=17, pid=pid, reg=pid if move.action == "w" else 1 - pid,
-                action=move.action, value=move.value, coin=coin,
-                pre=move.pre_name, post=move.post_name,
-                events=move.events[pid], op_seq=4, op="tas",
+                t=17, pid=pid,
+                fields=(pid if move.action == "w" else 1 - pid, move.action, move.value, coin,
+                        move.pre_name, move.post_name, move.events[pid]),
+                op_seq=4, op="tas",
             )
 
 
@@ -115,6 +122,45 @@ def test_access_json_field_order():
         assert line == a.to_json(), a
         assert list(json.loads(line)) == FIELD_ORDER
     assert json.loads(accesses[0].to_json())["reg"] in ("R0", "R1")
+
+
+def test_shared_fields_dump_as_to_json():
+    """Accesses that share one `fields` object under different heads,
+    canonical or not, each dump as their own `to_json` line, and so do
+    equal tuples that encode apart (coin 1 and True)."""
+    heads = [(0, 0, 0, "tas"), (5, 1, 3, "reset"), (True, 0, 2**70, "tas"),
+             (9, 1, 7, "tas\n"), (12, 0, 1, "tas")]
+    accesses = [Access(t, pid, a.fields, op_seq, op)
+                for a in (*_chart_accesses(), *_forged_accesses())
+                for t, pid, op_seq, op in heads]
+    buf = io.StringIO()
+    Trace(accesses).dump_jsonl(buf)
+    assert buf.getvalue().splitlines() == [a.to_json() for a in accesses]
+
+
+@pytest.mark.parametrize("name", _ACCESS_FIELDS)
+def test_access_field_names_are_read_only(name):
+    """The seven field names read `fields` and cannot be assigned."""
+    a = _solo_trace().accesses[0]
+    assert getattr(a, name) is a.fields[_ACCESS_FIELDS.index(name)]
+    with pytest.raises(AttributeError):
+        setattr(a, name, getattr(a, name))
+
+
+def test_load_jsonl_shares_one_fields_tuple_per_pid_and_tail():
+    """Lines with the same pid and the same text after `op` decode to
+    accesses holding one `fields` tuple; other lines get other tuples."""
+    trace, _, _ = harness.run(harness.Workload((30, 30)), harness.random_adversary(5), seed=5)
+    buf = io.StringIO()
+    trace.dump_jsonl(buf)
+    lines = buf.getvalue().splitlines()
+    loaded = Trace.load_jsonl(io.StringIO(buf.getvalue()))
+    shared = {}
+    for line, a in zip(lines, loaded, strict=True):
+        key = re.fullmatch(r'\{"t": \d+, "pid": ([01]), "op_seq": \d+, "op": "\w+", (.*)', line).groups()
+        assert a.fields is shared.setdefault(key, a.fields)
+    assert len({id(f) for f in shared.values()}) == len(shared) < len(lines)
+    assert loaded.accesses == trace.accesses
 
 
 @functools.cache
@@ -214,13 +260,7 @@ def test_replay_detects_stale_read():
     bogus = Access(
         t=last.t + 1,
         pid=1,
-        reg=0,
-        action="r",
-        value=RegValue.HE,
-        coin=None,
-        pre="rst",
-        post="rst",
-        events=(),
+        fields=(0, "r", RegValue.HE, None, "rst", "rst", ()),
         op_seq=0,
         op="tas",
     )

@@ -142,13 +142,8 @@ def test_engine_steps_like_the_model(seed, schedule):
         expected.append(Access(
             t=t,
             pid=pid,
-            reg=pid if move.action == "w" else 1 - pid,
-            action=move.action,
-            value=move.value,
-            coin=coin,
-            pre=move.pre_name,
-            post=move.post_name,
-            events=move.events[pid],
+            fields=(pid if move.action == "w" else 1 - pid, move.action, move.value, coin,
+                    move.pre_name, move.post_name, move.events[pid]),
             op_seq=op_seq[pid],
             op=mid_op[pid],
         ))
@@ -165,9 +160,23 @@ def test_engine_steps_like_the_model(seed, schedule):
         assert [type(getattr(a, f)) for f in Access.__slots__] == [
             type(getattr(e, f)) for f in Access.__slots__
         ]
+        assert [type(x) for x in a.fields] == [type(x) for x in e.fields]
     assert [config for _, config, _ in log] == shown
     assert [[m.ops[2 * m.index[c] + p][1] for p in (0, 1)] for c in shown] == idle
     assert linearize.lint(trace).ok
+
+
+@pytest.mark.parametrize("adversary", ["round-robin", "random", "optimal"])
+def test_run_accesses_hold_their_branch_fields(adversary):
+    """Each access of a run holds the `fields` object of the model
+    branch it took, not a copy."""
+    m = model()
+    trace, _, _ = harness.run(Workload((40, 40)), harness.adversary(adversary, 2), seed=2)
+    cid = 0
+    for a in trace:
+        taken = [d for d, fields, _ in m.branches[2 * cid + a.pid] if fields is a.fields]
+        assert len(taken) == 1, a
+        cid = taken[0]
 
 
 def _run_reference(workload, adversary, seed, max_steps):
@@ -201,7 +210,7 @@ def _run_reference(workload, adversary, seed, max_steps):
             if op == "tas":
                 remaining[pid] -= 1
         cid, fields, _ = harness._take(branches[2 * cid + pid], coin)
-        accesses.append(Access(t, pid, *fields, op_seq[pid], op))
+        accesses.append(Access(t, pid, fields, op_seq[pid], op))
         t += 1
     records = trace.op_records()
     return trace, records, harness.RunStats.from_records(records, truncated)

@@ -12,8 +12,15 @@ from wftas.harness import Workload
 from wftas.linearize import check_n_process, check_two_process, lint
 
 
+# An `Access`'s field names, in the order of its `fields` tuple.
+_ACCESS_FIELDS = ("reg", "action", "value", "coin", "pre", "post", "events")
+
+
 def _replace(record, **changes):
-    """`record` rebuilt from its fields, with `changes` applied."""
+    """`record` rebuilt from its fields, with `changes` applied; an
+    `Access`'s `fields` tuple is rebuilt from its field names."""
+    if type(record) is Access:
+        changes["fields"] = tuple(changes.pop(f, getattr(record, f)) for f in _ACCESS_FIELDS)
     return type(record)(**{f: getattr(record, f) for f in record.__slots__} | changes)
 
 
@@ -315,8 +322,7 @@ def _word_trace(word):
             op_seq[e.pid] += 1
         open_tas[e.pid] = e.kind == "sTas"
         accesses.append(Access(
-            t=t, pid=e.pid, reg=e.pid, action="w", value=RegValue.ME,
-            coin=None, pre="me", post="me", events=(e,),
+            t=t, pid=e.pid, fields=(e.pid, "w", RegValue.ME, None, "me", "me", (e,)),
             op_seq=op_seq[e.pid], op="reset" if e.kind == "rstOp" else "tas",
         ))
     return Trace(accesses)

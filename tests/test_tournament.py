@@ -345,7 +345,7 @@ class _OracleEngine:
         if starts:
             self.op_seq[pid] += 1
         self.cid, fields, _ = _take(self.model.branches[k], self.coin)
-        a = Access(self.t, pid, *fields, self.op_seq[pid], op)
+        a = Access(self.t, pid, fields, self.op_seq[pid], op)
         self.t += 1
         return a
 
