@@ -20,9 +20,13 @@ its components sinks first, so every such branch leads into its own
 component or an earlier one.  A component's rows are solved with the
 values of the earlier components held fixed on the right-hand side, by
 one fraction-free sparse elimination, each updated row divided by its
-gcd; its values, numerators over one denominator, join the common
-denominator of the values found so far through lcm.  A zero pivot means
-the policy is improper (some configuration never reaches absorption).
+gcd.  The elimination keeps, per column, the list of rows below the
+pivot that hold a nonzero there, so a pivot visits only the rows it
+clears; a one-configuration component, all of whose inner branches are
+self-loops, is one division.  The component's values, numerators over
+one denominator, join the common denominator of the values found so far
+through lcm.  A zero pivot means the policy is improper (some
+configuration never reaches absorption).
 
 Each configuration offers a tuple of actions: action 0 schedules the
 tracked process, action 1 the other one.  A policy is an action index
@@ -125,7 +129,10 @@ def _q2(action: Action, nums: list[int], den: int) -> int:
     """Twice the expected value of an action, times `den`, under the
     values nums[i] / den."""
     reward, succ, _ = action
-    return reward * den + sum(w * nums[d] for d, w in succ)
+    q = reward * den
+    for d, w in succ:
+        q += w * nums[d]
+    return q
 
 
 # The equation of one configuration of a component under one action:
@@ -141,57 +148,76 @@ def _evaluate(m: Model, comp: list[int], eqs: list[Equation]) -> tuple[list[int]
     2P·u = rhs by fraction-free sparse elimination over ints, returned
     as numerators over one positive denominator."""
     n = len(comp)
-    # rows[j] holds the nonzero coefficients of 2(I - P) in row j, and
-    # cols[x] the rows that have (or had) a nonzero in column x.
+    if n == 1:
+        # Every branch is a self-loop: (2 - s)·u = outer, where s is the
+        # doubled probability of staying.
+        outer, inner = eqs[0]
+        p = 2
+        for _, w in inner:
+            p -= w
+        if not p:
+            raise NonConvergence(f"policy is improper at {_cfg_name(m.configs[comp[0]])}")
+        g = gcd(outer, p)
+        return [outer // g], p // g
+    # rows[j] holds the coefficients of 2(I - P) in row j, and below[x]
+    # the rows under row x that have (or had) a nonzero in column x.
+    # The off-diagonal weights are all negative, so only a diagonal can
+    # cancel; a zero is kept as an entry.
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
-    cols: list[set[int]] = [set() for _ in range(n)]
+    below: list[list[int]] = [[] for _ in range(n)]
     for j, (outer, inner) in enumerate(eqs):
         row = {j: 2}
         for x, w in inner:
-            row[x] = row.get(x, 0) - w
-        row = {x: a for x, a in row.items() if a}
-        for x in row:
-            cols[x].add(j)
+            a = row.get(x)
+            if a is None:
+                row[x] = -w
+                if x < j:
+                    below[x].append(j)
+            else:
+                row[x] = a - w
         rows.append(row)
         rhs.append(outer)
+    # pivots[k] is row k's diagonal, which the elimination takes out of
+    # the row.
+    pivots: list[int] = []
     for k in range(n):
         row = rows[k]
-        pivot = row.get(k)
-        if pivot is None:
+        pivot = row.pop(k)
+        if not pivot:
             # I - P is singular: the policy never leaves some closed set
             # of configurations.
             raise NonConvergence(f"policy is improper at {_cfg_name(m.configs[comp[k]])}")
-        for d in cols[k]:
+        pivots.append(pivot)
+        for d in below[k]:
             other = rows[d]
-            if d <= k or k not in other:
-                continue
             # other := pivot * other - f * row, which clears column k.
             f = other.pop(k)
             for x in other:
                 other[x] *= pivot
             for x, b in row.items():
-                if x == k:
-                    continue
-                y = other.get(x, 0) - f * b
-                if y:
-                    other[x] = y
-                    cols[x].add(d)
+                a = other.get(x)
+                if a is None:
+                    other[x] = -f * b
+                    if x < d:
+                        below[x].append(d)
                 else:
-                    del other[x]
-            r = rhs[d] = pivot * rhs[d] - f * rhs[k]
+                    other[x] = a - f * b
+            r = pivot * rhs[d] - f * rhs[k]
             g = gcd(r, *other.values())
             if g > 1:
                 for x in other:
                     other[x] //= g
-                rhs[d] = r // g
+                r //= g
+            rhs[d] = r
     # Back substitution, keeping every value found so far over den.
     nums = [0] * n
     den = 1
     for k in reversed(range(n)):
-        row = rows[k]
-        t = rhs[k] * den - sum(b * nums[x] for x, b in row.items() if x != k)
-        p = row[k]
+        t = rhs[k] * den
+        for x, b in rows[k].items():
+            t -= b * nums[x]
+        p = pivots[k]
         if p < 0:
             p, t = -p, -t
         g = gcd(t, p)
@@ -245,8 +271,14 @@ def _component_values(
             # Twice an action's value, times p * den, against 2 * t[j].
             stable = True
             for j, i in enumerate(comp):
+                current = policy[i]
                 for a, (outer, inner) in enumerate(eqs[j]):
-                    if a != policy[i] and p * outer + sum(w * t[x] for x, w in inner) > 2 * t[j]:
+                    if a == current:
+                        continue
+                    q = p * outer
+                    for x, w in inner:
+                        q += w * t[x]
+                    if q > 2 * t[j]:
                         policy[i] = a
                         stable = False
                         break

@@ -154,7 +154,8 @@ def check_n_process(
     and ret, so a history seen before is answered without a second
     search.
     """
-    key = (n, budget, tuple((r.pid, r.kind, r.start, r.finish, r.ret) for r in records))
+    # tuple() of a list is quicker than of a generator.
+    key = (n, budget, tuple([(r.pid, r.kind, r.start, r.finish, r.ret) for r in records]))
     verdict = _VERDICTS.get(key)
     if verdict is None:
         verdict = _search_n_process(records, n, budget)

@@ -289,20 +289,29 @@ class _StepTrie:
     def record(self, tree: TournamentTree, history: list[OpRecord]) -> None:
         """Add the step path of `tree`, a run under one schedule that
         the trie does not hold, with its finished `history`.  A run cut
-        short by its schedule is not kept, nor a path that might not fit."""
-        if len(history) < self.n or self.size + len(tree._log) > _TRIE_MAX:
+        short by its schedule is not kept, nor a path whose new nodes do
+        not fit."""
+        if len(history) < self.n:
             return
         path = bytes(entry[0] for entry in tree._log)
-        ends = [path.rindex(pid) for pid in range(self.n)]
+        # Walk the nodes the path shares.  Neither of two different paths
+        # on which every process returns is a prefix of the other, so the
+        # walk meets no history before the path's last access.
         node = self.root
-        # Neither of two different paths on which every process returns
-        # is a prefix of the other, so the walk meets no history before
-        # the path's last access.
-        for t, pid in enumerate(path[:-1], 1):
-            child = node[pid]
-            if child is None:
-                child = node[pid] = [_FINISHED if e < t else None for e in ends]
-                self.size += 1
+        last = len(path) - 1
+        t = 0
+        while t < last and node[path[t]] is not None:
+            node = node[path[t]]
+            t += 1
+        # Each of the accesses t .. last - 1 adds a node, and the last
+        # access holds the history.
+        added = last - t
+        if self.size + added > _TRIE_MAX:
+            return
+        self.size += added
+        ends = [path.rindex(pid) for pid in range(self.n)]
+        for i in range(t, last):
+            child = node[path[i]] = [_FINISHED if e <= i else None for e in ends]
             node = child
         node[path[-1]] = tuple(history)
 

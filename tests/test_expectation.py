@@ -113,6 +113,21 @@ def test_untracked_only_policy_is_improper():
         expectation._component_values(m, acts, [1] * len(m), improve=False)
 
 
+@pytest.mark.parametrize("objective, config", [
+    (expectation._access_cost, "(he,rst)"),
+    (expectation._choose_entry_reward, "(notme,tst1)"),
+    (expectation._choose_visit_cost, "(he,rst)"),
+])
+def test_untracked_only_policy_names_its_zero_pivot(objective, config):
+    # The configuration the all-untracked policy is reported improper at
+    # stays the same whatever order the elimination visits rows in.
+    m = checker.model()
+    acts = expectation._actions(m, objective, 0)
+    message = rf"^policy is improper at {re.escape(config)}$"
+    with pytest.raises(expectation.NonConvergence, match=message):
+        expectation._component_values(m, acts, [1] * len(m), improve=False)
+
+
 def test_evaluate_policy_rejects_entries_other_than_a_pid(solve0):
     m = checker.model()
     c = m.configs[5]
@@ -196,6 +211,84 @@ def test_exact_value_beyond_2_pow_20():
     nums, den, _ = expectation._component_values(m, acts, [0] * 22, improve=False)
     assert Fraction(nums[0], den) == Fraction(1, 2**21)
     assert Fraction(nums[21], den) == 1
+
+
+# Hand-built models for the elimination: P0's branches per configuration
+# as (destination id, move); P1 has one branch, a self-loop that pays 0
+# and never absorbs, which the policy never schedules.  Every access of
+# P0 pays 1 but a `stop`, and `pay` and `stop` absorb.
+_LOOP = Move("r", RegValue.RST, S.RST, "rst", "rst", ((), ()), False)
+_PAY = Move("r", RegValue.RST, S.RST, "rst", "rst", ((), ()), True)
+_STOP = Move("r", RegValue.RST, S.RST, "rst", "rst", ((), ()), True)
+
+
+def _pay_but_stop(move):
+    return (0 if move is _STOP else 1, move.finishes)
+
+
+def hand_model(p0_branches):
+    configs = list(itertools.product(S, repeat=2))[:len(p0_branches)]
+    branches = []
+    for i, p0 in enumerate(p0_branches):
+        branches += [tuple((d, (), mv) for d, mv in p0), ((i, (), _STOP),)]
+    return Model(tuple(configs), {c: i for i, c in enumerate(configs)}, tuple(branches), ())
+
+
+def hand_values(m):
+    """The values of action 0 everywhere as Fractions, and the solver's
+    numerators over their denominator."""
+    acts = expectation._actions(m, _pay_but_stop, 0)
+    nums, den, _ = expectation._component_values(m, acts, [0] * len(m), improve=False)
+    return ref_evaluate(m, ref_actions(m, _pay_but_stop, 0), [0] * len(m)), nums, den
+
+
+def test_one_configuration_component_with_coin_self_loop():
+    # c1 absorbs at once, paying on heads only: 1/2.  c0's coin loops on
+    # heads (doubled weight 1) and goes to c1 on tails, paying 1 both
+    # ways: v0 = 1 + v0/2 + v1/2 = 5/2, one division by 2 - 1.
+    m = hand_model([[(0, _LOOP), (1, _LOOP)], [(1, _PAY), (1, _STOP)]])
+    comps = components(expectation._actions(m, _pay_but_stop, 0))
+    assert comps == [[1], [0]]
+    ref, nums, den = hand_values(m)
+    assert ref == [Fraction(5, 2), Fraction(1, 2)]
+    assert (nums, den) == ([5, 1], 2)
+
+
+def test_one_configuration_component_with_weight_2_self_loop_is_improper():
+    # c1's one branch loops on itself: 2 - 2 = 0 is no pivot.
+    m = hand_model([[(1, _LOOP)], [(1, _LOOP)]])
+    with pytest.raises(expectation.NonConvergence, match=r"^policy is improper at \(rst,tst0\)$"):
+        hand_values(m)
+    with pytest.raises(expectation.NonConvergence):
+        ref_evaluate(m, ref_actions(m, _pay_but_stop, 0), [0, 0])
+
+
+@pytest.mark.parametrize("back", [1, 2])
+def test_three_configuration_cycle_fill_in(back):
+    # c0 -> c1 -> c2 -> c0.  Clearing column 0 from c2's row fills in
+    # the column of c1, whose pivot clears it again.  c2 returns to c0
+    # with doubled weight `back`: with 1 (a coin whose tails pays and
+    # absorbs) the values are 6, 5, 4; with 2, clearing the fill-in
+    # cancels c2's diagonal to zero, a zero pivot, as the Fraction
+    # elimination finds.
+    c2 = [(0, _LOOP), (2, _PAY)] if back == 1 else [(0, _LOOP)]
+    m = hand_model([[(1, _LOOP)], [(2, _LOOP)], c2])
+    acts = expectation._actions(m, _pay_but_stop, 0)
+    eqs = [(2, [(1, 2)]), (2, [(2, 2)]), (2, [(0, back)])]
+    assert [(a[0][0], [(d, w) for d, w in a[0][1]]) for a in acts] == eqs
+    if back == 2:
+        message = r"^policy is improper at \(rst,notme\)$"
+        with pytest.raises(expectation.NonConvergence, match=message):
+            expectation._evaluate(m, [0, 1, 2], eqs)
+        with pytest.raises(expectation.NonConvergence):
+            ref_evaluate(m, ref_actions(m, _pay_but_stop, 0), [0, 0, 0])
+        return
+    nums, den = expectation._evaluate(m, [0, 1, 2], eqs)
+    ref = ref_evaluate(m, ref_actions(m, _pay_but_stop, 0), [0, 0, 0])
+    assert ref == [6, 5, 4]
+    assert [Fraction(x, den) for x in nums] == ref
+    ref_vals, nums, den = hand_values(m)
+    assert [Fraction(x, den) for x in nums] == ref_vals
 
 
 def test_actions_reject_other_branch_counts():

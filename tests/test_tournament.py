@@ -198,6 +198,68 @@ def test_trie_serves_only_paths_run_to_the_end(monkeypatch, n):
     assert marked or n == 2
 
 
+def _trie_shape(node):
+    """A trie node's contents, its child nodes walked."""
+    return tuple(_trie_shape(c) if type(c) is list else c for c in node)
+
+
+def _trie_nodes(trie):
+    nodes, count = [trie.root], 0
+    while nodes:
+        node = nodes.pop()
+        count += 1
+        nodes += [c for c in node if type(c) is list]
+    return count
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_trie_cap_counts_only_new_nodes(monkeypatch, n):
+    """A path that shares nodes with recorded paths needs room only for
+    the accesses past the deepest node it shares: one that needs exactly
+    the free nodes is recorded, one that needs a node more is refused and
+    leaves the trie as it was."""
+    rng = random.Random(5)
+    coins = [rng.random() for _ in range(40 * n)]
+    schedules = tournament._schedules(rng, n)
+    trie = tournament._StepTrie(n)
+
+    def new_run():
+        # The next run whose path the trie does not hold.
+        while True:
+            tree = tournament._run_schedule(n, next(schedules), coins)
+            path = [entry[0] for entry in tree._log]
+            if trie.lookup(path) is None:
+                return tree, path, [r for r in tree.history() if r.finished]
+
+    def needed(path):
+        # The accesses before the last one past the nodes that path shares.
+        node, shared = trie.root, 0
+        while shared < len(path) - 1 and type(node[path[shared]]) is list:
+            node = node[path[shared]]
+            shared += 1
+        return len(path) - 1 - shared
+
+    tree, path, history = new_run()
+    trie.record(tree, history)
+    assert trie.size == len(path)
+    tree, path, history = new_run()
+    while needed(path) in (0, len(path) - 1):  # shares some nodes, adds some
+        tree, path, history = new_run()
+    monkeypatch.setattr(tournament, "_TRIE_MAX", trie.size + needed(path))
+    trie.record(tree, history)
+    assert trie.lookup(path) == tuple(history)
+    assert trie.size == tournament._TRIE_MAX
+    tree, path, history = new_run()
+    while needed(path) == 0:
+        tree, path, history = new_run()
+    monkeypatch.setattr(tournament, "_TRIE_MAX", trie.size + needed(path) - 1)
+    size, shape = trie.size, _trie_shape(trie.root)
+    trie.record(tree, history)
+    assert trie.lookup(path) is None
+    assert (trie.size, _trie_shape(trie.root)) == (size, shape)
+    assert trie.size == _trie_nodes(trie)
+
+
 # `_run_schedule` calls of `find_violation(2, 2000, seed)` with the
 # trie of 512 nodes and leaves that preceded the per-access nodes.
 _N2_RUNS_BEFORE = {0: 256, 1: 230, 3: 224, 7: 256, 9: 267, 11: 218}
