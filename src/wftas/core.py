@@ -5,11 +5,16 @@ and only P_{1-i} reads it.  Global time is the step index of the trace;
 every access happens at its own step.
 
 `Event(kind, pid)` is the one immutable instance for its pair, so events
-compare and hash by identity.  `Access` and `OpRecord`, made once per
-access and per operation, are mutable slotted records that compare by
-their fields.  What an access records besides its step, process and
-operation is one tuple, `Access.fields`, which a run shares with the
-model branch it took; its seven field names are read-only.
+compare and hash by identity.  `Access` and `OpRecord` are mutable
+slotted records that compare by their fields.  What an access records
+besides its step, process and operation is one tuple, `Access.fields`,
+which a run shares with the model branch it took; its seven field names
+are read-only.
+
+A `Trace` holds rows, not `Access` objects: a row is the plain tuple
+`(t, pid, fields, op_seq, op)`, an access's five slots in order.  The
+code that makes and checks traces reads and writes rows, and an
+`Access` is built only when a caller reads one.
 
 A trace is stored as JSON lines, one access per line.  `Access.to_json`
 and `Access.from_json` are the plain codec of one line; `Trace.dump_jsonl`
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from itertools import starmap
 from typing import Iterable, Iterator, Optional
 
 
@@ -164,23 +170,9 @@ class Access(_Record):
     def to_json(self) -> str:
         """The canonical line: `json.dumps` of the fields in the order
         t, pid, op_seq, op, action, reg, value, coin, pre, post, events."""
-        return json.dumps(self._fields())
-
-    def _fields(self) -> dict:
-        reg, action, value, coin, pre, post, events = self.fields
-        return {
-            "t": self.t,
-            "pid": self.pid,
-            "op_seq": self.op_seq,
-            "op": self.op,
-            "action": action,
-            "reg": f"R{reg}",
-            "value": value.value,
-            "coin": coin,
-            "pre": pre,
-            "post": post,
-            "events": [e.kind for e in events],
-        }
+        return json.dumps(
+            {"t": self.t, "pid": self.pid, "op_seq": self.op_seq, "op": self.op, **_tail(self.fields)}
+        )
 
     @staticmethod
     def from_json(line: str) -> "Access":
@@ -219,6 +211,25 @@ class Access(_Record):
         if a.op not in _OPS:
             raise CorruptTrace(f"bad op kind {a.op!r}")
         return a
+
+
+def _tail(fields: tuple) -> dict:
+    """The part of `to_json`'s object after `op`, from `fields`."""
+    reg, action, value, coin, pre, post, events = fields
+    return {
+        "action": action,
+        "reg": f"R{reg}",
+        "value": value.value,
+        "coin": coin,
+        "pre": pre,
+        "post": post,
+        "events": [e.kind for e in events],
+    }
+
+
+def _row(a: Access) -> tuple:
+    """The row of `a`: its five slots, in order."""
+    return a.t, a.pid, a.fields, a.op_seq, a.op
 
 
 _OPS = ("tas", "reset")
@@ -260,21 +271,32 @@ class OpRecord(_Record):
 
 
 class Trace:
-    """An ordered interleaving of accesses by the two processes."""
+    """An ordered interleaving of accesses by the two processes.
+
+    `rows` is the list of its accesses as rows, `(t, pid, fields,
+    op_seq, op)` each.  `Trace(accesses)` and `append` take `Access`
+    objects; `accesses` and iteration build them from the rows, new
+    ones on each read, each holding its row's `fields` tuple itself."""
 
     def __init__(self, accesses: Iterable[Access] = ()):
-        self.accesses: list[Access] = list(accesses)
+        self.rows: list[tuple] = [_row(a) for a in accesses]
+
+    @property
+    def accesses(self) -> list[Access]:
+        """A new list of the accesses, built from the rows."""
+        return list(starmap(Access, self.rows))
 
     def append(self, a: Access) -> None:
-        if self.accesses and a.t <= self.accesses[-1].t:
+        rows = self.rows
+        if rows and a.t <= rows[-1][0]:
             raise CorruptTrace("step indices must strictly increase")
-        self.accesses.append(a)
+        rows.append(_row(a))
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Access]:
-        return iter(self.accesses)
+        return starmap(Access, self.rows)
 
     def replay(self) -> tuple[RegValue, RegValue]:
         """Replay from both registers holding rst and return their final
@@ -284,8 +306,7 @@ class Trace:
         CorruptTrace."""
         last_t = -1
         regs = [RegValue.RST, RegValue.RST]
-        for a in self.accesses:
-            t, pid, fields = a.t, a.pid, a.fields
+        for t, pid, fields, _, _ in self.rows:
             reg = fields[0]
             if t <= last_t:
                 raise CorruptTrace("step indices must strictly increase")
@@ -315,25 +336,23 @@ class Trace:
         # carry other pids, which get a slot when they first act.
         open_ops: dict[int, Optional[OpRecord]] = {0: None, 1: None}
         records: list[OpRecord] = []
-        for a in self.accesses:
-            pid = a.pid
+        for t, pid, fields, op_seq, op in self.rows:
             rec = open_ops.get(pid)
             if rec is None:
-                rec = open_ops[pid] = OpRecord(pid=pid, kind=a.op, op_seq=a.op_seq, start=a.t)
+                rec = open_ops[pid] = OpRecord(pid=pid, kind=op, op_seq=op_seq, start=t)
                 records.append(rec)
-            elif rec.op_seq != a.op_seq:
+            elif rec.op_seq != op_seq:
                 raise CorruptTrace(
-                    f"step {a.t}: P{pid} access for op {a.op_seq} "
+                    f"step {t}: P{pid} access for op {op_seq} "
                     f"while op {rec.op_seq} is open"
                 )
             rec.accesses += 1
-            fields = a.fields
             if fields[5] == "choose":
                 rec.choose_visits += 1
             events = fields[6]
             if events and events[-1].kind in _FINISH:
                 rec.ret = _FINISH[events[-1].kind]
-                rec.finish = a.t
+                rec.finish = t
                 open_ops[pid] = None
         return records
 
@@ -346,17 +365,15 @@ class Trace:
         # call, so no two of them have the same id, and tuples that are
         # equal but encode apart (coin 1 and True) get their own tails.
         tails: dict[int, str] = {}
-        for a in self.accesses:
-            t, pid, op_seq, op = a.t, a.pid, a.op_seq, a.op
+        for row in self.rows:
+            t, pid, fields, op_seq, op = row
             if type(t) is int and type(pid) is int and type(op_seq) is int and op in _OPS:
-                key = id(a.fields)
-                tail = tails.get(key)
+                tail = tails.get(id(fields))
                 if tail is None:
-                    fields = a._fields()
-                    tail = tails[key] = json.dumps({k: fields[k] for k in _TAIL_KEYS})[1:]
+                    tail = tails[id(fields)] = json.dumps(_tail(fields))[1:]
                 write(f'{{"t": {t}, "pid": {pid}, "op_seq": {op_seq}, "op": "{op}", {tail}\n')
             else:
-                write(a.to_json() + "\n")
+                write(Access(*row).to_json() + "\n")
 
     @staticmethod
     def load_jsonl(fh) -> "Trace":
@@ -369,32 +386,34 @@ class Trace:
         tail, the rest of the line, when an earlier line of the trace had
         the same pid and tail."""
         tr = Trace()
-        accesses = tr.accesses
-        append, match, from_json = accesses.append, _HEAD.match, Access.from_json
-        tails: dict[tuple[str, str], tuple[int, tuple]] = {}
+        rows = tr.rows
+        append, match, from_json = rows.append, _HEAD.match, Access.from_json
+        # Per pid, by tail: the pid and fields that tail decodes to.
+        tails: dict[str, dict[str, tuple[int, tuple]]] = {"0": {}, "1": {}}
         last_t = 0
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+            # The raw line: a canonical one needs no strip, as its tail
+            # is a key, whitespace and all.
             m = match(line)
             if m is None:
-                a = from_json(line)
-                t = a.t
+                line = line.strip()
+                if not line:
+                    continue
+                row = _row(from_json(line))
             else:
                 t, pid, op_seq, op, tail = m.groups()
-                known = tails.get((pid, tail))
+                known = tails[pid].get(tail)
                 if known is not None:
-                    t = int(t)
-                    a = Access(t, known[0], known[1], int(op_seq), op)
+                    row = (int(t), known[0], known[1], int(op_seq), op)
                 else:
-                    a = from_json(line)
-                    t = a.t
+                    a = from_json(line.strip())
+                    row = _row(a)
                     # A tail that repeats a head key overrides the head: never store it.
-                    if tuple(json.loads("{" + tail)) == _TAIL_KEYS:
-                        tails[pid, tail] = (a.pid, a.fields)
-            if accesses and t <= last_t:
+                    if tuple(json.loads("{" + tail.rstrip())) == _TAIL_KEYS:
+                        tails[pid][tail] = (a.pid, a.fields)
+            t = row[0]
+            if rows and t <= last_t:
                 raise CorruptTrace("step indices must strictly increase")
-            append(a)
+            append(row)
             last_t = t
         return tr

@@ -211,6 +211,9 @@ def _evaluate(m: Model, comp: list[int], eqs: list[Equation]) -> tuple[list[int]
                 r //= g
             rhs[d] = r
     # Back substitution, keeping every value found so far over den.
+    # Every pivot is positive: each row keeps a diagonal >= 0,
+    # off-diagonals <= 0 and a row sum >= 0 under an update by a positive
+    # pivot, so a nonzero diagonal is positive.
     nums = [0] * n
     den = 1
     for k in reversed(range(n)):
@@ -218,8 +221,6 @@ def _evaluate(m: Model, comp: list[int], eqs: list[Equation]) -> tuple[list[int]
         for x, b in rows[k].items():
             t -= b * nums[x]
         p = pivots[k]
-        if p < 0:
-            p, t = -p, -t
         g = gcd(t, p)
         p //= g
         if p > 1:

@@ -16,13 +16,13 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from . import expectation
 from .checker import Branch, Config, model
-from .core import Access, OpRecord, Trace
+from .core import OpRecord, Trace
 from .protocol import ProcState
 
-# An adversary sees the full visible history (accesses so far, current
-# chart states) and the schedulable pids, in ascending order, and picks
-# one of them.
-Adversary = Callable[[Sequence[Access], Config, tuple[int, ...]], int]
+# An adversary sees the full visible history (the trace's rows so far,
+# `(t, pid, fields, op_seq, op)` each, and the current chart states) and
+# the schedulable pids, in ascending order, and picks one of them.
+Adversary = Callable[[Sequence[tuple], Config, tuple[int, ...]], int]
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -102,9 +102,9 @@ def run(
     forced = [not starts or op == "reset" for op, starts in ops]
     remaining = list(workload.tas_ops)
     trace = Trace()
-    # The loop numbers the steps itself, so accesses skip Trace.append's check.
-    accesses = trace.accesses
-    append = accesses.append
+    # The loop numbers the steps itself, so its rows skip Trace.append's check.
+    rows = trace.rows
+    append = rows.append
     cid = 0  # (rst, rst)
     op_seq = [-1, -1]
     t = 0
@@ -120,7 +120,7 @@ def run(
         if t >= max_steps:
             truncated = True
             break
-        pid = adversary(accesses, configs[cid], schedulable)
+        pid = adversary(rows, configs[cid], schedulable)
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
         k = base + pid
@@ -130,7 +130,7 @@ def run(
         if starts:
             op_seq[pid] += 1
         cid, fields, _ = _take(branches[k], coin)
-        append(Access(t, pid, fields, op_seq[pid], op))
+        append((t, pid, fields, op_seq[pid], op))
         t += 1
     records = trace.op_records()
     return trace, records, RunStats.from_records(records, truncated)
@@ -140,7 +140,7 @@ def round_robin() -> Adversary:
     """Alternate between the processes, skipping unschedulable ones."""
     last = [1]
 
-    def choose(accesses, config, schedulable):
+    def choose(rows, config, schedulable):
         pid = 1 - last[0]
         if pid not in schedulable:
             pid = schedulable[0]
@@ -172,7 +172,7 @@ def random_adversary(seed: int) -> Adversary:
     one `randrange(2)` draw, so every pick reads that stream."""
     draws = itertools.chain.from_iterable(_randrange_blocks(random.Random(seed), 2))
 
-    def choose(accesses, config, schedulable):
+    def choose(rows, config, schedulable):
         if len(schedulable) > 2:
             raise ValueError(f"the random adversary picks among at most 2 pids, got {schedulable}")
         return schedulable[next(draws) & (len(schedulable) - 1)]
@@ -184,7 +184,7 @@ def script(pids: Sequence[int]) -> Adversary:
     """Replay a fixed schedule; raises ScriptExhausted when it ends."""
     it = iter(pids)
 
-    def choose(accesses, config, schedulable):
+    def choose(rows, config, schedulable):
         try:
             pid = next(it)
         except StopIteration:
@@ -202,7 +202,7 @@ def optimal() -> Adversary:
     exhausted."""
     policy = expectation.solve(0).policy
 
-    def choose(accesses, config, schedulable):
+    def choose(rows, config, schedulable):
         pid = policy.get(config)
         if pid is None or pid not in schedulable:
             pid = schedulable[0]

@@ -43,7 +43,7 @@ def project_b(trace: Trace) -> list[tuple[int, Event]]:
     """h|B as (access position, event) pairs, after the register replay;
     a composite access contributes its events in order at its position."""
     trace.replay()
-    return [(i, e) for i, a in enumerate(trace.accesses) for e in a.fields[6]]
+    return [(i, e) for i, row in enumerate(trace.rows) for e in row[2][6]]
 
 
 # The sequential test-and-set: `owner` is the pid that holds the 0, or
@@ -113,19 +113,22 @@ def check_two_process(trace: Trace) -> Verdict:
     for k in range(len(cols) - 1, -1, -1):
         y, fired[k] = pred[before[k]][cols[k]][y]
 
-    accesses = trace.accesses
+    rows = trace.rows
+    # `tuple.__new__` makes the SeqOp that the class call would, without
+    # its generated `__new__`.
+    new = tuple.__new__
     open_tas = [0, 0]  # op_seq of each pid's latest tas
     order: list[SeqOp] = []
     for i, col, eps in zip(positions, cols, fired):
-        a = accesses[i]
+        t, _, _, op_seq, _ = rows[i]
         e = B_EVENTS[col]
         if e.kind == "sTas":
-            open_tas[e.pid] = a.op_seq
+            open_tas[e.pid] = op_seq
         elif e.kind == "rstOp":
-            order.append(SeqOp(e.pid, "reset", None, a.t, a.op_seq))
+            order.append(new(SeqOp, (e.pid, "reset", None, t, op_seq)))
         for o in eps:
             ret = 0 if o.kind == "tas0" else 1
-            order.append(SeqOp(o.pid, "tas", ret, a.t, open_tas[o.pid]))
+            order.append(new(SeqOp, (o.pid, "tas", ret, t, open_tas[o.pid])))
     if not _fa1_legal(order):
         raise AssertionError("extracted linearization is not legal")
     return Verdict(ok=True, order=tuple(order))
@@ -227,21 +230,22 @@ def lint(trace: Trace) -> Verdict:
     c = 0  # (rst, rst)
     op_seq = [-1, -1]
     misclassified: Optional[Access] = None
-    for a in trace:
-        pid = a.pid
+    for row in trace.rows:
+        t, pid, a_fields, a_op_seq, a_op = row
         if pid not in (0, 1):
-            raise CorruptTrace(f"step {a.t}: bad pid {pid!r}")
+            raise CorruptTrace(f"step {t}: bad pid {pid!r}")
         k = 2 * c + pid
         op, starts = ops[k]
         if starts:
             op_seq[pid] += 1
         n = op_seq[pid]
         # No branch matches an access of another op or op_seq.
-        got = a.fields if a.op == op and a.op_seq == n else None
+        got = a_fields if a_op == op and a_op_seq == n else None
         for d, fields, _ in branches[k]:
             if fields == got:
                 break
         else:
+            a = Access(*row)
             d = _events_only(a, (op, n), branches[k])
             if misclassified is None:
                 misclassified = a

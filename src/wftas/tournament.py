@@ -104,7 +104,7 @@ class TournamentTree:
         self.t = 0
         # One (pid, node, role, fields, (op, starts)) per access, the
         # entry's index being its time and `fields` the model's tuple;
-        # `_built` builds the objects.
+        # `_rows` reads the rows of `accesses` and `node_trace` from it.
         self._log: list[tuple] = []
 
     # -- operation control -------------------------------------------------
@@ -187,20 +187,20 @@ class TournamentTree:
     @property
     def accesses(self) -> list[NodeAccess]:
         """Every access so far, in order."""
-        return self._built()
+        return [NodeAccess(row[0], pid, node, row[1], Access(*row))
+                for pid, node, row in self._rows()]
 
-    def _built(self, only: Optional[int] = None) -> list[NodeAccess]:
-        """The accesses of node `only`, or of every node, in order, built
-        from the log; each role's operations at each node are numbered
-        from 0."""
+    def _rows(self, only: Optional[int] = None) -> Iterator[tuple[int, int, tuple]]:
+        """`(pid, node, row)` of each access of node `only`, or of every
+        node, in order, read from the log: the row is the node's
+        `(t, role, fields, op_seq, op)`, each role's operations at each
+        node numbered from 0."""
         op_seq = {v: [-1, -1] for v in self.nodes}
-        out = []
         for t, (pid, node, role, fields, (op, starts)) in enumerate(self._log):
             if only is None or node == only:
                 seq = op_seq[node]
                 seq[role] += starts
-                out.append(NodeAccess(t, pid, node, role, Access(t, role, fields, seq[role], op)))
-        return out
+                yield pid, node, (t, role, fields, seq[role], op)
 
     def history(self) -> list[OpRecord]:
         recs: list[OpRecord] = []
@@ -213,7 +213,9 @@ class TournamentTree:
 
     def node_trace(self, node_id: int) -> Trace:
         """The two-process trace of one node (pids are the roles)."""
-        return Trace(na.access for na in self._built(node_id))
+        tr = Trace()
+        tr.rows.extend(row for _, _, row in self._rows(node_id))
+        return tr
 
 
 class ViolationReport(NamedTuple):

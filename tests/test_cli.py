@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,31 @@ def test_simulate_stdout_then_lint(capsys, monkeypatch, tmp_path):
     rc, out = run_cli(capsys, "lint-trace", str(trace_file))
     assert rc == 0
     assert out.startswith("linearizable")
+
+
+def test_simulate_then_lint_builds_an_access_per_distinct_tail(capsys, monkeypatch, tmp_path):
+    """`simulate | lint-trace` passes rows along: it builds one `Access`
+    only per distinct pid and line tail, which the strict decoder reads
+    once, not one per access."""
+    built = []
+    init = Access.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Access, "__init__", counted)
+    rc, out = run_cli(capsys, "simulate", "--ops", "2000", "--seed", "7")
+    assert rc == 0
+    lines = out.splitlines()
+    tails = {re.fullmatch(r'\{"t": \d+, "pid": ([01]), "op_seq": \d+, "op": "\w+", (.*)', line).groups()
+             for line in lines}
+    assert len(lines) == 18079 and len(tails) < 100
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(out)
+    rc, out = run_cli(capsys, "lint-trace", str(trace_file))
+    assert rc == 0 and out.startswith("linearizable: 18079 accesses, ")
+    assert len(built) <= len(tails)
 
 
 def test_simulate_files_and_stats(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wftas import cli, core, harness, protocol
+from wftas import cli, core, harness, protocol, tournament
 from wftas.core import Access, CorruptTrace, Event, RegValue, Trace
 
 
@@ -203,6 +203,10 @@ REWRITES = {
     "pid true": lambda line, draw: _set_head(line, "pid", "true"),
     "other pid": lambda line, draw: _set_head(line, "pid", str(1 - json.loads(line)["pid"])),
     "trailing whitespace": lambda line, draw: line + draw(st.sampled_from([" ", "\t", "\n", " \r\n"])),
+    "leading whitespace": lambda line, draw: draw(st.sampled_from([" ", "\t", "\r", " \x0c"])) + line,
+    # Whitespace to `str.strip` that JSON does not allow.
+    "trailing non-JSON whitespace": lambda line, draw: line + draw(st.sampled_from(["\x0c", "\x1c", "\u2028"])),
+    "whitespace line before": lambda line, draw: draw(st.sampled_from(["", " ", "\t\r", "\x0c"])) + "\n" + line,
     "non-chart tail": _forge_tail,
 }
 
@@ -242,6 +246,35 @@ def test_trace_jsonl_roundtrip():
     buf.seek(0)
     back = Trace.load_jsonl(buf)
     assert back.accesses == trace.accesses
+
+
+def _tournament_node_traces():
+    tree = tournament.find_violation(3, 1, 0).tree
+    return [tree.node_trace(v) for v in tree.nodes]
+
+
+def test_rows_and_accesses_agree():
+    """A trace's rows are its accesses' slots: rebuilding a trace from
+    its `accesses` gives the same rows, for the traces that `run`,
+    `load_jsonl` and `node_trace` make; each built `Access` holds its
+    row's `fields` object, and iteration builds the same accesses."""
+    run = harness.run(harness.Workload((30, 30)), harness.random_adversary(3), seed=3)[0]
+    buf = io.StringIO()
+    run.dump_jsonl(buf)
+    loaded = Trace.load_jsonl(io.StringIO(buf.getvalue()))
+    for tr in (run, loaded, *_tournament_node_traces()):
+        assert len(tr) == len(tr.rows) > 0
+        assert all(type(row) is tuple and len(row) == 5 for row in tr.rows)
+        assert Trace(tr.accesses).rows == tr.rows
+        assert tr.accesses is not tr.accesses
+        for row, a in zip(tr.rows, tr.accesses, strict=True):
+            assert a.fields is row[2]
+            assert (a.t, a.pid, a.op_seq, a.op) == (row[0], row[1], row[3], row[4])
+        assert list(tr) == tr.accesses
+    tr = Trace(run.accesses[:2])
+    with pytest.raises(CorruptTrace, match=r"^step indices must strictly increase$"):
+        tr.append(run.accesses[1])
+    assert tr.rows == run.rows[:2]
 
 
 def test_trace_append_monotonic():

@@ -186,7 +186,6 @@ def _run_reference(workload, adversary, seed, max_steps):
     ops, branches, configs = model().ops, model().branches, model().configs
     remaining = list(workload.tas_ops)
     trace = Trace()
-    accesses = trace.accesses
     cid, op_seq = 0, [-1, -1]
     t = 0
     truncated = False
@@ -201,7 +200,7 @@ def _run_reference(workload, adversary, seed, max_steps):
         if t >= max_steps:
             truncated = True
             break
-        pid = adversary(accesses, configs[cid], tuple(schedulable))
+        pid = adversary(trace.rows, configs[cid], tuple(schedulable))
         if pid not in schedulable:
             raise ValueError(f"adversary scheduled unschedulable P{pid}")
         op, starts = ops[2 * cid + pid]
@@ -210,7 +209,7 @@ def _run_reference(workload, adversary, seed, max_steps):
             if op == "tas":
                 remaining[pid] -= 1
         cid, fields, _ = harness._take(branches[2 * cid + pid], coin)
-        accesses.append(Access(t, pid, fields, op_seq[pid], op))
+        trace.append(Access(t, pid, fields, op_seq[pid], op))
         t += 1
     records = trace.op_records()
     return trace, records, harness.RunStats.from_records(records, truncated)
@@ -218,9 +217,9 @@ def _run_reference(workload, adversary, seed, max_steps):
 
 def _logged(adversary, log):
     """`adversary`, logging what it is shown at each decision."""
-    def choose(accesses, config, schedulable):
-        log.append((len(accesses), config, schedulable))
-        return adversary(accesses, config, schedulable)
+    def choose(rows, config, schedulable):
+        log.append((len(rows), config, schedulable))
+        return adversary(rows, config, schedulable)
     return choose
 
 
