@@ -15,6 +15,7 @@ lint-trace FILE that cannot be opened included.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -434,6 +435,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Looked up per call, so a command replaced on the module (a test's
     # patch, a tracer's wrapper) is the one that runs.
     fn = globals()["cmd_" + args.command.replace("-", "_")]
+    # A command's rows, records and `SeqOp`s hold no reference cycles, so
+    # reference counting frees them all; the cyclic collector would only
+    # re-scan them.  It is paused for the command and put back as found.
+    # The `*_cyclic_garbage` tests in `tests/test_cli.py` guard this.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         rc = fn(args)
         sys.stdout.flush()
@@ -443,6 +450,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # devnull so the flush at exit raises nothing, and fail quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

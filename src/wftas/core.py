@@ -339,7 +339,7 @@ class Trace:
         for t, pid, fields, op_seq, op in self.rows:
             rec = open_ops.get(pid)
             if rec is None:
-                rec = open_ops[pid] = OpRecord(pid=pid, kind=op, op_seq=op_seq, start=t)
+                rec = open_ops[pid] = OpRecord(pid, op, op_seq, t)
                 records.append(rec)
             elif rec.op_seq != op_seq:
                 raise CorruptTrace(

@@ -208,7 +208,12 @@ def _search_n_process(records: Sequence[OpRecord], n: int, budget: int) -> Verdi
         memo.add((placed, owner))
         return False
 
-    return Verdict(ok=dfs(frozenset(), None))
+    try:
+        return Verdict(ok=dfs(frozenset(), None))
+    finally:
+        # `dfs` refers to itself through its closure cell; unbinding it
+        # breaks that cycle, so reference counting frees the search.
+        dfs = None
 
 
 def lint(trace: Trace) -> Verdict:

@@ -119,7 +119,7 @@ class TournamentTree:
         if kind == "reset" and not holds_zero:
             raise NotOwner(f"P{pid} does not hold the 0")
         p.descending = kind == "reset"  # a reset releases root toward leaf
-        p.current = OpRecord(pid=pid, kind=kind, op_seq=len(p.records), start=self.t)
+        p.current = OpRecord(pid, kind, len(p.records), self.t)
 
     def invoke_tas(self, pid: int) -> None:
         self._invoke(pid, "tas")

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -497,6 +498,101 @@ def test_patched_command_runs_after_first_call(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.ops) or 7)
     assert run_cli(capsys, "simulate", "--ops", "5") == (7, "")
     assert seen == [5]
+
+
+def _raise(args):
+    raise RuntimeError("command failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["clean", "usage error", "corrupt trace", "raises"])
+def test_main_puts_the_collector_back(capsys, monkeypatch, tmp_path, case, enabled):
+    """`main` runs a command with the cyclic collector paused and leaves
+    it as the caller had it, on every way out of the command."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    argv, rc = {
+        "clean": (["simulate", "--ops", "5"], 0),
+        "usage error": (["check", "--bogus"], 3),
+        "corrupt trace": (["lint-trace", str(bad)], 3),
+        "raises": (["simulate", "--ops", "5"], None),
+    }[case]
+    if case == "raises":
+        monkeypatch.setattr(cli, "cmd_simulate", _raise)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if rc is None:
+            with pytest.raises(RuntimeError, match="command failed"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == rc
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_command_runs_with_the_collector_paused(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(gc.isenabled()) or 0)
+    assert gc.isenabled()
+    assert run_cli(capsys, "simulate", "--ops", "5") == (0, "")
+    assert seen == [False] and gc.isenabled()
+
+
+def _cyclic_garbage(capsys, *argv):
+    """(exit code, stdout, objects `gc.collect()` frees) of one command
+    run with the collector off throughout."""
+    gc.collect()
+    gc.disable()
+    try:
+        rc, out = run_cli(capsys, *argv)
+        return rc, out, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("adversary", ["round-robin", "random", "optimal"])
+@pytest.mark.parametrize("ops", ["50", "2000"])
+def test_simulate_and_lint_leave_no_cyclic_garbage(capsys, tmp_path, adversary, ops):
+    """The rows, records and `SeqOp`s of `simulate | lint-trace` form no
+    reference cycles, so pausing the collector for a command keeps
+    nothing alive past it."""
+    rc, out, left = _cyclic_garbage(capsys, "simulate", "--ops", ops,
+                                    "--adversary", adversary, "--seed", "7")
+    assert (rc, left) == (0, 0)
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(out)
+    rc, out, left = _cyclic_garbage(capsys, "lint-trace", str(trace_file))
+    assert out.startswith("linearizable") and (rc, left) == (0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tournament", "--n", "2"],
+    ["tournament", "--n", "3"],
+    ["tournament", "--n", "4"],
+    ["tournament", "--n", "4", "--budget", "50"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_tournament_leaves_no_cyclic_garbage(capsys, monkeypatch, argv):
+    """Every n-process search of a tournament frees itself: each runs,
+    none is served from a verdict an earlier test left in the memo."""
+    from wftas import linearize
+
+    monkeypatch.setattr(linearize, "_VERDICTS", {})
+    rc, _, left = _cyclic_garbage(capsys, *argv)
+    assert rc in (0, 1) and left == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--json"],
+    ["expect", "--verify", "--policy"],
+    ["dump-fa3"],
+], ids=lambda argv: argv[0])
+def test_commands_leave_no_growing_cyclic_garbage(capsys, argv):
+    """What the verification commands leave for the collector (the
+    `json` module's indenting encoder) is the same on every run."""
+    left = [_cyclic_garbage(capsys, *argv)[2] for _ in range(3)]
+    assert left[0] == left[1] == left[2]
 
 
 # The usage errors whose wording is pinned, by test id.
